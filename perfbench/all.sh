@@ -6,8 +6,8 @@
 #   sh perfbench/all.sh [seed] [seconds]
 set -e
 seed=${1:-1}
-seconds=${2:-20}
-for workload in train-fast train-grid train-pool serve; do
+seconds=${2:-30}
+for workload in train-fast train-pool serve; do
     for trace in 0 1; do
         python3 perfbench/run.py --workload "$workload" --seed "$seed" \
             --seconds "$seconds" --trace "$trace"

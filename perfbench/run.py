@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload train-fast --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload train-fast --seed 1 --seconds 30 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics of untraced passes.
 ``--trace 1`` runs the same untraced passes, then one pass with timing
@@ -18,8 +18,10 @@ seed (``train-pool`` cannot record: it is checked against ``train-fast``).
 from __future__ import annotations
 
 import argparse
+import gc
 import glob
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -28,12 +30,16 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 ANCHORS = HERE / "anchors.json"
+#: Metric names and units come from here; metrics.json documents what each
+#: metric measures and what it should move.
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 #: Seeds used while sizing and tuning this benchmark, and one held out so
 #: later claims can be checked on a seed the benchmark was never tuned on.
@@ -41,7 +47,12 @@ TUNING_SEEDS = (1, 2, 3, 4, 5)
 HOLDOUT_SEED = 97
 
 #: Set-ups measured per run; setup_s is their median.
-SETUP_REPEATS = 3
+SETUP_REPEATS = 7
+
+#: Trainings of the served model per replay pass on serve.  A training
+#: takes about as long as a pass, and train_s is the fastest of them while
+#: the request metrics pool every pass, so the trainings need the samples.
+TRAININGS_PER_PASS = 2
 
 
 def _load_program() -> Any:
@@ -92,6 +103,7 @@ def environment(workload: Any, seed: int) -> Dict[str, Any]:
         "workload": workload.name,
         "config": workload.describe(),
         "seed": seed,
+        "input_seeds": workload.input_seeds(seed) if workload.training else [seed],
         "tuning_seeds": list(TUNING_SEEDS),
         "holdout_seed": HOLDOUT_SEED,
     }
@@ -103,7 +115,11 @@ _IMPORTS = "import repro.experiments.runner, repro.serving.server, repro.benchma
 
 
 def _setup_once(wl: Any, workload: Any) -> float:
-    """Imports in a fresh interpreter, registry, then pool or server start."""
+    """Imports in a fresh interpreter, registry, then pool or server start.
+
+    The served model's training is not part of it: ``serve`` reports it as
+    train_s.
+    """
     from concurrent.futures import ProcessPoolExecutor
 
     from repro.benchmarks_suite import get_benchmark
@@ -136,11 +152,16 @@ def _pss_kb(pid: str) -> int:
 
 
 class RssSampler:
-    """Peak resident memory (summed PSS) of this process plus its live children."""
+    """Peak resident memory (summed PSS) of this process plus its live children.
+
+    ``take()`` returns the peak since the previous ``take()``, so a run can
+    report one peak per pass.
+    """
 
     def __init__(self, interval: float = 0.05) -> None:
         self.interval = interval
         self.peak_kb = 0
+        self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._loop, daemon=True)
 
@@ -152,7 +173,15 @@ class RssSampler:
                     total += sum(_pss_kb(pid) for pid in children.read().split())
             except OSError:
                 pass
-        self.peak_kb = max(self.peak_kb, total)
+        with self._lock:
+            self.peak_kb = max(self.peak_kb, total)
+
+    def take(self) -> float:
+        """Peak in MB since the last call, then start a new peak."""
+        self._sample()
+        with self._lock:
+            peak, self.peak_kb = self.peak_kb, 0
+        return peak / 1024.0
 
     def _loop(self) -> None:
         while not self._stop.wait(self.interval):
@@ -165,11 +194,6 @@ class RssSampler:
     def __exit__(self, *_exc: Any) -> None:
         self._stop.set()
         self._thread.join()
-        self._sample()
-
-    @property
-    def peak_mb(self) -> float:
-        return self.peak_kb / 1024.0
 
 
 # -- anchors ----------------------------------------------------------------
@@ -181,12 +205,17 @@ def load_anchors() -> Dict[str, Any]:
     return {"training": {}, "serve": {}}
 
 
-def record_anchors(workload: Any, seed: int, observed: Dict[str, Any]) -> None:
-    """Merge one run's anchors into ``anchors.json`` (re-read just before)."""
+def record_anchors(workload: Any, seed: int, observed: Dict[Any, Any]) -> None:
+    """Merge one run's anchors into ``anchors.json`` (re-read just before).
+
+    A training run observes ``{input seed: {test: anchor}}``; serve observes
+    one anchor for its seed.
+    """
     anchors = load_anchors()
     if workload.training:
-        for test, anchor in observed.items():
-            anchors["training"].setdefault(test, {})[str(seed)] = anchor
+        for input_seed, tests in observed.items():
+            for test, anchor in tests.items():
+                anchors["training"].setdefault(test, {})[str(input_seed)] = anchor
     else:
         anchors["serve"][str(seed)] = observed
     ANCHORS.write_text(json.dumps(anchors, indent=1, sort_keys=True) + "\n")
@@ -269,50 +298,88 @@ def span_metrics(tracer: Any) -> Dict[str, float]:
     return values
 
 
-def run_training(wl: Any, workload: Any, seed: int, seconds: float, trace: bool,
-                 anchors: Dict[str, Any], checks: Checks) -> Tuple[Dict[str, float], Dict[str, float], Dict[str, Any]]:
-    recorded = anchors.get("training", {})
-    passes = []
+def _expected_anchors(wl: Any, workload: Any, seeds: List[int], recorded: Dict[str, Any],
+                      checks: Checks) -> Dict[int, Dict[str, Any]]:
+    """Each test's anchor at each input seed, as train-fast (serial) produces it.
+
+    Recorded anchors are used where they exist.  A process-pool workload at
+    an unrecorded seed computes them with an untimed serial pass, so that
+    serial = process is checked on every seed.
+    """
+    expected = {}
+    for seed in seeds:
+        mine = {test: recorded.get(test, {}).get(str(seed)) for test in workload.tests}
+        if workload.executor != "serial" and None in mine.values():
+            mine = dict(wl.train_pass(replace(workload, executor="serial", workers=None), seed).anchors)
+        missing = [test for test, anchor in mine.items() if anchor is None]
+        if missing:
+            checks.notes.append(f"no recorded anchor for {', '.join(missing)} at seed {seed}")
+        expected[seed] = mine
+    return expected
+
+
+def run_training(wl: Any, workload: Any, seed: int, seconds: float, trace: bool, anchors: Dict[str, Any],
+                 checks: Checks, memory: RssSampler) -> Tuple[Dict[str, float], Dict[str, float], Dict[str, Any]]:
+    seeds = workload.input_seeds(seed)
+    expected = _expected_anchors(wl, workload, seeds, anchors.get("training", {}), checks)
+    wl.warm_up(workload, seed)
+    # Passes rotate over the input seeds until the window is used, and
+    # every input seed gets at least two, so the inputs depend on the seed
+    # alone and every test time below is a minimum of two or more.
+    passes: Dict[int, List[Any]] = {input_seed: [] for input_seed in seeds}
+    peaks: List[float] = []
     started = time.perf_counter()
-    while True:
+    for count in itertools.count(1):
+        input_seed = seeds[(count - 1) % len(seeds)]
         begun = time.perf_counter()
-        current = wl.train_pass(workload, seed)
-        passes.append(current)
+        memory.take()
+        current = wl.train_pass(workload, input_seed)
+        peaks.append(memory.take())
+        mine = passes[input_seed]
+        mine.append(current)
         for test, anchor in current.anchors.items():
-            expected = recorded.get(test, {}).get(str(seed))
             if "error" in anchor:
                 checks.check(False, f"{test} raised {anchor['error']}")
-            elif expected is not None:
-                checks.check(anchor == expected, f"{test} seed {seed} differs from its recorded anchor")
+            elif expected[input_seed][test] is not None:
+                checks.check(anchor == expected[input_seed][test],
+                             f"{test} seed {input_seed} differs from the serial anchor")
             else:
                 checks.check(True, test)
-                if len(passes) == 1:
-                    checks.notes.append(f"no recorded anchor for {test} at seed {seed}")
-            if len(passes) > 1:
-                checks.check(anchor == passes[0].anchors[test], f"{test} differs between passes")
-        if len(passes) > 1:
-            current.results.clear()  # only the first pass is replayed
+            if len(mine) > 1:
+                checks.check(anchor == mine[0].anchors[test], f"{test} seed {input_seed} differs between passes")
+        if len(mine) == 1:
+            checks.bulk(*wl.deploy_replay(current.results), "deployed runs differ from the training matrix")
+        current.results.clear()  # so that every later pass peaks in memory alike
         took = time.perf_counter() - begun
-        if time.perf_counter() - started + took > seconds:
+        if count >= 2 * len(seeds) and time.perf_counter() - started + took > seconds:
             break
-    checks.bulk(*wl.deploy_replay(passes[0].results), "deployed runs differ from the training matrix")
 
-    # A request of a training workload is one test's train-and-evaluate
-    # job.  With 2 to 4 jobs a pass, the percentiles interpolate between
-    # them so that tests trading places across seeds move them smoothly.
-    jobs = [p.wall[t] for p in passes for t in workload.tests]
-    quantiles = statistics.quantiles(jobs, n=100, method="inclusive")
+    # Every pass of one input seed repeats the same work with the same
+    # outputs, so other load on the machine can only add to a test's time:
+    # its fastest pass is the least disturbed measurement (min of N).  A
+    # test's time is that, averaged over the input seeds, and train_s sums
+    # the tests.  The request metrics must read on every workload.  A
+    # request of a training workload is one test's train-and-evaluate job,
+    # a user asking for a trained model; the percentiles interpolate over
+    # the tests.
+    per_test = {
+        t: statistics.mean(min(p.wall[t] for p in runs) for runs in passes.values()) for t in workload.tests
+    }
+    jobs = sorted(per_test.values())
     e2e = {
-        "train_s": statistics.median(p.train_s for p in passes),
+        "train_s": sum(jobs),
+        "peak_rss_mb": statistics.median(peaks),
         "request_p50_ms": statistics.median(jobs) * 1e3,
-        "request_p99_ms": quantiles[98] * 1e3,
+        "request_p99_ms": statistics.quantiles(jobs, n=100, method="inclusive")[98] * 1e3,
         "serve_rps": len(jobs) / sum(jobs),
     }
+    first = passes[seeds[0]]
     info = {
-        "passes": len(passes),
-        "per_test_s": {t: statistics.median(p.wall[t] for p in passes) for t in workload.tests},
+        "passes": {input_seed: len(runs) for input_seed, runs in passes.items()},
+        "peak_rss_mb_per_pass": peaks,
+        "per_test_s": per_test,
         "requests": len(jobs),
-        "anchors": passes[0].anchors,
+        "anchors": {input_seed: runs[0].anchors for input_seed, runs in passes.items()},
     }
     layers: Dict[str, float] = {}
     if trace:
@@ -320,19 +387,19 @@ def run_training(wl: Any, workload: Any, seed: int, seconds: float, trace: bool,
 
         with Tracer() as tracer:
             traced_start = time.perf_counter()
-            traced = wl.train_pass(workload, seed, tracer=tracer)
+            traced = wl.train_pass(workload, seeds[0])
             traced_end = time.perf_counter()
         for test, anchor in traced.anchors.items():
-            checks.check(anchor == passes[0].anchors[test], f"{test} traced differs from untraced")
-        counts, fallback = _runtime_counts(list(passes[0].stats.values()))
+            checks.check(anchor == first[0].anchors[test], f"{test} traced differs from untraced")
+        counts, fallback = _runtime_counts(list(first[0].stats.values()))
         info["runtime.executor_fallback"] = fallback
         info["runs_executed_per_test"] = {
-            t: s["telemetry"]["counters"].get("runs_executed", 0) for t, s in passes[0].stats.items()
+            t: s["telemetry"]["counters"].get("runs_executed", 0) for t, s in first[0].stats.items()
         }
         layers.update(span_metrics(tracer))
         layers.update(counts)
         layers.update({f"test.{t}_s": s for t, s in info["per_test_s"].items()})
-        layers["trace.overhead"] = traced.train_s / e2e["train_s"] - 1.0
+        layers["trace.overhead"] = traced.train_s / statistics.median(p.train_s for p in first) - 1.0
         layers["trace.untraced_s"] = tracer.uncovered(traced_start, traced_end)
     return e2e, layers, info
 
@@ -340,18 +407,15 @@ def run_training(wl: Any, workload: Any, seed: int, seconds: float, trace: bool,
 # -- serving -----------------------------------------------------------------
 
 
-def _serve_fields(passes: List[Any]) -> Dict[str, float]:
+def _serve_fields(first_pass: Any) -> Dict[str, float]:
     select, execute, outside, hits, misses = [], [], [], [], []
-    for current in passes:
-        for _index, wall, response in current.records:
-            if response.get("type") != "result":
-                continue
-            select.append(response["selection_seconds"])
-            execute.append(response["execution_seconds"])
-            outside.append(wall - response["selection_seconds"] - response["execution_seconds"])
-            repeat = response["cache_hit"] or response["coalesced"]
-            (hits if repeat else misses).append(wall)
-    first = passes[0].stats["runtime"]["telemetry"]["counters"]
+    for _index, wall, response in first_pass.results():
+        select.append(response["selection_seconds"])
+        execute.append(response["execution_seconds"])
+        outside.append(wall - response["selection_seconds"] - response["execution_seconds"])
+        repeat = response["cache_hit"] or response["coalesced"]
+        (hits if repeat else misses).append(wall)
+    first = first_pass.stats["runtime"]["telemetry"]["counters"]
     p50 = lambda values: statistics.median(values) * 1e3 if values else 0.0  # noqa: E731
     return {
         "serve.select_p50_ms": p50(select),
@@ -366,38 +430,73 @@ def _serve_fields(passes: List[Any]) -> Dict[str, float]:
     }
 
 
-def run_serving(wl: Any, seed: int, seconds: float, trace: bool, train_s: float, deployed: Any,
-                anchors: Dict[str, Any], checks: Checks) -> Tuple[Dict[str, float], Dict[str, float], Dict[str, Any]]:
+def run_serving(wl: Any, seed: int, seconds: float, trace: bool, anchors: Dict[str, Any],
+                checks: Checks, memory: RssSampler) -> Tuple[Dict[str, float], Dict[str, float], Dict[str, Any]]:
+    wl.warm_up(wl.WORKLOADS["serve"], seed)
     trace_indices = wl.serve_trace(seed)
-    reference = wl.serve_reference(deployed, seed)
-    anchor = wl.serve_anchor(reference)
-    expected = anchors.get("serve", {}).get(str(seed))
-    if expected is not None:
-        checks.check(anchor == expected, f"serve seed {seed} differs from its recorded anchor")
-    else:
-        checks.check(True, "serve reference")
-        checks.notes.append(f"no recorded anchor for serve at seed {seed}")
-
-    passes = []
+    # Each cycle of the measured window trains the served model
+    # TRAININGS_PER_PASS times and replays the trace once, so that both are
+    # sampled across the whole window.  The first model is the one served;
+    # every later training must reproduce it.  Only a traced run keeps
+    # response frames, of its first pass (for the per-layer fields), so
+    # every cycle of an untraced run peaks in memory alike.
+    trainings: List[float] = []
+    model_anchor = first_pass = None
+    walls: List[float] = []
+    durations: List[float] = []
+    peaks: List[float] = []
     started = time.perf_counter()
     while True:
         begun = time.perf_counter()
+        training_peak = 0.0
+        for _ in range(TRAININGS_PER_PASS):
+            gc.collect()  # each training and each replay starts from the same heap
+            memory.take()
+            trained = time.perf_counter()
+            model = wl.train_serving_model()
+            trainings.append(time.perf_counter() - trained)
+            training_peak = max(training_peak, memory.take())
+            if model_anchor is None:
+                model_anchor = wl.training_anchor(model)
+                deployed = model.training.deployed
+                reference = wl.serve_reference(deployed, seed)
+                anchor = wl.serve_anchor(reference)
+                expected = anchors.get("serve", {}).get(str(seed))
+                if expected is not None:
+                    checks.check(anchor == expected, f"serve seed {seed} differs from its recorded anchor")
+                else:
+                    checks.check(True, "serve reference")
+                    checks.notes.append(f"no recorded anchor for serve at seed {seed}")
+            else:
+                checks.check(wl.training_anchor(model) == model_anchor, "served model differs between trainings")
+            del model  # so that every cycle peaks in memory alike
+
+        gc.collect()
+        memory.take()
         current = wl.serve_pass(deployed, trace_indices, seed)
-        passes.append(current)
+        peaks.append(max(training_peak, memory.take()))
         checks.bulk(len(current.records), current.failures(reference),
-                    "responses differ from sequential DeployedProgram.run or were refused")
+                    "responses differ from sequential DeployedProgram.run, were refused or never came")
+        walls += [w for _i, w, _r in current.results()]
+        durations.append(current.duration)
+        if trace and first_pass is None:
+            first_pass = current
+        del current
         took = time.perf_counter() - begun
         if time.perf_counter() - started + took > seconds:
             break
-    # Medians over passes, so that one pass caught in a stall moves nothing.
-    walls = [[w for _i, w, r in p.records if r.get("type") == "result"] for p in passes]
+    # The trainings are identical work, so the fastest is the least
+    # disturbed; request percentiles pool every pass's requests, and
+    # throughput is over the summed replay time.
     e2e = {
-        "train_s": train_s,
-        "request_p50_ms": statistics.median(wl.percentile(w, 0.50) for w in walls) * 1e3,
-        "request_p99_ms": statistics.median(wl.percentile(w, 0.99) for w in walls) * 1e3,
-        "serve_rps": statistics.median(len(p.records) / p.duration for p in passes),
+        "train_s": min(trainings),
+        "peak_rss_mb": statistics.median(peaks),
+        "request_p50_ms": wl.percentile(walls, 0.50) * 1e3,
+        "request_p99_ms": wl.percentile(walls, 0.99) * 1e3,
+        "serve_rps": len(walls) / sum(durations),
     }
-    info = {"passes": len(passes), "requests": sum(len(p.records) for p in passes), "anchors": anchor}
+    info = {"passes": len(durations), "requests": len(walls), "anchors": anchor, "trainings_s": trainings,
+            "peak_rss_mb_per_pass": peaks}
     layers: Dict[str, float] = {}
     if trace:
         from tracer import Tracer
@@ -405,12 +504,12 @@ def run_serving(wl: Any, seed: int, seconds: float, trace: bool, train_s: float,
         with Tracer() as tracer:
             traced = wl.serve_pass(deployed, trace_indices, seed)
         checks.bulk(len(traced.records), traced.failures(reference), "traced responses differ")
-        counts, _fallback = _runtime_counts([passes[0].stats["runtime"]])
+        counts, _fallback = _runtime_counts([first_pass.stats["runtime"]])
         layers.update(span_metrics(tracer))
         layers.update(counts)
-        layers.update(_serve_fields(passes))
-        layers.update(wl.serve_microtimings(deployed, seed, passes[0].records))
-        layers["trace.overhead"] = traced.duration / statistics.median(p.duration for p in passes) - 1.0
+        layers.update(_serve_fields(first_pass))
+        layers.update(wl.serve_microtimings(deployed, seed, first_pass.results()))
+        layers["trace.overhead"] = traced.duration / statistics.median(durations) - 1.0
         layers["trace.untraced_s"] = tracer.uncovered(traced.started, traced.started + traced.duration)
     return e2e, layers, info
 
@@ -418,29 +517,15 @@ def run_serving(wl: Any, seed: int, seconds: float, trace: bool, train_s: float,
 # -- main --------------------------------------------------------------------
 
 
-def _catalogue() -> Dict[str, List[Dict[str, Any]]]:
-    return json.loads((HERE / "metrics.json").read_text())
-
-
-def _check_benchmark_json(catalogue: Dict[str, List[Dict[str, Any]]]) -> List[str]:
-    """Differences between BENCHMARK.json and the interaction table."""
-    path = ROOT / "BENCHMARK.json"
-    if not path.exists():
-        return []
-    declared = json.loads(path.read_text())
-    problems = []
-    for kind in ("end_to_end", "per_layer"):
-        ours = [{k: m[k] for k in declared[kind][0]} for m in catalogue[kind]] if declared[kind] else []
-        if ours != declared[kind]:
-            problems.append(f"BENCHMARK.json {kind} differs from perfbench/metrics.json")
-    return problems
+def _declared() -> Dict[str, Any]:
+    return json.loads(BENCHMARK.read_text())
 
 
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--record-anchors", action="store_true")
     args = parser.parse_args(argv)
@@ -454,35 +539,22 @@ def main(argv: List[str]) -> int:
     workload = wl.WORKLOADS[args.workload]
     if args.record_anchors and workload.executor != "serial":
         parser.error("only serial workloads record anchors")
-    catalogue = _catalogue()
-    problems = _check_benchmark_json(catalogue)
-    if problems:
-        print("perfbench: " + "; ".join(problems), file=sys.stderr)
-        return 2
+    declared = _declared()
     print("# env " + json.dumps(environment(workload, args.seed), sort_keys=True), flush=True)
 
     anchors = load_anchors()
     checks = Checks()
-    setups, trainings = [], []
-    for _ in range(SETUP_REPEATS):
-        setups.append(_setup_once(wl, workload))
-        if not workload.training:
-            begun = time.perf_counter()
-            model = wl.train_serving_model()
-            trainings.append(time.perf_counter() - begun)
-            setups[-1] += trainings[-1]
+    setups = [_setup_once(wl, workload) for _ in range(SETUP_REPEATS)]
     with RssSampler() as memory:
         if workload.training:
             e2e, layers, info = run_training(
-                wl, workload, args.seed, args.seconds, bool(args.trace), anchors, checks
+                wl, workload, args.seed, args.seconds, bool(args.trace), anchors, checks, memory
             )
         else:
             e2e, layers, info = run_serving(
-                wl, args.seed, args.seconds, bool(args.trace), statistics.median(trainings),
-                model.training.deployed, anchors, checks,
+                wl, args.seed, args.seconds, bool(args.trace), anchors, checks, memory
             )
     e2e["setup_s"] = statistics.median(setups)
-    e2e["peak_rss_mb"] = memory.peak_mb
     layers["fail_rate"] = checks.failed / max(1, checks.attempted)
     info["setup_samples_s"] = setups
     print("# run " + json.dumps(info, sort_keys=True, default=str), flush=True)
@@ -492,7 +564,7 @@ def main(argv: List[str]) -> int:
     kind = "per_layer" if args.trace else "end_to_end"
     values = layers if args.trace else e2e
     metrics = {}
-    for entry in catalogue[kind]:
+    for entry in declared[kind]:
         value = float(values.get(entry["name"], 0.0))
         metrics[entry["name"]] = {"value": value, "unit": entry["unit"]}
         print(f"{args.workload:10s} {entry['name']:26s} {value:14.6f} {entry['unit']}")

@@ -14,7 +14,6 @@ name is not counted twice).
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import importlib
 import os
@@ -22,7 +21,7 @@ import sys
 import threading
 import time
 from collections import defaultdict
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: (import path, attribute path, span name).  Module-level functions are
 #: patched in every loaded ``repro`` module that imported them by name, so
@@ -108,15 +107,6 @@ class Tracer:
     def finish(self, span: Span) -> None:
         span.end = time.perf_counter()
         self._stack().pop()
-
-    @contextlib.contextmanager
-    def span(self, name: str) -> Iterator[Span]:
-        """``with tracer.span(name):`` -- a span opened by the benchmark itself."""
-        span = self.begin(name)
-        try:
-            yield span
-        finally:
-            self.finish(span)
 
     def wrap(self, name: str, fn: Callable[..., Any]) -> Callable[..., Any]:
         tracer = self
@@ -207,7 +197,11 @@ class Tracer:
         return dict(totals)
 
     def uncovered(self, start: float, end: float) -> float:
-        """Time in ``[start, end]`` that no top-level span (any thread) covers."""
+        """Time in ``[start, end]`` that no top-level span (any thread) covers.
+
+        Every span wraps a function of the program, so this is the time
+        spent outside the instrumented layers.
+        """
         intervals = sorted(
             (max(s.start, start), min(s.end, end))
             for s in self.spans

@@ -1,4 +1,4 @@
-"""The four benchmark workloads: what each pass runs and what it checks.
+"""The benchmark workloads: what each pass runs and what it checks.
 
 A *pass* is one complete unit of measured work:
 
@@ -14,12 +14,12 @@ the sequential reference answers of the serving trace.
 
 from __future__ import annotations
 
-import contextlib
+import gc
 import hashlib
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,22 +40,34 @@ DEFAULT_SCALE: Dict[str, int] = {
     "tuning_neighbors": 4,
     "max_subsets": 192,
 }
-#: Grid solvers at a scale that trains both tests in about 20 s serially.
-GRID_SCALE: Dict[str, int] = {
-    "n_inputs": 96,
-    "n_clusters": 6,
-    "tuner_generations": 4,
-    "tuner_population": 6,
-    "tuning_neighbors": 2,
-    "max_subsets": 48,
+#: A quarter of the default inputs and a third of its clusters (other
+#: settings default): one train-fast pass takes about 4 s on a 2-vCPU
+#: machine, so a run holds two or more passes of each input seed to take
+#: the fastest of.
+FAST_SCALE: Dict[str, int] = {**DEFAULT_SCALE, "n_inputs": 60, "n_clusters": 4}
+#: A scale small enough to cost about a second, run once before timing so
+#: that imports, lazy set-up and first calls are not measured.
+WARMUP_SCALE: Dict[str, int] = {
+    "n_inputs": 16,
+    "n_clusters": 2,
+    "tuner_generations": 1,
+    "tuner_population": 4,
+    "tuning_neighbors": 1,
+    "max_subsets": 8,
 }
+
+#: Input seeds per training run: run seed s trains on input seeds
+#: INPUT_SEEDS * s to INPUT_SEEDS * s + INPUT_SEEDS - 1, so that its time is
+#: an average over several input sets rather than one set's luck.
+INPUT_SEEDS = 3
 
 #: At most two workers, threads or connections anywhere (nproc = 2).
 WORKERS = 2
 
-#: Serving trace: 1000 first-seen indices among 4000 requests, so p99 has
-#: 40 samples beyond it.  The served model is trained on the population of
-#: MODEL_SEED; the trace and the requested inputs come from the run's seed.
+#: Serving trace: 1000 first-seen indices among 4000 requests, so p99 of one
+#: pass has 40 samples beyond it.  The served model is trained on the
+#: population of MODEL_SEED; the trace and the requested inputs come from
+#: the run's seed.
 SERVE_TEST = "sort2"
 MODEL_SEED = 0
 SERVE_REQUESTS = 4000
@@ -65,7 +77,6 @@ SERVE_UNIQUE = 1000
 @dataclass(frozen=True)
 class Workload:
     name: str
-    why: str
     tests: Tuple[str, ...] = ()
     scale: Dict[str, int] = field(default_factory=dict)
     executor: str = "serial"
@@ -74,6 +85,9 @@ class Workload:
     @property
     def training(self) -> bool:
         return bool(self.tests)
+
+    def input_seeds(self, seed: int) -> List[int]:
+        return [INPUT_SEEDS * seed + j for j in range(INPUT_SEEDS)]
 
     def describe(self) -> Dict[str, Any]:
         if not self.training:
@@ -97,34 +111,12 @@ class Workload:
 WORKLOADS: Dict[str, Workload] = {
     w.name: w
     for w in (
+        Workload("train-fast", ("sort1", "clustering1", "binpacking", "svd"), FAST_SCALE),
+        # Same tests and scale as train-fast, so their anchors must agree.
         Workload(
-            "train-fast",
-            "thousands of sub-millisecond runs: autotuner, keys, cache, dispatch "
-            "and the Level-2 search carry the time",
-            ("sort1", "clustering1", "binpacking", "svd"),
-            DEFAULT_SCALE,
+            "train-pool", ("sort1", "clustering1"), FAST_SCALE, executor="process", workers=WORKERS
         ),
-        Workload(
-            "train-grid",
-            "grid solvers at reduced scale: almost all time is program runs in "
-            "level1.tune and level1.measure",
-            ("poisson2d", "helmholtz3d"),
-            GRID_SCALE,
-        ),
-        Workload(
-            "train-pool",
-            "sort1 and clustering1 through a 2-worker process pool: the only "
-            "workload that exercises runtime.executors",
-            ("sort1", "clustering1"),
-            DEFAULT_SCALE,
-            executor="process",
-            workers=WORKERS,
-        ),
-        Workload(
-            "serve",
-            "closed loop over 2 connections on a sort2 model: a quarter "
-            "first-seen indices execute, the rest recall or coalesce",
-        ),
+        Workload("serve"),
     )
 }
 
@@ -180,18 +172,17 @@ class TrainPass:
         return sum(self.wall.values())
 
 
-def train_pass(workload: Workload, seed: int, tracer: Any = None) -> TrainPass:
-    """Train and evaluate every test; ``tracer`` opens a span per test."""
+def train_pass(workload: Workload, seed: int) -> TrainPass:
+    """Train and evaluate every test of the workload."""
     wall: Dict[str, float] = {}
     anchors: Dict[str, Dict[str, str]] = {}
     stats: Dict[str, Dict[str, Any]] = {}
     results: Dict[str, ExperimentResult] = {}
     for test in workload.tests:
-        scope = tracer.span(f"test.{test}") if tracer else contextlib.nullcontext()
+        gc.collect()  # every test starts from the same heap, whatever ran before
         started = time.perf_counter()
         try:
-            with scope:
-                result = run_experiment(test, experiment_config(workload, seed))
+            result = run_experiment(test, experiment_config(workload, seed))
         except Exception as error:  # noqa: BLE001 - a raising test is a failed operation
             wall[test] = time.perf_counter() - started
             anchors[test] = {"error": f"{type(error).__name__}: {error}"}
@@ -201,6 +192,11 @@ def train_pass(workload: Workload, seed: int, tracer: Any = None) -> TrainPass:
         stats[test] = result.runtime_stats
         results[test] = result
     return TrainPass(wall, anchors, stats, results)
+
+
+def warm_up(workload: Workload, seed: int) -> None:
+    """One untimed pass of the workload's tests (the served test on serve) at WARMUP_SCALE."""
+    train_pass(replace(workload, tests=workload.tests or (SERVE_TEST,), scale=WARMUP_SCALE), seed)
 
 
 def deploy_replay(results: Dict[str, ExperimentResult]) -> Tuple[int, int]:
@@ -262,8 +258,8 @@ def serve_trace(seed: int) -> List[int]:
 
 
 def train_serving_model() -> ExperimentResult:
-    """The served model: a fixed artefact, so set-up cost does not vary by seed."""
-    workload = Workload("serve-model", "", (SERVE_TEST,), DEFAULT_SCALE)
+    """The served model: a fixed artefact, so its training does not vary by seed."""
+    workload = Workload("serve-model", (SERVE_TEST,), DEFAULT_SCALE)
     return run_experiment(SERVE_TEST, experiment_config(workload, MODEL_SEED))
 
 
@@ -297,15 +293,24 @@ def serve_anchor(reference: Dict[int, Tuple[int, float, float]]) -> Dict[str, st
 
 @dataclass
 class ServePass:
-    #: (trace index, client wall seconds, response frame) in trace order.
-    records: List[Tuple[int, float, Dict[str, Any]]]
+    #: (trace index, client wall seconds, response frame) in trace order;
+    #: None where a client thread died before answering that position.
+    records: List[Optional[Tuple[int, float, Dict[str, Any]]]]
     started: float
     duration: float
     stats: Dict[str, Any]
 
+    def results(self) -> List[Tuple[int, float, Dict[str, Any]]]:
+        """The records answered with a result frame."""
+        return [r for r in self.records if r is not None and r[2].get("type") == "result"]
+
     def failures(self, reference: Dict[int, Tuple[int, float, float]]) -> int:
         failed = 0
-        for index, _wall, response in self.records:
+        for record in self.records:
+            if record is None:
+                failed += 1
+                continue
+            index, _wall, response = record
             if response.get("type") != "result":
                 failed += 1
                 continue
@@ -330,7 +335,7 @@ def serve_pass(deployed: DeployedProgram, trace: List[int], seed: int) -> ServeP
                     if client is None:
                         client = ServingClient(host, port)
                     response = client.run(SERVE_TEST, protocol.index_input(index, seed=seed))
-                except OSError as error:
+                except Exception as error:  # noqa: BLE001 - counted as a failed request
                     response = {"type": "client_error", "error": repr(error)}
                     if client is not None:
                         client.close()
@@ -353,7 +358,7 @@ def serve_pass(deployed: DeployedProgram, trace: List[int], seed: int) -> ServeP
             thread.join()
         duration = time.perf_counter() - started
         stats = server.stats()
-    return ServePass([r for r in records if r is not None], started, duration, stats)
+    return ServePass(records, started, duration, stats)
 
 
 def serve_microtimings(
