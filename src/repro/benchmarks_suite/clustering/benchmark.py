@@ -10,7 +10,7 @@ exactly the accuracy/performance tension the two-level method manages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -37,13 +37,15 @@ class ClusteringInput:
         points: (n, 2) array of coordinates.
         true_k: the generating process's cluster count, when known (used only
             by the canonical reference clustering, never by the tuned code).
-        _canonical_distance: cached mean point-to-centre distance of the
-            canonical clustering (computed lazily by the accuracy metric).
     """
 
     points: np.ndarray
     true_k: Optional[int] = None
-    _canonical_distance: Optional[float] = field(default=None, repr=False)
+    #: Cached mean point-to-centre distance of the canonical clustering,
+    #: computed lazily by the accuracy metric.  A class attribute, not a
+    #: field: ``input_key`` hashes the fields, and a run must not change
+    #: the key of its own input.
+    _canonical_distance = None
 
     def __len__(self) -> int:
         return len(self.points)

@@ -556,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--execution-workers",
         type=int,
         default=1,
-        help="thread-pool width for program executions",
+        help="thread-pool width for the program runs of cache misses",
     )
     _add_scale_arguments(serve)
     serve.set_defaults(func=cmd_serve)

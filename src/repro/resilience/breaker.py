@@ -8,8 +8,9 @@ executions and serves degraded responses instead.  After
 bounded number of trial executions; one success closes it, one failure
 re-opens it (and restarts the recovery clock).
 
-Thread-safe; serving calls it from the event loop *and* from pool threads.
-The clock is injectable so tests drive state transitions without sleeping.
+Thread-safe (the serving layer happens to call it from its event-loop
+thread only).  The clock is injectable so tests drive state transitions
+without sleeping.
 """
 
 from __future__ import annotations

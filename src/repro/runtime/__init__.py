@@ -20,8 +20,10 @@ from repro.runtime.keys import (
     config_key,
     content_key,
     input_key,
+    join_run_key,
     program_fingerprint,
     run_key,
+    run_key_prefix,
 )
 from repro.runtime.runtime import Runtime, default_runtime
 from repro.runtime.tasks import TaskCache, TaskSpec
@@ -48,6 +50,8 @@ __all__ = [
     "default_runtime",
     "get_executor",
     "input_key",
+    "join_run_key",
     "program_fingerprint",
     "run_key",
+    "run_key_prefix",
 ]

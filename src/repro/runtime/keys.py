@@ -13,7 +13,10 @@ A cached program run is identified by three components:
   bytes, dataclass fields, nested containers).
 
 Keys are hex digests, so they survive a JSON round-trip unchanged and the
-on-disk cache written by one process is readable by another.
+on-disk cache written by one process is readable by another.  How the three
+components join into one run key is this module's business: callers use
+:func:`run_key`, or :func:`run_key_prefix` and :func:`join_run_key` when
+they already hold the digests.
 """
 
 from __future__ import annotations
@@ -135,9 +138,23 @@ def input_key(program_input: Any) -> str:
     return _digest_of(program_input)[:16]
 
 
+def run_key_prefix(program: PetaBricksProgram) -> str:
+    """The part of a run key shared by every run of ``program``."""
+    return f"{program.name}:{program_fingerprint(program)}"
+
+
+def join_run_key(prefix: str, config_digest: str, input_digest: str) -> str:
+    """A run key from its :func:`run_key_prefix` and the two content digests.
+
+    For callers that already hold the digests -- a batch that hashes each
+    distinct configuration and input once, a server that keyed the input
+    for coalescing -- so that nothing is hashed twice.
+    """
+    return f"{prefix}:{config_digest}:{input_digest}"
+
+
 def run_key(program: PetaBricksProgram, config: Configuration, program_input: Any) -> str:
     """The full cache key of one (program, configuration, input) run."""
-    return (
-        f"{program.name}:{program_fingerprint(program)}"
-        f":{config_key(config)}:{input_key(program_input)}"
+    return join_run_key(
+        run_key_prefix(program), config_key(config), input_key(program_input)
     )

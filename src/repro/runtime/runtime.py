@@ -28,7 +28,7 @@ from repro.lang.program import PetaBricksProgram, RunResult
 from repro.resilience.faults import maybe_fail
 from repro.runtime.cache import RunCache
 from repro.runtime.executors import BaseExecutor, CallTask, SerialExecutor, Task, get_executor
-from repro.runtime.keys import config_key, input_key, program_fingerprint, run_key
+from repro.runtime.keys import config_key, input_key, join_run_key, run_key, run_key_prefix
 from repro.runtime.tasks import TaskCache, TaskSpec, is_missing
 from repro.runtime.telemetry import Telemetry
 
@@ -157,27 +157,54 @@ class Runtime:
         Returns ``(result, cache_hit)``.  ``cache_hit`` is True only when
         the result came straight from the run cache without executing the
         program -- deployment callers (:class:`repro.core.pipeline.
-        DeployedProgram`, the serving layer) use it to keep recall latency
-        distinguishable from real execution in their statistics.  The
-        result is bit-identical either way; only the provenance differs.
+        DeployedProgram`) use it to keep recall latency distinguishable from
+        real execution in their statistics.  The result is bit-identical
+        either way; only the provenance differs.
+
+        It is :meth:`recall` then, on a miss, the run and :meth:`record`; a
+        caller that runs the program elsewhere (the serving layer executes
+        misses on a thread pool) calls the two halves itself.
+        """
+        key = run_key(program, config, program_input) if self.cache is not None else None
+        cached = self.recall(key, need_output=need_output)
+        if cached is not None:
+            return cached, True
+        result = program.run(config, program_input)
+        return self.record(key, result, need_output=need_output), False
+
+    def recall(self, key: Optional[str], need_output: bool = False) -> Optional[RunResult]:
+        """The first half of :meth:`run_info`: count a requested run, recall it.
+
+        Returns the cached result under ``key`` (a :func:`~repro.runtime.keys.
+        run_key`), or None when the run must execute -- always None on a
+        cache-less runtime, which ignores ``key``.  With ``need_output`` an
+        output-free entry is a miss.  A caller that executes the run after a
+        miss hands the result to :meth:`record`.
         """
         self.telemetry.count("runs_requested")
         if self.cache is None:
-            self.telemetry.count("runs_executed")
-            return program.run(config, program_input), False
-        key = run_key(program, config, program_input)
+            return None
         cached = self.cache.get(key, need_output=need_output)
         if cached is not None:
             self.telemetry.count("cache_hits")
-            return cached, True
+        return cached
+
+    def record(
+        self, key: Optional[str], result: RunResult, need_output: bool = False
+    ) -> RunResult:
+        """The second half of :meth:`run_info`: count an executed run, store it.
+
+        Returns what the caller should see: ``result`` itself when
+        ``need_output`` is set or nothing is cached, else the output-free
+        copy that measurement callers get on a recall too.
+        """
         self.telemetry.count("runs_executed")
-        result = program.run(config, program_input)
-        if need_output:
-            self.cache.put(key, result, has_output=True)
-            return result, False
-        stripped = _strip_output(result)
-        self.cache.put(key, stripped, has_output=False)
-        return stripped, False
+        if self.cache is None:
+            return result
+        if not need_output:
+            result = _strip_output(result)
+        self.cache.put(key, result, has_output=need_output)
+        return result
 
     def run_pairs(
         self, program: PetaBricksProgram, pairs: Iterable[Task]
@@ -279,7 +306,7 @@ class Runtime:
         config/input digests are memoized by object identity instead of
         re-hashing full array content N*K times.
         """
-        prefix = f"{program.name}:{program_fingerprint(program)}"
+        prefix = run_key_prefix(program)
         config_digests: Dict[int, str] = {}
         input_digests: Dict[int, str] = {}
         keys: List[str] = []
@@ -290,7 +317,7 @@ class Runtime:
             ik = input_digests.get(id(program_input))
             if ik is None:
                 ik = input_digests.setdefault(id(program_input), input_key(program_input))
-            keys.append(f"{prefix}:{ck}:{ik}")
+            keys.append(join_run_key(prefix, ck, ik))
         return keys
 
     # -- generalized tasks ----------------------------------------------

@@ -10,13 +10,14 @@ answers with the outcome plus per-request telemetry.
 
 Three properties carry the load story:
 
-* **Request coalescing** -- identical in-flight inputs (same test, same
-  content-keyed input digest) share one execution: the first request
-  creates the job, duplicates await the same future and are answered from
-  it (``coalesced: true``).  Once a job finishes, its result lives in the
-  runtime's shared :class:`~repro.runtime.RunCache`, so later repeats are
-  recalls (``cache_hit: true``).  Between the two mechanisms, a trace with
-  any level of duplication executes each unique input at most once.
+* **Request coalescing** -- while an execution is in flight, identical
+  inputs (same test, same content-keyed input digest) share it: the request
+  that missed the cache creates the job, duplicates await the same future
+  and are answered from it (``coalesced: true``).  Once a job finishes, its
+  result lives in the runtime's shared :class:`~repro.runtime.RunCache`, so
+  later repeats are recalls (``cache_hit: true``).  Between the two
+  mechanisms, a trace with any level of duplication executes each unique
+  input at most once.
 * **Bounded admission** -- at most ``max_pending`` *distinct* executions
   may be in flight; a request that would start one beyond the cap is
   rejected immediately with a 503-style error instead of queueing without
@@ -27,12 +28,19 @@ Three properties carry the load story:
   replaces a test's model atomically and bumps its version.  Requests in
   flight finish on the model snapshot they resolved at admission.
 
-Executions run on a dedicated thread pool (default: one worker, which
-serializes program runs exactly like the serial executor) so the event
-loop stays responsive while the cost model grinds.  All counters and
-latency distributions go through the runtime's
-:class:`~repro.runtime.telemetry.Telemetry`, so ``stats`` responses and
-``Runtime.stats()`` tell one coherent story.
+Only cache misses leave the event loop.  The loop thread resolves every
+non-coalesced request itself -- the ``serve.execute`` fault site, the
+selection, the run key (built from the coalescing digest) and the run-cache
+recall -- and answers a hit inline.  A repeat of an input the current model
+entry has already classified reuses that selection instead of extracting
+features again.  A miss runs the pure ``program.run`` on a dedicated thread
+pool (default: one worker, which serializes program runs exactly like the
+serial executor), and the loop thread then stores the result and does the
+telemetry, breaker and feedback bookkeeping.  The loop thread is therefore
+the only user of the runtime's unlocked ``RunCache`` and
+:class:`~repro.runtime.telemetry.Telemetry`, through which all counters and
+latency distributions go, so ``stats`` responses and ``Runtime.stats()``
+tell one coherent story.
 """
 
 from __future__ import annotations
@@ -44,13 +52,25 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
-if TYPE_CHECKING:  # import at runtime is lazy (see _run_deployed)
+if TYPE_CHECKING:  # import at runtime is lazy (see _record_feedback)
     from repro.adaptation.feedback import FeedbackLog
 
 from repro.core.pipeline import DeployedProgram, DeploymentOutcome
+from repro.lang.config import Configuration
+from repro.lang.program import PetaBricksProgram, RunResult
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import maybe_fail
-from repro.runtime import RunCache, Runtime, SerialExecutor, input_key
+from repro.runtime import (
+    RunCache,
+    Runtime,
+    SerialExecutor,
+    TaskCache,
+    config_key,
+    input_key,
+    join_run_key,
+    run_key_prefix,
+)
+from repro.runtime.tasks import is_missing
 from repro.serving import protocol
 from repro.serving.protocol import (
     SERVING_PROTOCOL_VERSION,
@@ -74,11 +94,12 @@ class ServingConfig:
         max_pending: admission cap on distinct in-flight executions; the
             request that would start execution ``max_pending + 1`` is
             rejected with a 503-style error.
-        execution_workers: thread-pool width for program runs.  The default
-            of 1 serializes executions (bit-identical to a sequential
-            ``DeployedProgram.run`` loop by construction); raising it
-            trades that simplicity for overlap, results staying identical
-            because runs are pure.
+        execution_workers: thread-pool width for the program runs of cache
+            misses; selections and recalls run on the event-loop thread and
+            never wait for the pool.  The default of 1 serializes executions
+            (bit-identical to a sequential ``DeployedProgram.run`` loop by
+            construction); raising it overlaps them, results staying
+            identical because runs are pure.
         default_seed: population seed assumed by ``index`` input specs that
             do not name one.
         breaker_threshold: consecutive execution failures that open the
@@ -102,6 +123,71 @@ class ServingConfig:
     degraded_fallback: bool = True
 
 
+@dataclass(frozen=True)
+class _Selection:
+    """What one input runs: the program, the chosen configuration, its run key."""
+
+    program: PetaBricksProgram
+    configuration: Configuration
+    #: Landmark index; -1 marks a degraded default-configuration answer.
+    landmark_index: int
+    feature_cost: float
+    run_key: str
+
+    def outcome(self, result: RunResult, cache_hit: bool) -> DeploymentOutcome:
+        return DeploymentOutcome(
+            result=result,
+            configuration=self.configuration,
+            landmark_index=self.landmark_index,
+            feature_extraction_cost=self.feature_cost,
+            cache_hit=cache_hit,
+        )
+
+
+class _SelectionMemo:
+    """The selections one model entry has made, keyed by input digest.
+
+    Selection is a pure function of the entry's classifier and the input,
+    so a repeat reuses it.  A hot-swap publishes a new entry, which gets a
+    new, empty memo.  A selection is only worth keeping while its run can
+    be recalled, so the memo is bounded (LRU) by the run cache's
+    ``max_entries``, and a runtime without a run cache keeps none.
+    """
+
+    def __init__(self, entry: ModelEntry, cache: Optional[RunCache]) -> None:
+        self.entry = entry
+        self._key_prefix = run_key_prefix(entry.deployed.program)
+        self._selections = TaskCache(cache.max_entries) if cache is not None else None
+
+    def select(self, digest: str, program_input: Any) -> _Selection:
+        """The entry's selection for the input whose ``input_key`` is ``digest``."""
+        if self._selections is not None:
+            known = self._selections.get(digest)
+            if not is_missing(known):
+                return known
+        deployed = self.entry.deployed
+        configuration, index, cost = deployed.select_configuration(program_input)
+        selection = _Selection(
+            program=deployed.program,
+            configuration=configuration,
+            landmark_index=index,
+            feature_cost=cost,
+            run_key=join_run_key(self._key_prefix, config_key(configuration), digest),
+        )
+        if self._selections is not None:
+            self._selections.put(digest, selection)
+        return selection
+
+
+def _timed_run(
+    program: PetaBricksProgram, configuration: Configuration, program_input: Any
+) -> Tuple[RunResult, float]:
+    """Pool-thread body of a cache miss: one pure program run, timed."""
+    start = time.perf_counter()
+    result = program.run(configuration, program_input)
+    return result, time.perf_counter() - start
+
+
 class SelectorServer:
     """Asyncio deployment server wrapping a :class:`ModelRegistry`.
 
@@ -109,8 +195,9 @@ class SelectorServer:
         registry: model registry to serve; a fresh empty one by default.
         runtime: measurement runtime shared by every served model (the
             coalescing/recall story needs one shared
-            :class:`~repro.runtime.RunCache`).  Defaults to a serial,
-            caching runtime.
+            :class:`~repro.runtime.RunCache`); every answer is recalled
+            from and recorded into it.  Defaults to a serial, caching
+            runtime.
         config: serving knobs; defaults to :class:`ServingConfig`.
     """
 
@@ -122,9 +209,10 @@ class SelectorServer:
         feedback: Optional["FeedbackLog"] = None,
     ) -> None:
         self.registry = registry if registry is not None else ModelRegistry()
-        #: Optional adaptation feedback log; when attached, every execution
-        #: appends one record (coalesced duplicates share their job's) --
-        #: the signal the drift monitor and retrainer consume.
+        #: Optional adaptation feedback log; when attached, every
+        #: non-coalesced model-backed answer, recalled or executed, appends
+        #: one record (coalesced duplicates share their job's) -- the signal
+        #: the drift monitor and retrainer consume.
         self.feedback = feedback
         if runtime is None:
             runtime = Runtime(
@@ -136,14 +224,17 @@ class SelectorServer:
         if self.config.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         self.telemetry = runtime.telemetry
-        #: Execution circuit breaker: consecutive pool-thread failures trip
-        #: it open, and the server answers degraded until recovery.
+        #: Execution circuit breaker: consecutive failed answers (fault site,
+        #: selection or run) trip it open, and the server answers degraded
+        #: until recovery.
         self.breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_threshold,
             recovery_timeout=self.config.breaker_recovery_seconds,
         )
         #: (test, input digest) -> in-flight execution task; the coalescing map.
         self._inflight: Dict[Tuple[str, str], "asyncio.Task"] = {}
+        #: test -> selection memo of the model entry that last answered it.
+        self._selections: Dict[str, _SelectionMemo] = {}
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, self.config.execution_workers),
             thread_name_prefix="repro-serve",
@@ -352,20 +443,17 @@ class SelectorServer:
                         request_id,
                     )
                 return
-            if entry is not None:
-                job = asyncio.ensure_future(
-                    self._execute(key, entry, program_input, message.get("input"))
-                )
-            else:
-                job = asyncio.ensure_future(
-                    self._execute_fallback(key, fallback_program, program_input)
-                )
-            self._inflight[key] = job
         else:
             self.telemetry.count("serve_coalesced")
 
         try:
-            outcome, selection_seconds, execution_seconds = await job
+            if coalesced:
+                answer = await job
+            else:
+                answer = await self._answer(
+                    key, entry, fallback_program, program_input, message.get("input")
+                )
+            outcome, selection_seconds, execution_seconds = answer
         except Exception as error:  # noqa: BLE001 - surface to the client
             self.telemetry.count("serve_errors")
             await self._reject(
@@ -431,89 +519,143 @@ class SelectorServer:
             "degraded_reason": reason,
         }
 
+    async def _answer(
+        self,
+        key: Tuple[str, str],
+        entry: Optional[ModelEntry],
+        fallback_program: Optional[PetaBricksProgram],
+        program_input: Any,
+        input_spec: Any,
+    ) -> Tuple[DeploymentOutcome, float, float]:
+        """Answer one admitted request that coalesced onto nothing.
+
+        Everything up to the recall runs on the event-loop thread: a hit is
+        answered without leaving it, and only a miss awaits the pool, as the
+        in-flight job its duplicates coalesce onto.  Model-backed answers and
+        degraded ones (``entry`` None: the fallback program's default
+        configuration, ``landmark: -1``) share the path, so both are
+        recalled, coalesced and breaker-guarded alike.  Returns ``(outcome,
+        selection_seconds, execution_seconds)``; a hit's execution time is
+        its recall's.
+        """
+        program = entry.deployed.program if entry is not None else fallback_program
+        try:
+            # Fault site: chaos plans fail answers here to trip the breaker.
+            maybe_fail("serve.execute", detail=program.name)
+            started = time.perf_counter()
+            selection = self._select(entry, program, key[1], program_input)
+            selected = time.perf_counter()
+            result = self.runtime.recall(selection.run_key, need_output=True)
+            if result is not None:
+                answer = (
+                    selection.outcome(result, cache_hit=True),
+                    selected - started,
+                    time.perf_counter() - selected,
+                )
+            else:
+                job = asyncio.ensure_future(
+                    self._execute(key, selection, selected - started, program_input)
+                )
+                self._inflight[key] = job
+                answer = await job
+        except Exception:
+            self.breaker.record_failure()
+            raise
+        self.breaker.record_success()
+        outcome, selection_seconds, execution_seconds = answer
+        self.telemetry.count("serve_executions")
+        if outcome.cache_hit:
+            self.telemetry.count("serve_cache_hits")
+        self.telemetry.record_latency("serve.execution", execution_seconds)
+        if entry is None:
+            self.telemetry.count("serve_degraded")
+        else:
+            self.telemetry.record_latency("serve.selection", selection_seconds)
+            if self.feedback is not None:
+                self._record_feedback(entry, outcome, program_input, input_spec)
+        return answer
+
+    def _select(
+        self,
+        entry: Optional[ModelEntry],
+        program: PetaBricksProgram,
+        digest: str,
+        program_input: Any,
+    ) -> _Selection:
+        """The request's selection: the entry's (memoized), or the default."""
+        if entry is None:
+            configuration = program.default_configuration()
+            return _Selection(
+                program=program,
+                configuration=configuration,
+                landmark_index=-1,
+                feature_cost=0.0,
+                run_key=join_run_key(
+                    run_key_prefix(program), config_key(configuration), digest
+                ),
+            )
+        memo = self._selections.get(entry.test)
+        if memo is None or memo.entry is not entry:
+            memo = self._selections[entry.test] = _SelectionMemo(entry, self.runtime.cache)
+        return memo.select(digest, program_input)
+
     async def _execute(
         self,
         key: Tuple[str, str],
-        entry: ModelEntry,
+        selection: _Selection,
+        selection_seconds: float,
         program_input: Any,
-        input_spec: Any = None,
     ) -> Tuple[DeploymentOutcome, float, float]:
-        """Run one admitted execution on the pool; owns the in-flight slot."""
-        loop = asyncio.get_running_loop()
-        try:
-            outcome, selection_seconds, execution_seconds = await loop.run_in_executor(
-                self._pool,
-                self._run_deployed,
-                entry.deployed,
-                program_input,
-                self.feedback,
-                self._feedback_spec(entry.test, input_spec),
-            )
-        except Exception:
-            self.breaker.record_failure()
-            raise
-        finally:
-            # Clearing inside the coroutine (not a done-callback) guarantees
-            # the slot is free before any awaiter resumes, so a follow-up
-            # identical request becomes a cache recall, never a stale join.
-            self._inflight.pop(key, None)
-        self.breaker.record_success()
-        self.telemetry.count("serve_executions")
-        if self.feedback is not None:
-            self.telemetry.count("serve_feedback_records")
-        if outcome.cache_hit:
-            self.telemetry.count("serve_cache_hits")
-        self.telemetry.record_latency("serve.selection", selection_seconds)
-        self.telemetry.record_latency("serve.execution", execution_seconds)
-        return outcome, selection_seconds, execution_seconds
+        """A cache miss: the pool runs the program, the loop thread stores it.
 
-    async def _execute_fallback(
-        self, key: Tuple[str, str], program: Any, program_input: Any
-    ) -> Tuple[DeploymentOutcome, float, float]:
-        """Degraded execution: the benchmark's default configuration.
-
-        No classifier, no landmarks -- the answer an undeployed system would
-        give.  Reported with ``landmark: -1`` so clients can tell a degraded
-        answer from a selected one; still coalesced, cached, and
-        breaker-guarded exactly like a model-backed execution.
+        Owns the in-flight slot duplicates coalesce onto.
         """
         loop = asyncio.get_running_loop()
         try:
-            outcome, execution_seconds = await loop.run_in_executor(
-                self._pool, self._run_default, self.runtime, program, program_input
+            result, execution_seconds = await loop.run_in_executor(
+                self._pool,
+                _timed_run,
+                selection.program,
+                selection.configuration,
+                program_input,
             )
-        except Exception:
-            self.breaker.record_failure()
-            raise
+            result = self.runtime.record(selection.run_key, result, need_output=True)
         finally:
+            # Clearing inside the coroutine (not a done-callback), after the
+            # result is stored, guarantees the slot is free before any
+            # awaiter resumes, so a follow-up identical request becomes a
+            # cache recall, never a stale join.
             self._inflight.pop(key, None)
-        self.breaker.record_success()
-        self.telemetry.count("serve_executions")
-        self.telemetry.count("serve_degraded")
-        if outcome.cache_hit:
-            self.telemetry.count("serve_cache_hits")
-        self.telemetry.record_latency("serve.execution", execution_seconds)
-        return outcome, 0.0, execution_seconds
+        return (
+            selection.outcome(result, cache_hit=False),
+            selection_seconds,
+            execution_seconds,
+        )
 
-    @staticmethod
-    def _run_default(
-        runtime: Runtime, program: Any, program_input: Any
-    ) -> Tuple[DeploymentOutcome, float]:
-        """Pool-thread body of a degraded (default-configuration) run."""
-        maybe_fail("serve.execute", detail=program.name)
-        start = time.perf_counter()
-        configuration = program.default_configuration()
-        result, cache_hit = runtime.run_info(
-            program, configuration, program_input, need_output=True
+    def _record_feedback(
+        self,
+        entry: ModelEntry,
+        outcome: DeploymentOutcome,
+        program_input: Any,
+        input_spec: Any,
+    ) -> None:
+        """Append the request's training signal to the attached feedback log."""
+        from repro.adaptation.feedback import FeedbackRecord  # lazy: no cycle
+
+        # Single-row batch extraction: same numbers as extract_vector,
+        # through the vectorized chunk path the trainers use.
+        values = entry.deployed.program.features.extract_batch([program_input])[0][0]
+        self.feedback.append(
+            FeedbackRecord(
+                features=tuple(float(value) for value in values),
+                predicted_label=outcome.landmark_index,
+                chosen_landmark=outcome.landmark_index,
+                observed_cost=float(outcome.total_time),
+                observed_accuracy=float(outcome.result.accuracy),
+                input_spec=self._feedback_spec(entry.test, input_spec),
+            )
         )
-        outcome = DeploymentOutcome(
-            result=result,
-            configuration=configuration,
-            landmark_index=-1,
-            feature_extraction_cost=0.0,
-            cache_hit=cache_hit,
-        )
-        return outcome, time.perf_counter() - start
+        self.telemetry.count("serve_feedback_records")
 
     def _feedback_spec(self, test: str, input_spec: Any) -> Optional[Dict[str, Any]]:
         """The wire input spec, enriched so a trace can rematerialize it.
@@ -523,7 +665,7 @@ class SelectorServer:
         folding both in makes the stored record self-contained for offline
         replay.  Pickle specs already carry their payload.
         """
-        if self.feedback is None or not isinstance(input_spec, dict):
+        if not isinstance(input_spec, dict):
             return None
         if input_spec.get("encoding") == "index":
             return {
@@ -532,61 +674,6 @@ class SelectorServer:
                 "seed": int(input_spec.get("seed", self.config.default_seed)),
             }
         return dict(input_spec)
-
-    @staticmethod
-    def _run_deployed(
-        deployed: DeployedProgram,
-        program_input: Any,
-        feedback: Optional["FeedbackLog"] = None,
-        input_spec: Optional[Dict[str, Any]] = None,
-    ) -> Tuple[DeploymentOutcome, float, float]:
-        """The pool-thread body: one timed ``DeployedProgram.run``.
-
-        Mirrors :meth:`DeployedProgram.run` exactly (selection, then a
-        ``need_output`` run through the runtime) but times the two halves
-        separately, because selection latency -- the classifier's whole
-        selling point -- is the distribution the serving telemetry exists
-        to report.  With a feedback log attached, the full feature vector
-        is extracted here too (on the pool thread, in its own scoped cost
-        counter, so observability work never pollutes the served cost) and
-        the request's training signal appended.
-        """
-        from repro.runtime import default_runtime  # local: avoid cycle at import
-
-        # Fault site: chaos plans fail executions here to trip the breaker.
-        maybe_fail("serve.execute", detail=deployed.program.name)
-        start = time.perf_counter()
-        configuration, index, cost = deployed.select_configuration(program_input)
-        selected = time.perf_counter()
-        runtime = deployed.runtime if deployed.runtime is not None else default_runtime()
-        result, cache_hit = runtime.run_info(
-            deployed.program, configuration, program_input, need_output=True
-        )
-        finished = time.perf_counter()
-        outcome = DeploymentOutcome(
-            result=result,
-            configuration=configuration,
-            landmark_index=index,
-            feature_extraction_cost=cost,
-            cache_hit=cache_hit,
-        )
-        if feedback is not None:
-            from repro.adaptation.feedback import FeedbackRecord  # lazy: no cycle
-
-            # Single-row batch extraction: same numbers as extract_vector,
-            # through the vectorized chunk path the trainers use.
-            values = deployed.program.features.extract_batch([program_input])[0][0]
-            feedback.append(
-                FeedbackRecord(
-                    features=tuple(float(value) for value in values),
-                    predicted_label=index,
-                    chosen_landmark=index,
-                    observed_cost=float(outcome.total_time),
-                    observed_accuracy=float(result.accuracy),
-                    input_spec=input_spec,
-                )
-            )
-        return outcome, selected - start, finished - selected
 
     async def _handle_swap(
         self,

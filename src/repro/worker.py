@@ -36,7 +36,7 @@ from repro.runtime.distributed import (
     send_message,
 )
 from repro.runtime.executors import _invoke_call, _substitute_shared
-from repro.runtime.keys import config_key, input_key, program_fingerprint, run_key
+from repro.runtime.keys import config_key, input_key, join_run_key, run_key_prefix
 
 #: In-memory entry cap of the worker-local run cache; measurements only, so
 #: this bounds the worker at a few MB while still absorbing tuner-style
@@ -83,9 +83,9 @@ def execute_lease(
         program = context
         results: List[RunResult] = []
         hits = 0
-        prefix = f"{program.name}:{program_fingerprint(program)}"
+        prefix = run_key_prefix(program)
         for config, program_input in payload:
-            key = f"{prefix}:{config_key(config)}:{input_key(program_input)}"
+            key = join_run_key(prefix, config_key(config), input_key(program_input))
             cached = cache.get(key)
             if cached is not None:
                 hits += 1
@@ -106,7 +106,7 @@ def execute_lease(
     if kind == "rows":
         program, configs, source = context
         start, stop = payload
-        prefix = f"{program.name}:{program_fingerprint(program)}"
+        prefix = run_key_prefix(program)
         config_keys = [config_key(config) for config in configs]
         entries: List[Tuple[str, float, float, Dict[str, Any]]] = []
         hits = 0
@@ -114,7 +114,7 @@ def execute_lease(
             program_input = source.materialize(index)
             ik = input_key(program_input)
             for config, ck in zip(configs, config_keys):
-                key = f"{prefix}:{ck}:{ik}"
+                key = join_run_key(prefix, ck, ik)
                 cached = cache.get(key)
                 if cached is None:
                     cached = _strip_output(program.run(config, program_input))

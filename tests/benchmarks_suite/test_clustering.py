@@ -11,6 +11,7 @@ from repro.benchmarks_suite.clustering.benchmark import (
     clustering_accuracy,
 )
 from repro.lang.cost import scoped_counter
+from repro.runtime import input_key
 
 
 def blobs(n=200, k=4, spread=0.5, seed=0):
@@ -88,6 +89,14 @@ class TestClusteringAccuracyMetric:
         problem = ClusteringInput(points=blobs(seed=3), true_k=4)
         first = problem.canonical_distance()
         assert problem.canonical_distance() == first
+
+    def test_canonical_distance_leaves_input_key_unchanged(self):
+        # The run cache keys inputs by content; a run computing the cached
+        # distance must not change the key its own result is stored under.
+        problem = ClusteringInput(points=blobs(seed=3), true_k=4)
+        before = input_key(problem)
+        problem.canonical_distance()
+        assert input_key(problem) == before
 
 
 class TestClusteringGeneratorsAndProgram:

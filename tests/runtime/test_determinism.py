@@ -89,6 +89,23 @@ class TestCrossExecutorDeterminism:
             )
 
 
+class TestExecutedRunCounts:
+    def test_serial_and_process_execute_the_same_clustering_runs(self):
+        """Same keys on every executor: a serial run computes the lazily
+        cached canonical distance on the parent's own input object, a pool
+        run on a copy, and neither may change that input's run key."""
+        executed = {}
+        for executor in ("serial", "process"):
+            result = run_experiment(
+                "clustering1", tiny_config(executor, n_inputs=12, n_clusters=2)
+            )
+            assert "executor_fallback" not in result.runtime_stats
+            executed[executor] = result.runtime_stats["telemetry"]["counters"][
+                "runs_executed"
+            ]
+        assert executed["serial"] == executed["process"]
+
+
 class TestSharedRuntime:
     def test_second_experiment_reuses_measurements(self):
         runtime = Runtime(cache=RunCache())

@@ -94,6 +94,21 @@ class TestRunInfo:
         assert (hit, hit_again) == (False, True)
         assert result.output == config["x"]
 
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_recall_and_record_are_its_two_halves(self, cached):
+        """A caller that runs the program itself: recall, run, record."""
+        program, _calls = counting_program()
+        runtime = Runtime(cache=RunCache() if cached else None)
+        config = program.default_configuration()
+        key = run_key(program, config, 3)
+        assert runtime.recall(key, need_output=True) is None
+        stored = runtime.record(key, program.run(config, 3), need_output=True)
+        assert stored.output == config["x"]
+        assert runtime.recall(key, need_output=True) is (stored if cached else None)
+        counters = runtime.telemetry.counters
+        assert (counters["runs_requested"], counters["runs_executed"]) == (2, 1)
+        assert counters.get("cache_hits", 0) == (1 if cached else 0)
+
 
 class TestRunPairs:
     def test_duplicates_execute_once_under_cache(self):

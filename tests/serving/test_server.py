@@ -6,8 +6,11 @@ population throws at the server, every response's measured fields must be
 byte-identical to what a sequential ``DeployedProgram.run`` loop produces.
 """
 
+import random
+import sys
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from repro.serving import (
     protocol,
 )
 
+from repro.resilience.faults import FaultPlan, FaultSpec, fault_scope
 from repro.resilience.retry import RetryError, RetryPolicy
 
 #: Test-wait policy: same backoff machinery as production retries (flat
@@ -53,6 +57,20 @@ class _ZeroClassifier:
 
     def classify_input(self, program_input, features):
         return 0, 0.5
+
+
+class _CountingClassifier:
+    """Stub classifier counting its calls per input; its label 1 is one
+    past a single landmark, so every classification is also clamped."""
+
+    name = "counting"
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def classify_input(self, program_input, features):
+        self.calls[program_input] += 1
+        return 1, 0.5
 
 
 def gated_program(name="gated"):
@@ -333,6 +351,72 @@ class TestCoalescing:
         assert server.telemetry.counters["runs_executed"] == 1
 
 
+class TestEventLoopAnswers:
+    def test_recall_never_waits_behind_an_execution(self):
+        deployed, gate = gated_deployment("inline")
+        server = SelectorServer(config=ServingConfig(execution_workers=1))
+        server.publish("gated", deployed)
+        with ServerThread(server):
+            host, port = server.address
+            with connect(server) as a, ServingClient(host, port, timeout=5.0) as b:
+                gate.set()
+                first = a.run("gated", protocol.pickle_input(3))
+                gate.clear()
+                # An execution of another input now holds the only pool thread.
+                a.send(protocol.run_request(1, "gated", protocol.pickle_input(4)))
+                assert wait_until(lambda: len(server._inflight) == 1)
+                try:
+                    repeat = b.run("gated", protocol.pickle_input(3))
+                    answered_while_held = not gate.is_set()
+                finally:
+                    gate.set()
+                held = a.recv()
+        assert answered_while_held
+        assert repeat["type"] == "result"
+        assert repeat["cache_hit"] is True and repeat["coalesced"] is False
+        assert repeat["time"] == first["time"]
+        assert held["type"] == "result" and held["cache_hit"] is False
+
+    def test_selection_is_reused_per_model_entry(self):
+        program, gate = gated_program("memo")
+        gate.set()
+        classifier = _CountingClassifier()
+        deployed = DeployedProgram(
+            program, [program.default_configuration()], classifier
+        )
+        server = SelectorServer()
+        server.publish("memo", deployed)
+        with ServerThread(server):
+            with connect(server) as client:
+                for value in (1, 2, 1, 2, 1):
+                    response = client.run("memo", protocol.pickle_input(value))
+                    assert response["type"] == "result"
+                assert classifier.calls == {1: 1, 2: 1}
+                assert server.telemetry.counters["selector_labels_clamped"] == 2
+                server.publish("memo", deployed)  # hot-swap: a new model entry
+                swapped = client.run("memo", protocol.pickle_input(1))
+        assert swapped["model_version"] == 2 and swapped["cache_hit"] is True
+        assert classifier.calls == {1: 2, 2: 1}
+        assert server.telemetry.counters["selector_labels_clamped"] == 3
+
+    def test_recalls_still_fire_the_fault_site_once(self):
+        deployed, gate = gated_deployment("sites")
+        gate.set()
+        server = SelectorServer()
+        server.publish("gated", deployed)
+        # A spec that never fires still counts the site's calls.
+        plan = FaultPlan([FaultSpec(site="serve.execute", probability=0.0)])
+        with fault_scope(plan, env=False) as injector:
+            with ServerThread(server):
+                with connect(server) as client:
+                    answers = [
+                        client.run("gated", protocol.pickle_input(value))
+                        for value in (5, 5, 6)
+                    ]
+        assert [a["cache_hit"] for a in answers] == [False, True, False]
+        assert injector.snapshot()["calls"]["serve.execute"] == 3
+
+
 class TestBackpressure:
     def test_distinct_overflow_request_is_503(self):
         deployed, gate = gated_deployment("overload")
@@ -490,3 +574,68 @@ class TestConcurrentDeterminism:
                 assert response["model_version"] in (1, 2)
                 for field in RESULT_FIELDS:
                     assert response[field] == expected[i][field], (i, field)
+
+    def test_two_pool_threads_under_thread_switching(self, sort_training):
+        """Stress: two pool threads, eight clients, a short switch interval.
+
+        The event-loop thread stays the only user of the run cache and
+        telemetry, so no count is lost, and every answer of a
+        duplicate-heavy trace equals the sequential loop's.
+        """
+        variant = sort_training["variant"]
+        inputs = variant.benchmark.generate_inputs(10, variant.variant, seed=987)
+        expected = self._sequential_baseline(sort_training, inputs)
+        schedules = [
+            [random.Random(slot).randrange(len(inputs)) for _ in range(24)]
+            for slot in range(8)
+        ]
+        results = [[] for _ in schedules]
+        errors = []
+
+        server = SelectorServer(config=ServingConfig(execution_workers=2))
+        server.publish("sort2", sort_training["training"].deployed)
+
+        def worker(slot):
+            try:
+                with connect(server) as client:
+                    for i in schedules[slot]:
+                        response = client.run("sort2", protocol.pickle_input(inputs[i]))
+                        results[slot].append((i, response))
+            except Exception as error:  # pragma: no cover - surfaced below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServerThread(server):
+                threads = [
+                    threading.Thread(target=worker, args=(slot,))
+                    for slot in range(len(schedules))
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert not errors, errors
+        requests = sum(len(schedule) for schedule in schedules)
+        assert sum(len(answers) for answers in results) == requests
+        for answers in results:
+            for i, response in answers:
+                assert response["type"] == "result"
+                for field in RESULT_FIELDS:
+                    assert response[field] == expected[i][field], (i, field)
+        counters = server.telemetry.counters
+        assert counters["serve_requests"] == requests
+        assert counters["runs_requested"] == (
+            counters["runs_executed"] + counters.get("cache_hits", 0)
+        )
+        assert (
+            counters["runs_executed"]
+            + counters.get("serve_coalesced", 0)
+            + counters.get("serve_cache_hits", 0)
+            == counters["serve_requests"]
+        )
