@@ -14,8 +14,8 @@ This file keeps that record honest on every run:
   ``two_level_speedup`` for the active scale, bit for bit -- a wrong
   value means vectorization bought speed with a different answer;
 * serial, thread, and process executors must produce bit-identical
-  measurement matrices (the shared-memory transport is exercised by the
-  process run);
+  measurement matrices (the process run ships its leases' results as
+  float64 blocks);
 * the wall time must stay within ``_TOLERANCE``x of the committed wall
   for the active scale -- generous enough for CI machine variation, far
   below the ~6.5x cliff a de-vectorization regression would cause.
@@ -92,8 +92,8 @@ def test_vectorized_experiment_wall_and_answer(benchmark):
 def test_executor_matrix_parity(benchmark):
     """Serial, thread, and process matrices are bit-identical.
 
-    The process run takes the shared-memory transport; thread and serial
-    take the in-process matrix path.  All three must agree bitwise.
+    All three take the one pair dispatch; the process run's leases answer
+    in float64 blocks.  All three must agree bitwise.
     """
     variant = get_benchmark("sort1")
     program = variant.benchmark.program

@@ -89,7 +89,7 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
         "--cache-path",
         default=None,
         help="sharded store (directory) to load/persist run measurements "
-        "across invocations; a legacy single-file cache migrates in place",
+        "across invocations",
     )
     parser.add_argument(
         "--batch-chunk",
@@ -175,11 +175,6 @@ def _print_runtime_stats(args: argparse.Namespace, stats: dict) -> None:
             f"  tasks: {counters.get('tasks_requested', 0)} requested, "
             f"{counters.get('tasks_executed', 0)} executed, "
             f"{counters.get('task_cache_hits', 0)} cache hits"
-        )
-    if counters.get("worker_cache_hits"):
-        print(
-            f"  worker caches: {counters['worker_cache_hits']} hit(s) on "
-            "distributed workers"
         )
     if counters.get("chunks_dispatched"):
         print(f"  streaming: {counters['chunks_dispatched']} chunk(s) dispatched")

@@ -219,8 +219,7 @@ class ObservedInputSource(InputSource):
 
     def __reduce__(self):
         # The observer is a closure over live telemetry and cannot (and
-        # should not) cross a process boundary; a pickled copy -- e.g. the
-        # input-source descriptor shipped to distributed workers -- observes
+        # should not) cross a process boundary; a pickled copy observes
         # silently.  Materialized values are identical either way; only the
         # parent-side timing attribution is local.
         return (ObservedInputSource, (self._base, _silent_observer))

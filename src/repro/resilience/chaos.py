@@ -66,11 +66,6 @@ PRESETS: Dict[str, Callable[[], List[FaultSpec]]] = {
     # The coordinator's socket to a worker drops right after a lease is
     # issued; the lease must time out and be reassigned.  Distributed only.
     "lease-drop": lambda: [FaultSpec(site="dist.lease", action="drop", nth=2, count=1)],
-    # Shared-memory attach fails in pool workers; the executor must fall
-    # back to pickled chunk transport.  Process executor only.
-    "shm-detach": lambda: [
-        FaultSpec(site="shm.attach", action="raise", nth=1, count=4)
-    ],
     # Serving brownout: the first five program executions raise, which
     # must trip the circuit breaker and switch the server to degraded
     # default-configuration answers instead of dropping requests.

@@ -17,7 +17,6 @@ Known sites (grep for the literals to find the instrumented code):
 ``dist.send``             coordinator -> worker socket sends
 ``dist.lease``            a lease just assigned to a distributed worker
 ``worker.execute``        a distributed worker about to execute a lease
-``shm.attach``            a measure worker attaching a shared-memory segment
 ``serve.execute``         the serving event loop about to answer a request
 ``runtime.chunk``         a runtime chunk boundary (checkpoint/kill point)
 ========================  ====================================================

@@ -23,9 +23,7 @@ The sharded layout is what lets the cache follow the runtime to the paper's
 50-60k-input regime: :meth:`RunCache.save` rewrites only the shards touched
 since the last save (atomically, temp file + rename, merging with whatever
 is already on disk), and :meth:`RunCache.load` defers reading a shard until
-the first lookup that lands in it.  A legacy single-file cache written by
-earlier versions is migrated to the sharded layout transparently on first
-load.
+the first lookup that lands in it.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ import glob
 import hashlib
 import json
 import os
-import shutil
 import tempfile
 import warnings
 from collections import OrderedDict
@@ -45,8 +42,8 @@ from typing import Any, Dict, Optional, Set
 from repro.lang.program import RunResult
 from repro.resilience.faults import truncate_bytes as _fault_truncate_bytes
 
-#: On-disk format version of one entry table (a shard file or a legacy
-#: single-file cache); bumped when the entry layout changes.
+#: On-disk format version of one entry table (a shard file); bumped when
+#: the entry layout changes.
 _FORMAT_VERSION = 1
 
 #: Manifest format version of the sharded store.
@@ -193,7 +190,7 @@ def _fsync_directory(directory: str) -> None:
 
 
 def _read_entry_table(path: str) -> Optional[Dict[str, Dict[str, Any]]]:
-    """Parse one entry table (shard file or legacy cache file).
+    """Parse one entry table (a shard file).
 
     Returns the ``{escaped_key: record}`` mapping, or None when the file is
     missing, corrupt, or of an incompatible version (the caller decides
@@ -246,9 +243,7 @@ class RunCache:
             small file read for the bounded footprint, never a re-execution
             of anything already persisted.
         persist_path: default store path for :meth:`save` / :meth:`load`.
-            The path names a *directory* (the sharded store); a legacy
-            single-file JSON cache found at the path is migrated in place on
-            first load.
+            The path names a *directory* (the sharded store).
     """
 
     #: Default in-memory entry cap used by :meth:`repro.runtime.Runtime.create`
@@ -377,10 +372,9 @@ class RunCache:
         if target is None:
             raise ValueError("no persist path configured")
         if os.path.isfile(target):
-            # A file at the store path means a legacy cache whose migration
-            # failed earlier (load() already warned).  Persisting is an
-            # optimization, so degrade rather than crash the run -- and
-            # never clobber the user's file with a directory.
+            # A file at the store path is not ours (load() already warned).
+            # Persisting is an optimization, so degrade rather than crash
+            # the run -- and never clobber the user's file with a directory.
             warnings.warn(
                 f"not persisting run cache: {target!r} is a file, not a "
                 "sharded store directory",
@@ -425,20 +419,22 @@ class RunCache:
         :meth:`get` that lands in it -- so attaching a 50k-entry store costs
         one manifest read.  The returned count comes from the manifest.
 
-        A legacy single-file cache found at ``path`` is loaded eagerly and
-        migrated to the sharded layout in place (one-shot: the file is
-        replaced by a store directory at the same path).
-
         Missing, corrupt, or incompatible files are tolerated: the cache is
-        an optimization, so a bad file degrades to a cold start (with a
-        warning naming the offender), never a crash.  Loaded entries are
+        an optimization, so a bad file -- including a plain file where the
+        store directory belongs -- degrades to a cold start (with a warning
+        naming the offender), never a crash.  Loaded entries are
         output-free.
         """
         target = path or self.persist_path
         if target is None:
             raise ValueError("no persist path configured")
         if os.path.isfile(target):
-            return self._load_legacy_and_migrate(target)
+            warnings.warn(
+                f"run cache file {target!r} is corrupt or incompatible (a "
+                "store is a directory); starting with an empty cache",
+                stacklevel=2,
+            )
+            return 0
         if not os.path.isdir(target):
             return 0
 
@@ -479,61 +475,6 @@ class RunCache:
             loaded += len(entries)
         self._write_meta(target, counts)
         return loaded
-
-    def _load_legacy_and_migrate(self, target: str) -> int:
-        """Load a legacy single-file cache and convert it to a sharded store."""
-        entries = _read_entry_table(target)
-        if entries is None:
-            warnings.warn(
-                f"run cache file {target!r} is corrupt or incompatible; "
-                "starting with an empty cache",
-                stacklevel=3,
-            )
-            return 0
-        for stored, record in entries.items():
-            self._insert_loaded(_unescape_key(stored), _record_result(record))
-
-        # One-shot migration: build the store next to the file, then swap it
-        # into place.  A failure (permissions, say) only costs the migration
-        # -- the entries are already in memory and a later save() retries.
-        staging: Optional[str] = None
-        by_shard: Dict[str, Dict[str, Dict[str, Any]]] = {}
-        try:
-            staging = tempfile.mkdtemp(
-                dir=os.path.dirname(os.path.abspath(target)), suffix=".migrating"
-            )
-            for stored, record in entries.items():
-                by_shard.setdefault(_shard_of(_unescape_key(stored)), {})[stored] = record
-            counts = {}
-            for shard_id, shard_entries in by_shard.items():
-                _atomic_write_json(
-                    self._shard_path(staging, shard_id),
-                    {"version": _FORMAT_VERSION, "entries": shard_entries},
-                )
-                counts[shard_id] = len(shard_entries)
-            self._write_meta(staging, counts)
-            # Swap restorably: park the legacy file first so a failing
-            # rename can put it back instead of losing the cache on disk.
-            backup = target + ".pre-shard"
-            os.replace(target, backup)
-            try:
-                os.rename(staging, target)
-            except OSError:
-                os.replace(backup, target)
-                raise
-            os.unlink(backup)
-        except OSError as error:
-            warnings.warn(
-                f"could not migrate legacy run cache {target!r} to the "
-                f"sharded layout: {error}",
-                stacklevel=3,
-            )
-            if staging is not None:
-                shutil.rmtree(staging, ignore_errors=True)
-            return len(entries)
-        self._attached_store = target
-        self._seen_shards = set(by_shard)
-        return len(entries)
 
     def _fault_in_shard(self, key: str) -> bool:
         """Read ``key``'s shard from the attached store; True if it loaded.

@@ -16,11 +16,9 @@ Wire protocol (see ``docs/architecture.md`` for the lifecycle diagram):
 newline-delimited JSON messages; Python payloads ride in a ``payload``
 field as base64-encoded pickles.  Workers pull: after ``hello`` (and after
 finishing each lease) a worker is idle, and the coordinator assigns it the
-next pending chunk.  A batch's shared content -- the program, the shared-
-argument registry, or a ``(program, configs, input source)`` triple -- is
-shipped once per worker per batch in a ``context`` message; leases then
-carry only their chunk (a task list, or a row range of descriptors that the
-worker materializes itself).
+next pending chunk.  A batch's shared content -- the program or the shared-
+argument registry -- is shipped once per worker per batch in a ``context``
+message; leases then carry only their chunk.
 
 Fault tolerance: every lease carries a deadline.  A worker death (socket
 EOF, or a spawned process observed dead) or a deadline expiry requeues the
@@ -32,19 +30,14 @@ already reassigned -- can never change a value, only who computed it.
 Telemetry counters (``leases_issued``, ``leases_reassigned``,
 ``worker_deaths``, ...) surface through ``Runtime.stats()['distributed']``.
 
-Three lease kinds cover the runtime's dispatch shapes:
+Two lease kinds cover the runtime's dispatch shapes:
 
 * ``"pairs"``   -- context = program; chunk = ``[(config, input), ...]``;
-  result = the pickled :class:`~repro.lang.program.RunResult` list.
+  result = the pickled, output-free :class:`~repro.lang.program.RunResult`
+  list.  The runtime has already recalled cached runs and removed
+  duplicates, so workers keep no cache of their own.
 * ``"calls"``   -- context = shared-argument registry; chunk = a list of
   ``(fn, args, kwargs)`` call tasks; result = their return values.
-* ``"rows"``    -- context = ``(program, configs, source)``; chunk =
-  ``(start, stop)`` row range.  The worker materializes its own inputs
-  from the source (the PR-4 descriptor: a few hundred bytes, not the
-  inputs), executes through a worker-local :class:`~repro.runtime.cache.
-  RunCache`, and streams back ``(run_key, time, accuracy, extra)``
-  entries that the coordinator's runtime folds into the measurement
-  matrix *and* its sharded cache store.
 """
 
 from __future__ import annotations
@@ -224,12 +217,16 @@ class Coordinator:
             "batches_dispatched": 0,
         }
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        # Without SO_REUSEADDR a coordinator restarting on a fixed port
-        # would fail to bind while its previous incarnation's accepted
-        # connections sit in TIME_WAIT -- the restart path must be clean.
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind(("127.0.0.1", int(port)))
-        self._listener.listen(64)
+        try:
+            # Without SO_REUSEADDR a coordinator restarting on a fixed port
+            # would fail to bind while its previous incarnation's accepted
+            # connections sit in TIME_WAIT -- the restart path must be clean.
+            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._listener.bind(("127.0.0.1", int(port)))
+            self._listener.listen(64)
+        except OSError:
+            self._listener.close()
+            raise
         self._listener.setblocking(False)
         self.address: Tuple[str, int] = self._listener.getsockname()
         self._selector = selectors.DefaultSelector()
@@ -592,10 +589,6 @@ class DistributedExecutor(BaseExecutor):
 
     name = "distributed"
 
-    #: Tells :meth:`repro.runtime.Runtime.measure` that this executor can
-    #: take a ``(program, configs, source)`` descriptor batch directly.
-    supports_input_sources = True
-
     def __init__(
         self,
         workers: Optional[int] = None,
@@ -673,26 +666,6 @@ class DistributedExecutor(BaseExecutor):
         size = _call_chunksize(len(calls), max(1, self.workers))
         chunks = self.coordinator.run_leases("calls", shared, _partition(calls, size))
         return [result for chunk in chunks for result in chunk]
-
-    def run_rows(
-        self,
-        program: PetaBricksProgram,
-        configs: Sequence[Any],
-        source: Any,
-        row_ranges: Sequence[Tuple[int, int]],
-    ) -> List[Dict[str, Any]]:
-        """Execute descriptor row-range leases (the streaming measure path).
-
-        Each returned element matches its row range and is a dict with
-        ``entries`` (one ``(run_key, time, accuracy, extra)`` tuple per
-        (row, config) pair, row-major) and ``cache_hits`` (how many of them
-        the worker's local cache answered).  The caller must have verified
-        picklability of ``(program, configs, source)`` beforehand
-        (``Runtime.measure`` does, falling back to the pair path).
-        """
-        return self.coordinator.run_leases(
-            "rows", (program, list(configs), source), list(row_ranges)
-        )
 
     def close(self) -> None:
         if self._coordinator is not None:

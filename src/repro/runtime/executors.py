@@ -13,7 +13,9 @@ held in context variables), the three strategies are interchangeable:
   functions release the GIL (NumPy-heavy benchmarks) and as a concurrency
   shake-out of the runtime.
 * :class:`ProcessExecutor` -- a process pool for genuine parallelism.  The
-  program is shipped to workers once per pool (not per task).  If the
+  program is shipped to workers once per pool (not per task), tasks travel
+  in leases of several, and a measurement lease answers with one pickled
+  ``(2, n)`` float64 block instead of a result object per run.  If the
   program or a task cannot be pickled, the batch transparently falls back
   to serial execution and the executor records that it did so.
 """
@@ -29,19 +31,14 @@ import math
 import os
 import pickle
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.lang.config import Configuration
 from repro.lang.program import PetaBricksProgram, RunResult
-from repro.resilience.faults import install_from_env, maybe_fail
+from repro.resilience.faults import install_from_env
 from repro.resilience.retry import RetryPolicy
-
-try:  # pragma: no cover - present on every supported platform
-    from multiprocessing import shared_memory as _shm_module
-except ImportError:  # pragma: no cover - minimal builds without _posixshmem
-    _shm_module = None  # type: ignore[assignment]
 
 #: A single unit of work: run the program with this configuration on this input.
 Task = Tuple[Configuration, Any]
@@ -98,7 +95,7 @@ def _invoke_call(call: CallTask) -> Any:
 
 
 def _call_chunksize(n_calls: int, workers: int) -> int:
-    """Chunk size for ``pool.map`` over a generic call batch.
+    """Lease size (items per message) for a batch sent to pool workers.
 
     Large batches target four chunks per worker (load balancing); small
     batches (at most ``workers * 4`` calls) target one chunk per worker
@@ -244,8 +241,8 @@ class ThreadExecutor(BaseExecutor):
 # -- process-pool plumbing ----------------------------------------------
 #
 # The worker receives the program and the shared-argument registry once via
-# the pool initializer and keeps them in module globals; tasks then only
-# carry (configuration, input) or (fn, args-with-refs, kwargs).
+# the pool initializer and keeps them in module globals; leases then only
+# carry (configuration, input) tasks or (fn, args-with-refs, kwargs) calls.
 
 _WORKER_PROGRAM: Optional[PetaBricksProgram] = None
 
@@ -264,84 +261,34 @@ def _process_worker_init(
     install_from_env()
 
 
-def _process_worker_run(task: Task) -> RunResult:
-    assert _WORKER_PROGRAM is not None, "worker pool used before initialization"
-    config, program_input = task
-    return _WORKER_PROGRAM.run(config, program_input)
-
-
-def _unregister_shm(segment: Any) -> None:
-    """Drop an attach-time resource-tracker registration.
-
-    On POSIX (through Python 3.12) *attaching* to a shared-memory segment
-    registers it with the process's resource tracker just like creating it
-    does.  The parent created the segment and owns the unlink, so the
-    bookkeeping depends on the start method:
-
-    * fork (the Linux default): workers inherit the parent's tracker, whose
-      name set deduplicates all the attach registrations -- the creator's
-      ``unlink`` is the single balanced removal, and a worker-side
-      unregister would race it into KeyErrors.  Do nothing.
-    * spawn/forkserver: each worker runs its own tracker, which would try
-      to unlink the (already removed) segment at pool shutdown and print
-      leak warnings.  Unregister after closing.
-    """
-    try:
-        import multiprocessing
-
-        if multiprocessing.get_start_method() == "fork":
-            return
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker variations across platforms
-        pass
-
-
-#: A lease of measurement work: ``(start, tasks, shm_name, total)`` where
-#: ``start`` is the flat offset of the first task in the dispatch and
-#: ``shm_name`` names a parent-created ``(2, total)`` float64 block (times
-#: row 0, accuracies row 1), or None when shared memory is unavailable.
-MeasureLease = Tuple[int, Sequence[Task], Optional[str], int]
-
-
-def _process_worker_measure(lease: MeasureLease) -> Tuple[str, int, Optional[Any]]:
-    """Run one lease of measurement tasks, shipping results via shared memory.
-
-    The result matrix slice is written directly into the parent-created
-    shared block, so the return value is a few bytes -- ``("shm", start,
-    None)`` -- instead of one pickled :class:`RunResult` per task.  When the
-    block is unavailable (no shared memory on this platform, or the attach
-    failed) the slice comes back pickled as ``("data", start, block)``.
-    """
-    assert _WORKER_PROGRAM is not None, "worker pool used before initialization"
-    program = _WORKER_PROGRAM
-    start, tasks, shm_name, total = lease
+def _measure_tasks(program: PetaBricksProgram, tasks: Sequence[Task]) -> np.ndarray:
+    """Run ``tasks``, returning a ``(2, n)`` float64 block of times and accuracies."""
     block = np.empty((2, len(tasks)), dtype=np.float64)
     for index, (config, program_input) in enumerate(tasks):
         result = program.run(config, program_input)
         block[0, index] = result.time
         block[1, index] = result.accuracy
-    if shm_name is not None and _shm_module is not None:
-        try:
-            # Fault site: an attach failure must degrade to the pickled
-            # path, never lose the lease's results.
-            maybe_fail("shm.attach", detail=shm_name)
-            segment = _shm_module.SharedMemory(name=shm_name)
-        except Exception:
-            return ("data", start, block)
-        try:
-            matrix = np.ndarray((2, total), dtype=np.float64, buffer=segment.buf)
-            matrix[:, start : start + len(tasks)] = block
-        finally:
-            segment.close()
-            _unregister_shm(segment)
-        return ("shm", start, None)
-    return ("data", start, block)
+    return block
+
+
+def _process_worker_measure(tasks: Sequence[Task]) -> np.ndarray:
+    """One measurement lease in a pool worker, run by the installed program."""
+    assert _WORKER_PROGRAM is not None, "worker pool used before initialization"
+    return _measure_tasks(_WORKER_PROGRAM, tasks)
+
+
+def _process_worker_calls(calls: Sequence[CallTask]) -> List[Any]:
+    """One lease of generic call tasks in a pool worker."""
+    return [_invoke_call(call) for call in calls]
 
 
 class ProcessExecutor(BaseExecutor):
     """Run tasks on a process pool, falling back to serial when pickling fails.
+
+    Every batch travels in leases of :func:`_call_chunksize` items, one
+    pickled message per lease each way.  Program runs answer as
+    measurements (:meth:`run_measure`): a ``(2, n)`` float64 block per
+    lease instead of a result object, and program output, per run.
 
     Args:
         workers: pool size; defaults to the CPU count.
@@ -373,15 +320,33 @@ class ProcessExecutor(BaseExecutor):
 
     def _on_pool_break(self, error: BaseException, _attempt: int) -> None:
         """Retry hook: a broken pool is torn down so the resubmission
-        closure rebuilds it (re-registering the program/shared-argument
+        rebuilds it (re-registering the program/shared-argument
         initializer) -- one dead worker costs a respawn, not every later
         batch."""
         self.fallback_reason = f"process pool broke: {error}"
         self._shutdown_pool()
 
-    def _rebuild_pool(
-        self, program: Optional[PetaBricksProgram], shared: Dict[str, Any]
+    def _pool_holding(
+        self,
+        program: Optional[PetaBricksProgram],
+        shared: Optional[Dict[str, Any]],
     ) -> concurrent.futures.ProcessPoolExecutor:
+        """A live pool whose workers hold ``program`` and ``shared``.
+
+        None for either accepts what the live pool holds: generic calls
+        ignore the program, and measurements ignore the registry.  A
+        mismatch rebuilds the pool and keeps the other half, except that a
+        program switch means a new experiment, whose pool starts with an
+        empty registry.
+        """
+        if (
+            self._pool is not None
+            and (program is None or program is self._pool_program)
+            and (not shared or self._shared_matches(shared))
+        ):
+            return self._pool
+        program = self._pool_program if program is None else program
+        shared = {} if shared is None else shared
         self._shutdown_pool()
         self._pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=self.workers,
@@ -392,41 +357,70 @@ class ProcessExecutor(BaseExecutor):
         self._pool_shared = shared
         return self._pool
 
-    def _pool_for(
-        self, program: PetaBricksProgram
-    ) -> Optional[concurrent.futures.ProcessPoolExecutor]:
-        """A pool initialized with ``program``, or None if it cannot be shipped."""
-        if self._pool is not None and self._pool_program is program:
-            return self._pool
-        try:
-            pickle.dumps(program)
-        except Exception as error:
-            self.fallback_reason = f"program not picklable: {type(error).__name__}"
-            return None
-        # A program switch means a new experiment; the old shared registry
-        # is dead weight, so the new pool starts with an empty one.
-        return self._rebuild_pool(program, {})
-
-    def _calls_pool(
-        self, shared: Dict[str, Any]
-    ) -> concurrent.futures.ProcessPoolExecutor:
-        """A pool whose workers hold (at least) the requested shared registry.
-
-        A batch with no shared arguments runs on any live pool -- the
-        program initializer only sets worker globals that generic calls
-        ignore.  Otherwise the pool is rebuilt, keeping the current program
-        so an interleaved ``run_batch`` does not pay a second rebuild.
-        """
-        if self._pool is not None and (not shared or self._shared_matches(shared)):
-            return self._pool
-        return self._rebuild_pool(self._pool_program, shared)
-
     def _shared_matches(self, shared: Dict[str, Any]) -> bool:
         current = self._pool_shared
         return all(
             token in current and current[token] is value
             for token, value in shared.items()
         )
+
+    def _lease_map(
+        self,
+        fn: Callable[[Any], Any],
+        items: Sequence[Any],
+        serial: Callable[[Any], Any],
+        program: Optional[PetaBricksProgram] = None,
+        shared: Optional[Dict[str, Any]] = None,
+    ) -> List[Any]:
+        """Apply ``fn`` to leases of ``items`` on the pool; one answer per lease.
+
+        The pool's one fallback ladder.  A pickle probe of the first item
+        (and of a program the pool does not hold yet) sends an unshippable
+        batch -- a closure, say -- to ``serial`` before anything is
+        submitted; batches are homogeneous in practice, so the probe
+        decides.  A broken pool is rebuilt and the batch resubmitted under
+        :attr:`retry_policy` (runs and calls are pure, so re-execution is
+        sound); a pool that stays broken also ends on ``serial``.
+        """
+        size = _call_chunksize(len(items), self.workers)
+        leases = [items[start : start + size] for start in range(0, len(items), size)]
+        submitted = False
+
+        def attempt() -> List[Any]:
+            nonlocal submitted
+            submitted = False
+            answers = self._pool_holding(program, shared).map(fn, leases)
+            submitted = True
+            return list(answers)
+
+        try:
+            pickle.dumps(items[0])
+            if program is not None and program is not self._pool_program:
+                pickle.dumps(program)
+        except Exception as error:
+            reason = f"batch not picklable: {type(error).__name__}"
+        else:
+            try:
+                return self.retry_policy.run(
+                    attempt,
+                    retryable=(concurrent.futures.process.BrokenProcessPool,),
+                    before_retry=self._on_pool_break,
+                    counters=self.retry_counters,
+                )
+            except (pickle.PicklingError, TypeError, AttributeError) as error:
+                # Submission is eager (workers spawn there and, under a
+                # spawn start method, pickle their initializer), so an
+                # error before it completes is transport.  Once results
+                # flow, only a genuine PicklingError is: a task's own
+                # TypeError must propagate, not trigger a serial re-run.
+                if submitted and not isinstance(error, pickle.PicklingError):
+                    raise
+                reason = f"batch not picklable: {type(error).__name__}"
+            except concurrent.futures.process.BrokenProcessPool as error:
+                self._shutdown_pool()
+                reason = f"process pool broke: {error}"
+        self.fallback_reason = reason
+        return [serial(lease) for lease in leases]
 
     def run_calls(
         self,
@@ -436,211 +430,48 @@ class ProcessExecutor(BaseExecutor):
         if not calls:
             return []
         shared = shared or {}
-        # The probe is the primary fallback detector: batches are homogeneous
-        # in practice, so an unpicklable first call (a closure factory, say)
-        # means the batch belongs on the serial path.  Errors raised *by* a
-        # task in a worker are then never mistaken for pickling failures --
-        # only a genuine mid-batch PicklingError still falls back below.
-        try:
-            pickle.dumps(calls[0])
-        except Exception as error:
-            self.fallback_reason = f"call not picklable: {type(error).__name__}"
-            return SerialExecutor().run_calls(calls, shared=shared)
-        # Chunking matters beyond message overhead: a chunk is pickled as one
-        # object, so large per-chunk arguments shared by its calls cross the
-        # process boundary once per chunk instead of once per call, via the
-        # pickle memo.  (Registry-shared arguments do even better: they ride
-        # the pool initializer and cross once per pool.)
-        chunksize = _call_chunksize(len(calls), self.workers)
-
-        def submit() -> Any:
-            # Submission is eager: worker spawn (which, under a spawn start
-            # method, pickles the initializer's program/shared registry)
-            # happens here, so transport errors raised at this point are
-            # never a task's own exception...
-            return self._calls_pool(shared).map(
-                _invoke_call, calls, chunksize=chunksize
-            )
-
-        try:
-            # A worker death between batches surfaces as BrokenProcessPool at
-            # submission; the retry policy tears the pool down (_on_pool_break)
-            # and resubmits on a fresh one before giving up to the serial path.
-            result_iterator = self.retry_policy.run(
-                submit,
-                retryable=(concurrent.futures.process.BrokenProcessPool,),
-                before_retry=self._on_pool_break,
-                counters=self.retry_counters,
-            )
-        except (pickle.PicklingError, TypeError, AttributeError) as error:
-            self.fallback_reason = f"call batch not picklable: {type(error).__name__}"
-            return SerialExecutor().run_calls(calls, shared=shared)
-        except concurrent.futures.process.BrokenProcessPool as error:
-            self.fallback_reason = f"process pool broke: {error}"
-            self._shutdown_pool()
-            return SerialExecutor().run_calls(calls, shared=shared)
-        try:
-            # ...whereas during result iteration only a genuine
-            # PicklingError is transport: a task-raised TypeError must
-            # propagate as-is, not trigger a misleading serial re-run.
-            return list(result_iterator)
-        except pickle.PicklingError as error:
-            self.fallback_reason = f"call batch not picklable: {type(error).__name__}"
-            return SerialExecutor().run_calls(calls, shared=shared)
-        except concurrent.futures.process.BrokenProcessPool as error:
-            self.fallback_reason = f"process pool broke: {error}"
-            self._shutdown_pool()
-            return SerialExecutor().run_calls(calls, shared=shared)
+        # Leasing matters beyond message overhead: a lease is pickled as one
+        # object, so large arguments shared by its calls cross the process
+        # boundary once per lease instead of once per call, via the pickle
+        # memo.  (Registry-shared arguments do even better: they ride the
+        # pool initializer and cross once per pool.)
+        leases = self._lease_map(
+            _process_worker_calls,
+            calls,
+            serial=lambda lease: SerialExecutor().run_calls(lease, shared=shared),
+            shared=shared,
+        )
+        return [value for lease in leases for value in lease]
 
     def run_batch(
         self, program: PetaBricksProgram, tasks: Sequence[Task]
     ) -> List[RunResult]:
-        if not tasks:
-            return []
-        pool = self._pool_for(program)
-        if pool is None:
-            return SerialExecutor().run_batch(program, tasks)
-        try:
-            pickle.dumps(tasks[0])
-        except Exception as error:
-            self.fallback_reason = f"task not picklable: {type(error).__name__}"
-            return SerialExecutor().run_batch(program, tasks)
-        def submit() -> List[RunResult]:
-            # A break at submission time (worker died between batches)
-            # leaves the tasks unexecuted: the retry rebuilds the pool --
-            # with the program initializer re-registered -- and resubmits.
-            # A break *during* execution re-runs the batch too; runs are
-            # pure functions of their tasks, so re-execution is sound.
-            submit_pool = self._pool_for(program)
-            if submit_pool is None:
-                raise concurrent.futures.process.BrokenProcessPool(
-                    "pool unavailable after rebuild"
-                )
-            return list(submit_pool.map(_process_worker_run, tasks))
-
-        try:
-            return self.retry_policy.run(
-                submit,
-                retryable=(concurrent.futures.process.BrokenProcessPool,),
-                before_retry=self._on_pool_break,
-                counters=self.retry_counters,
-            )
-        except (pickle.PicklingError, TypeError, AttributeError) as error:
-            self.fallback_reason = f"batch not picklable: {type(error).__name__}"
-            return SerialExecutor().run_batch(program, tasks)
-        except concurrent.futures.process.BrokenProcessPool as error:
-            self.fallback_reason = f"process pool broke: {error}"
-            self._shutdown_pool()
-            return SerialExecutor().run_batch(program, tasks)
+        """Results without program outputs, as the measurement cache keeps them."""
+        times, accuracies = self.run_measure(program, tasks)
+        return [
+            RunResult(output=None, time=seconds, accuracy=accuracy)
+            for seconds, accuracy in zip(times.tolist(), accuracies.tolist())
+        ]
 
     def run_measure(
-        self,
-        program: PetaBricksProgram,
-        tasks: Sequence[Task],
-        columns: int = 1,
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Execute measurement tasks, returning ``(times, accuracies)`` arrays.
+        self, program: PetaBricksProgram, tasks: Sequence[Task]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Execute program runs, returning their ``(times, accuracies)`` arrays.
 
-        The matrix counterpart of :meth:`run_batch` for callers that only
-        need the two floats of each run (:meth:`repro.runtime.Runtime.
-        measure`): the parent allocates one ``(2, len(tasks))`` float64
-        shared-memory block per dispatch, workers write their lease's slice
-        directly into it, and the pool's return traffic shrinks to a
-        per-lease acknowledgement instead of a pickled
-        :class:`~repro.lang.program.RunResult` per task.  When shared
-        memory is unavailable (platform without ``_posixshmem``, exhausted
-        ``/dev/shm``) every lease transparently returns its slice pickled.
-
-        ``columns`` is the measurement matrix's K; leases are aligned to
-        whole rows so each worker fills contiguous ``(rows, K)`` blocks.
-
-        Returns None -- with nothing executed -- when the program or tasks
-        cannot be shipped to workers; the caller should fall back to
-        :meth:`run_batch` (whose serial fallback handles that case).  A
-        pool that breaks mid-dispatch is rebuilt and the dispatch retried
-        once (runs are pure, so re-execution is sound); a second break
-        finishes the batch serially.
+        The pool's only program-run transport: a measurement needs just the
+        two floats of each run, so each lease answers with one pickled
+        ``(2, n)`` float64 block.
         """
         if not tasks:
             return np.empty(0), np.empty(0)
-        pool = self._pool_for(program)
-        if pool is None:
-            return None
-        try:
-            pickle.dumps(tasks[0])
-        except Exception as error:
-            self.fallback_reason = f"task not picklable: {type(error).__name__}"
-            return None
-
-        total = len(tasks)
-        columns = max(1, columns)
-        rows = max(1, total // columns)
-        lease_tasks = _call_chunksize(rows, self.workers) * columns
-        segment = None
-        shm_name: Optional[str] = None
-        if _shm_module is not None:
-            try:
-                segment = _shm_module.SharedMemory(
-                    create=True, size=2 * total * np.dtype(np.float64).itemsize
-                )
-                shm_name = segment.name
-            except Exception:  # exhausted /dev/shm etc: pickled fallback
-                segment = None
-        try:
-            leases: List[MeasureLease] = [
-                (start, tasks[start : start + lease_tasks], shm_name, total)
-                for start in range(0, total, lease_tasks)
-            ]
-            def submit() -> List[Tuple[str, int, Optional[Any]]]:
-                submit_pool = self._pool_for(program)
-                if submit_pool is None:
-                    raise concurrent.futures.process.BrokenProcessPool(
-                        "pool unavailable after rebuild"
-                    )
-                return list(
-                    submit_pool.map(_process_worker_measure, leases, chunksize=1)
-                )
-
-            answers: Optional[List[Tuple[str, int, Optional[Any]]]] = None
-            try:
-                answers = self.retry_policy.run(
-                    submit,
-                    retryable=(concurrent.futures.process.BrokenProcessPool,),
-                    before_retry=self._on_pool_break,
-                    counters=self.retry_counters,
-                )
-            except (pickle.PicklingError, TypeError, AttributeError) as error:
-                self.fallback_reason = f"batch not picklable: {type(error).__name__}"
-            except concurrent.futures.process.BrokenProcessPool as error:
-                self.fallback_reason = f"process pool broke: {error}"
-                self._shutdown_pool()
-            if answers is None:
-                # Transport failed after the probe succeeded (broken pool
-                # twice, or a pathological mid-batch pickling error): finish
-                # the whole dispatch serially.  Runs are pure, so any work a
-                # half-finished attempt did is simply recomputed.
-                serial = SerialExecutor().run_batch(program, tasks)
-                times = np.fromiter(
-                    (r.time for r in serial), dtype=np.float64, count=total
-                )
-                accuracies = np.fromiter(
-                    (r.accuracy for r in serial), dtype=np.float64, count=total
-                )
-                return times, accuracies
-            if segment is not None:
-                matrix = np.ndarray(
-                    (2, total), dtype=np.float64, buffer=segment.buf
-                )
-            else:
-                matrix = np.empty((2, total), dtype=np.float64)
-            for kind, start, block in answers:
-                if kind == "data":
-                    matrix[:, start : start + block.shape[1]] = block
-            return matrix[0].copy(), matrix[1].copy()
-        finally:
-            if segment is not None:
-                segment.close()
-                segment.unlink()
+        blocks = self._lease_map(
+            _process_worker_measure,
+            tasks,
+            serial=lambda lease: _measure_tasks(program, lease),
+            program=program,
+        )
+        block = np.concatenate(blocks, axis=1)
+        return block[0], block[1]
 
     def _shutdown_pool(self) -> None:
         if self._pool is not None:

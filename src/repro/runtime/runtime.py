@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import pickle
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -103,11 +102,11 @@ class Runtime:
         """Build a runtime from flag-style settings.
 
         When ``cache_path`` is given, previously persisted measurements are
-        attached immediately (missing stores are fine; a legacy single-file
-        cache is migrated to the sharded layout); call :meth:`save_cache`
-        after a run to persist the updated cache.  ``use_cache=False``
-        disables caching outright -- including any persisted store -- so
-        every measurement demonstrably re-executes.  ``batch_chunk`` enables
+        attached immediately (a missing store is a cold start, and so is a
+        path that holds a file rather than a store directory); call
+        :meth:`save_cache` after a run to persist the updated cache.
+        ``use_cache=False`` disables caching outright -- including any
+        persisted store -- so every measurement demonstrably re-executes.  ``batch_chunk`` enables
         streaming batches (see the class docstring).  ``max_entries`` caps
         the in-memory run cache (``None`` = unbounded); the default keeps a
         50k-input experiment's cache at tens of MB -- see
@@ -221,7 +220,14 @@ class Runtime:
     def iter_pairs(
         self, program: PetaBricksProgram, pairs: Iterable[Task]
     ) -> Iterator[RunResult]:
-        """Stream results for a batch of (configuration, input) tasks, in order.
+        """Stream results for a batch of (configuration, input) tasks, in order."""
+        for results in self._iter_dispatches(program, pairs):
+            yield from results
+
+    def _iter_dispatches(
+        self, program: PetaBricksProgram, pairs: Iterable[Task]
+    ) -> Iterator[List[RunResult]]:
+        """Yield each dispatch unit's results, in order.
 
         The streaming core of :meth:`run_pairs` and :meth:`measure`: with
         :attr:`batch_chunk` set, ``pairs`` is consumed lazily in chunks of at
@@ -237,7 +243,7 @@ class Runtime:
         chunk = self.batch_chunk
         if not chunk:
             materialized = pairs if isinstance(pairs, Sequence) else list(pairs)
-            yield from self._dispatch_pairs(program, materialized)
+            yield self._dispatch_pairs(program, materialized)
             self._chunk_completed()
             return
         iterator = iter(pairs)
@@ -246,7 +252,7 @@ class Runtime:
             if not piece:
                 return
             self.telemetry.count("chunks_dispatched")
-            yield from self._dispatch_pairs(program, piece)
+            yield self._dispatch_pairs(program, piece)
             self._chunk_completed()
 
     def _chunk_completed(self) -> None:
@@ -422,189 +428,33 @@ class Runtime:
         :func:`repro.core.level1.measure_performance`.
 
         The pair enumeration is lazy, *input-major* (all K configurations
-        of input ``i`` before input ``i + 1``), and each result folds
-        straight into the output arrays.  Input-major order matters for
-        lazily generated inputs (:mod:`repro.core.inputs`): each input is
-        materialized exactly once and shared by its K adjacent tasks, so a
-        full matrix costs N materializations -- not N x K -- and with
+        of input ``i`` before input ``i + 1``), and goes through the same
+        chunked dispatch as :meth:`run_pairs` -- cache recall per cell,
+        in-batch deduplication, misses to the executor -- whatever the
+        executor.  Each dispatch folds into the output arrays with one
+        slice assignment.  Input-major order matters for lazily generated
+        inputs (:mod:`repro.core.inputs`): each input is materialized
+        exactly once and shared by its K adjacent tasks, so a full matrix
+        costs N materializations -- not N x K -- and with
         :attr:`batch_chunk` set only ~chunk/K inputs are ever in flight.
         The matrix itself (two ``(n, k)`` float arrays) is the only
         O(N x K) allocation.  Runs are pure functions of their content, so
         enumeration order never affects any value in the matrices.
-
-        On a cache-less process-executor runtime the batch takes the shared
-        -memory matrix path instead (:meth:`_measure_via_matrix`): workers
-        write ``(rows, K)`` result blocks straight into a parent-owned
-        shared block and whole chunks fold into the matrices by array
-        slicing, replacing one pickled result object per run with two
-        flat float64 rows per dispatch.  Values are bit-identical on every
-        path.
         """
-        if self._rows_distributable(program, configs, inputs):
-            return self._measure_via_descriptors(program, configs, inputs)
         n, k = len(inputs), len(configs)
-        if self._matrix_transportable(program, configs, inputs):
-            matrices = self._measure_via_matrix(program, configs, inputs)
-            if matrices is not None:
-                return matrices
         pairs = (
             (config, program_input) for program_input in inputs for config in configs
         )
         times = np.zeros((n, k))
         accuracies = np.zeros((n, k))
-        for flat, result in enumerate(self.iter_pairs(program, pairs)):
-            i, j = divmod(flat, k)
-            times[i, j] = result.time
-            accuracies[i, j] = result.accuracy
-        return {"times": times, "accuracies": accuracies}
-
-    def _matrix_transportable(
-        self, program: PetaBricksProgram, configs: Sequence[Configuration], inputs: Any
-    ) -> bool:
-        """Can this measure call use the shared-memory matrix transport?
-
-        Requires an executor exposing ``run_measure`` (the process pool) and
-        a cache-less runtime: a measurement run carries exactly two floats
-        (time, accuracy) beyond its output, so a matrix fully describes the
-        batch -- but a caching runtime must consult and fill the run cache
-        with keyed :class:`RunResult` entries, which the pair path does.
-        """
-        if self.cache is not None:
-            return False
-        if not hasattr(self.executor, "run_measure"):
-            return False
-        return len(inputs) > 0 and len(configs) > 0
-
-    def _measure_via_matrix(
-        self,
-        program: PetaBricksProgram,
-        configs: Sequence[Configuration],
-        inputs: Sequence[Any],
-    ) -> Optional[Dict[str, np.ndarray]]:
-        """Process-pool measure: fold shared-memory chunk blocks by slicing.
-
-        Chunks are row-aligned (``batch_chunk // K`` rows, whole batch when
-        streaming is off); the executor returns each chunk's times and
-        accuracies as flat float64 arrays shipped via shared memory, and
-        every chunk lands in the N x K matrices as one slice assignment
-        instead of chunk x K per-element stores.  Returns None -- with
-        nothing executed -- when the executor cannot ship the batch; the
-        caller falls back to the ordinary streamed pair path.
-        """
-        n, k = len(inputs), len(configs)
-        rows_per_chunk = max(1, self.batch_chunk // k) if self.batch_chunk else n
-        times = np.zeros((n, k))
-        accuracies = np.zeros((n, k))
         flat_times = times.reshape(n * k)
         flat_accuracies = accuracies.reshape(n * k)
-        for row in range(0, n, rows_per_chunk):
-            stop = min(row + rows_per_chunk, n)
-            piece = [
-                (config, program_input)
-                for program_input in inputs[row:stop]
-                for config in configs
-            ]
-            if self.batch_chunk:
-                self.telemetry.count("chunks_dispatched")
-            chunk = self.executor.run_measure(program, piece, columns=k)
-            if chunk is None:
-                if row == 0:
-                    return None  # nothing ran; the pair path handles fallback
-                # Later chunks of a homogeneous batch should never become
-                # unshippable, but if one does, finish it in-process rather
-                # than re-running the chunks that already executed.
-                results = [program.run(config, value) for config, value in piece]
-                chunk = (
-                    np.fromiter((r.time for r in results), dtype=np.float64),
-                    np.fromiter((r.accuracy for r in results), dtype=np.float64),
-                )
-            start = row * k
-            flat_times[start : start + len(piece)] = chunk[0]
-            flat_accuracies[start : start + len(piece)] = chunk[1]
-            self.telemetry.count("runs_requested", len(piece))
-            self.telemetry.count("runs_executed", len(piece))
-            self._chunk_completed()
-        return {"times": times, "accuracies": accuracies}
-
-    def _rows_distributable(
-        self, program: PetaBricksProgram, configs: Sequence[Configuration], inputs: Any
-    ) -> bool:
-        """Can this measure call ship row descriptors instead of inputs?
-
-        Requires an executor exposing ``run_rows`` (the distributed one), an
-        input *source* (lazy, known length, per-index materialization -- a
-        plain list would force materializing everything just to ship it),
-        and a picklable ``(program, configs, source)`` triple.  Anything
-        else falls back to the ordinary streamed pair path, which is always
-        correct.
-        """
-        if not getattr(self.executor, "supports_input_sources", False):
-            return False
-        if not hasattr(self.executor, "run_rows"):
-            return False
-        if not (hasattr(inputs, "materialize") and hasattr(inputs, "__len__")):
-            return False
-        if len(inputs) == 0 or len(configs) == 0:
-            return False
-        try:
-            pickle.dumps((program, list(configs), inputs))
-        except Exception:
-            return False
-        return True
-
-    def _measure_via_descriptors(
-        self,
-        program: PetaBricksProgram,
-        configs: Sequence[Configuration],
-        source: Any,
-    ) -> Dict[str, np.ndarray]:
-        """Distributed measure: lease (start, stop) row ranges of a source.
-
-        Workers rebuild their input rows from the (few-hundred-byte) source
-        descriptor, execute through their local caches, and return
-        ``(run_key, time, accuracy, extra)`` entries in row-major order; the
-        entries are folded into the matrices *by lease index* -- content
-        order, independent of which worker answered when -- and into this
-        runtime's cache, so a later ``save_cache`` persists work done on
-        every worker.  Values are bit-identical to the serial path because
-        runs are pure functions of their content.
-        """
-        n, k = len(source), len(configs)
-        rows_per_lease = max(1, (self.batch_chunk or 0) // k) if self.batch_chunk else 0
-        if not rows_per_lease:
-            workers = max(1, getattr(self.executor, "workers", 1))
-            rows_per_lease = max(1, -(-n // (workers * 4)))
-        ranges = [
-            (start, min(start + rows_per_lease, n))
-            for start in range(0, n, rows_per_lease)
-        ]
-        self.telemetry.count("runs_requested", n * k)
-        with self.telemetry.phase("measure.distributed"):
-            leased = self.executor.run_rows(program, configs, source, ranges)
-        times = np.zeros((n, k))
-        accuracies = np.zeros((n, k))
-        worker_hits = 0
-        for (start, _stop), block in zip(ranges, leased):
-            worker_hits += int(block.get("cache_hits", 0))
-            for offset, (key, seconds, accuracy, extra) in enumerate(block["entries"]):
-                i, j = divmod(offset, k)
-                times[start + i, j] = seconds
-                accuracies[start + i, j] = accuracy
-                if self.cache is not None and key not in self.cache:
-                    self.cache.put(
-                        key,
-                        RunResult(
-                            output=None,
-                            time=float(seconds),
-                            accuracy=float(accuracy),
-                            extra=dict(extra),
-                        ),
-                        has_output=False,
-                    )
-        self.telemetry.count("runs_executed", n * k - worker_hits)
-        if worker_hits:
-            self.telemetry.count("worker_cache_hits", worker_hits)
-        self._chunk_completed()
+        start = 0
+        for results in self._iter_dispatches(program, pairs):
+            stop = start + len(results)
+            flat_times[start:stop] = [result.time for result in results]
+            flat_accuracies[start:stop] = [result.accuracy for result in results]
+            start = stop
         return {"times": times, "accuracies": accuracies}
 
     # -- management -----------------------------------------------------

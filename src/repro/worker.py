@@ -7,13 +7,9 @@ process can attach to a running coordinator::
 
     python -m repro.worker --connect 127.0.0.1:PORT
 
-The worker keeps a bounded local :class:`~repro.runtime.cache.RunCache`:
-program runs repeated across its leases (the same (config, input) showing
-up in the tuner's populations, say, or re-measured rows) are answered from
-memory instead of re-executed, and on the ``rows`` path the per-entry
-``run_key`` travels back with each measurement so the coordinator can fold
-the entries into *its* cache -- and from there into the sharded on-disk
-store -- without ever shipping the inputs in either direction.
+The worker keeps no run cache: the coordinator's runtime recalls cached
+runs and removes duplicates before it dispatches, and it stores what the
+worker sends back.
 """
 
 from __future__ import annotations
@@ -22,12 +18,10 @@ import argparse
 import os
 import socket
 import traceback
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.lang.program import RunResult
 from repro.resilience.faults import FaultError, install_from_env, maybe_fail
 from repro.resilience.retry import RetryPolicy
-from repro.runtime.cache import RunCache
 from repro.runtime.distributed import (
     PROTOCOL_VERSION,
     decode_payload,
@@ -36,12 +30,7 @@ from repro.runtime.distributed import (
     send_message,
 )
 from repro.runtime.executors import _invoke_call, _substitute_shared
-from repro.runtime.keys import config_key, input_key, join_run_key, run_key_prefix
-
-#: In-memory entry cap of the worker-local run cache; measurements only, so
-#: this bounds the worker at a few MB while still absorbing tuner-style
-#: repeats within a session.
-WORKER_CACHE_ENTRIES = 50_000
+from repro.runtime.runtime import _strip_output
 
 #: Connect retry: a worker racing a restarting coordinator (fixed-port
 #: rebind) or a briefly saturated listen backlog retries with backoff
@@ -49,81 +38,28 @@ WORKER_CACHE_ENTRIES = 50_000
 CONNECT_POLICY = RetryPolicy(max_attempts=5, base_delay=0.1, max_delay=1.0)
 
 
-def _strip_output(result: RunResult) -> RunResult:
-    """A copy of ``result`` without the program output (cheap to cache/ship)."""
-    if result.output is None:
-        return result
-    return RunResult(
-        output=None, time=result.time, accuracy=result.accuracy, extra=result.extra
-    )
+def execute_lease(kind: str, context: Any, payload: Any) -> Any:
+    """Execute one chunk lease and return its result.
 
-
-def execute_lease(
-    kind: str, context: Any, payload: Any, cache: RunCache
-) -> Tuple[Any, int]:
-    """Execute one chunk lease; returns ``(result, local_cache_hits)``.
-
-    The three kinds mirror :mod:`repro.runtime.distributed`:
+    The two kinds mirror :mod:`repro.runtime.distributed`:
 
     * ``pairs`` -- run each (config, input) task of the chunk through the
-      context program; results keep their outputs (callers strip them).
+      context program; results travel without their outputs.
     * ``calls`` -- invoke each generic call task, resolving
       :class:`~repro.runtime.SharedRef` arguments against the context
-      registry.  Never cached: call results are memoized coordinator-side
-      by the task cache, under keys this layer does not know.
-    * ``rows`` -- materialize rows ``payload = (start, stop)`` from the
-      context input source and measure every context configuration on each,
-      returning ``{"entries": [(run_key, time, accuracy, extra), ...],
-      "cache_hits": n}`` in row-major order.
+      registry.
     """
     # Fault site: an injected raise here unwinds as a worker death (the
     # chunk requeues on another worker); an injected kill is a hard crash.
     maybe_fail("worker.execute", detail=kind)
     if kind == "pairs":
-        program = context
-        results: List[RunResult] = []
-        hits = 0
-        prefix = run_key_prefix(program)
-        for config, program_input in payload:
-            key = join_run_key(prefix, config_key(config), input_key(program_input))
-            cached = cache.get(key)
-            if cached is not None:
-                hits += 1
-                results.append(cached)
-                continue
-            result = _strip_output(program.run(config, program_input))
-            cache.put(key, result, has_output=False)
-            results.append(result)
-        return results, hits
-
+        return [
+            _strip_output(context.run(config, program_input))
+            for config, program_input in payload
+        ]
     if kind == "calls":
         shared: Dict[str, Any] = context or {}
-        outputs = [
-            _invoke_call(_substitute_shared(call, shared)) for call in payload
-        ]
-        return outputs, 0
-
-    if kind == "rows":
-        program, configs, source = context
-        start, stop = payload
-        prefix = run_key_prefix(program)
-        config_keys = [config_key(config) for config in configs]
-        entries: List[Tuple[str, float, float, Dict[str, Any]]] = []
-        hits = 0
-        for index in range(start, stop):
-            program_input = source.materialize(index)
-            ik = input_key(program_input)
-            for config, ck in zip(configs, config_keys):
-                key = join_run_key(prefix, ck, ik)
-                cached = cache.get(key)
-                if cached is None:
-                    cached = _strip_output(program.run(config, program_input))
-                    cache.put(key, cached, has_output=False)
-                else:
-                    hits += 1
-                entries.append((key, cached.time, cached.accuracy, cached.extra))
-        return {"entries": entries, "cache_hits": hits}, hits
-
+        return [_invoke_call(_substitute_shared(call, shared)) for call in payload]
     raise ValueError(f"unknown lease kind {kind!r}")
 
 
@@ -142,7 +78,6 @@ def worker_main(host: str, port: int) -> None:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     except OSError:  # pragma: no cover - platform-dependent
         pass
-    cache = RunCache(max_entries=WORKER_CACHE_ENTRIES)
     #: batch id -> (kind, decoded context); only the latest few batches are
     #: kept, since leases only ever reference the current batch.
     contexts: Dict[int, Tuple[str, Any]] = {}
@@ -171,9 +106,7 @@ def worker_main(host: str, port: int) -> None:
                     try:
                         lease_kind, context = contexts[batch]
                         payload = decode_payload(message["payload"])
-                        result, _hits = execute_lease(
-                            lease_kind, context, payload, cache
-                        )
+                        result = execute_lease(lease_kind, context, payload)
                         send_message(
                             conn,
                             {"type": "result", "lease_id": lease_id,

@@ -440,63 +440,28 @@ class TestShardedStore:
         assert len(lazy) == 0
 
 
-class TestLegacyMigration:
-    """One-shot migration of the single-file JSON cache to the sharded store."""
+class TestFileAtStorePath:
+    """A plain file where the store directory belongs is never a store."""
 
-    def legacy_file(self, path, entries):
-        payload = {
-            "version": _FORMAT_VERSION,
-            "entries": {
-                key: {"time": time, "accuracy": 1.0} for key, time in entries.items()
-            },
-        }
-        path.write_text(json.dumps(payload))
-
-    def test_legacy_file_loads_and_migrates_in_place(self, tmp_path):
+    def test_file_loads_nothing_and_survives_save(self, tmp_path):
         path = tmp_path / "cache.json"
-        self.legacy_file(path, {"a": 1.0, "b": 2.0, "c": 3.0})
+        path.write_text(
+            json.dumps(
+                {
+                    "version": _FORMAT_VERSION,
+                    "entries": {"a": {"time": 1.0, "accuracy": 1.0}},
+                }
+            )
+        )
+        before = path.read_bytes()
         cache = RunCache(persist_path=str(path))
-        assert cache.load() == 3
-        assert cache.get("a").time == 1.0
-        # The file has become a sharded store directory at the same path.
-        assert os.path.isdir(path)
-        assert os.path.isfile(path / _META_NAME)
-        fresh = RunCache(persist_path=str(path))
-        assert fresh.load() == 3
-        assert fresh.get("b").time == 2.0
-
-    def test_migrated_store_keeps_accepting_saves(self, tmp_path):
-        path = tmp_path / "cache.json"
-        self.legacy_file(path, {"a": 1.0})
-        cache = RunCache(persist_path=str(path))
-        cache.load()
-        cache.put("new", result(time=9.0), has_output=False)
-        cache.save()
-        fresh = RunCache(persist_path=str(path))
-        assert fresh.load() == 2
-        assert fresh.get("a").time == 1.0
-        assert fresh.get("new").time == 9.0
-
-    def test_migration_failure_still_loads_entries(self, tmp_path, monkeypatch):
-        path = tmp_path / "cache.json"
-        self.legacy_file(path, {"a": 1.0, "b": 2.0})
-
-        def broken_rename(*_args, **_kwargs):
-            raise OSError("disk on fire")
-
-        monkeypatch.setattr(os, "rename", broken_rename)
-        cache = RunCache(persist_path=str(path))
-        with pytest.warns(UserWarning, match="could not migrate"):
-            assert cache.load() == 2
-        assert cache.get("a").time == 1.0  # entries usable despite migration failing
-        assert os.path.isfile(path)  # legacy file left untouched
-        # A later save() must degrade gracefully too -- the store path is
-        # still occupied by the legacy file -- not crash the run or clobber
-        # the file with a directory.
+        with pytest.warns(UserWarning, match="corrupt or incompatible"):
+            assert cache.load() == 0
+        assert cache.get("a") is None
         cache.put("fresh", result(time=5.0), has_output=False)
         with pytest.warns(UserWarning, match="is a file"):
             assert cache.save() == 0
-        assert os.path.isfile(path)
+        assert path.read_bytes() == before
 
 
 class TestCappedCacheWithStore:

@@ -185,7 +185,7 @@ def _raise_zero_division():
     return 1 // 0
 
 
-# -- descriptor (rows) path ---------------------------------------------
+# -- measurement ----------------------------------------------------------
 
 
 class TestDistributedMeasure:
@@ -205,7 +205,6 @@ class TestDistributedMeasure:
             assert stats["cache"]["entries"] == len(source) * len(configs)
             # ...and the lease telemetry surfaced.
             assert stats["distributed"]["leases_issued"] >= 1
-            assert "measure.distributed" in stats["telemetry"]["phases"]
             # The folded entries answer run_pairs lookups without executing.
             executed_before = rt.telemetry.runs_executed
             pairs = [(configs[0], source.materialize(0))]
@@ -215,14 +214,36 @@ class TestDistributedMeasure:
         finally:
             rt.close()
 
+    def test_repeat_measure_is_answered_by_the_cache(self, sort_setup):
+        """A second measure of the same matrix issues no lease, and its
+        counters equal a serial runtime's exactly."""
+        program, configs, _tasks = sort_setup
+        variant = get_benchmark("sort2")
+        source = variant.benchmark.input_source(8, variant.variant, seed=0)
+        with Runtime.create(executor="serial", batch_chunk=6) as serial_rt:
+            for _ in range(2):
+                expected = serial_rt.measure(program, configs, source)
+            serial_counters = serial_rt.telemetry.snapshot()["counters"]
+        rt = Runtime.create(executor="distributed", workers=2, batch_chunk=6)
+        try:
+            rt.measure(program, configs, source)
+            leases = rt.stats()["distributed"]["leases_issued"]
+            got = rt.measure(program, configs, source)
+            assert rt.stats()["distributed"]["leases_issued"] == leases
+            assert rt.telemetry.snapshot()["counters"] == serial_counters
+            assert serial_counters["runs_executed"] == len(source) * len(configs)
+            assert serial_counters["cache_hits"] == len(source) * len(configs)
+            np.testing.assert_array_equal(expected["times"], got["times"])
+        finally:
+            rt.close()
+
     def test_plain_lists_keep_the_pair_path(self, sort_setup):
-        """A materialized input list must not take the descriptor path."""
+        """A materialized input list measures bit-identically to serial."""
         program, configs, _tasks = sort_setup
         variant = get_benchmark("sort2")
         inputs = variant.benchmark.generate_inputs(4, variant.variant, seed=0)
         rt = Runtime.create(executor="distributed", workers=1)
         try:
-            assert not rt._rows_distributable(program, configs, inputs)
             with Runtime.create(executor="serial") as serial_rt:
                 expected = serial_rt.measure(program, configs, inputs)
             got = rt.measure(program, configs, inputs)

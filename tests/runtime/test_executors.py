@@ -120,6 +120,36 @@ def _scaled_sum(values, factor):
     return float(sum(values)) * factor
 
 
+def _reject_negative(_config, value):
+    """Module-level program run: a task's own TypeError on negative input."""
+    if value < 0:
+        raise TypeError("negative input")
+    charge(float(value))
+    return value
+
+
+class TestTaskErrorsPropagate:
+    """A task's own TypeError is the caller's error, not a pickling failure:
+    it propagates from the pool as raised, and nothing re-runs serially."""
+
+    def test_run_batch(self):
+        space = ConfigurationSpace([IntegerParameter("x", 1, 5)])
+        program = PetaBricksProgram("strict", space, _reject_negative)
+        config = program.default_configuration()
+        tasks = [(config, value) for value in (1.0, -1.0, 2.0)]
+        with ProcessExecutor(workers=2) as executor:
+            with pytest.raises(TypeError, match="negative input"):
+                executor.run_batch(program, tasks)
+            assert executor.fallback_reason is None
+
+    def test_run_calls(self):
+        calls = [(_reject_negative, (None, value), {}) for value in (1.0, -1.0, 2.0)]
+        with ProcessExecutor(workers=2) as executor:
+            with pytest.raises(TypeError, match="negative input"):
+                executor.run_calls(calls)
+            assert executor.fallback_reason is None
+
+
 def _kill_pid(pid):
     """SIGKILL a process (module-level so pools can ship it)."""
     import os
