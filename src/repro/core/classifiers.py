@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.core.dataset import PerformanceDataset
 from repro.lang.features import FeatureSet
-from repro.ml.decision_tree import DecisionTreeClassifier
+from repro.ml.decision_tree import DecisionTreeClassifier, SplitMemo
 from repro.ml.naive_bayes import DiscretizedNaiveBayes
 
 
@@ -87,8 +87,19 @@ class CandidateClassifier(abc.ABC):
         return self.description.feature_names
 
     @abc.abstractmethod
-    def fit(self, dataset: PerformanceDataset, rows: Sequence[int], labels: np.ndarray) -> "CandidateClassifier":
-        """Train on the given dataset rows (labels are the Level-2 labels)."""
+    def fit(
+        self,
+        dataset: PerformanceDataset,
+        rows: Sequence[int],
+        labels: np.ndarray,
+        split_memo: Optional[SplitMemo] = None,
+    ) -> "CandidateClassifier":
+        """Train on the given dataset rows (labels are the Level-2 labels).
+
+        ``split_memo`` is the split-scan memo the trees of one search share
+        (see :meth:`repro.ml.decision_tree.DecisionTreeClassifier.fit`);
+        families that grow no tree ignore it.
+        """
 
     @abc.abstractmethod
     def predict_rows(self, dataset: PerformanceDataset, rows: Sequence[int]) -> DatasetPredictions:
@@ -115,7 +126,13 @@ class MaxAprioriClassifier(CandidateClassifier):
         )
         self._label: int = 0
 
-    def fit(self, dataset: PerformanceDataset, rows: Sequence[int], labels: np.ndarray) -> "MaxAprioriClassifier":
+    def fit(
+        self,
+        dataset: PerformanceDataset,
+        rows: Sequence[int],
+        labels: np.ndarray,
+        split_memo: Optional[SplitMemo] = None,
+    ) -> "MaxAprioriClassifier":
         row_labels = labels[np.asarray(rows, dtype=int)]
         counts = np.bincount(row_labels, minlength=dataset.n_landmarks)
         self._label = int(np.argmax(counts))
@@ -156,14 +173,20 @@ class SubsetDecisionTreeClassifier(CandidateClassifier):
         self._max_depth = max_depth
         self._tree: Optional[DecisionTreeClassifier] = None
 
-    def fit(self, dataset: PerformanceDataset, rows: Sequence[int], labels: np.ndarray) -> "SubsetDecisionTreeClassifier":
+    def fit(
+        self,
+        dataset: PerformanceDataset,
+        rows: Sequence[int],
+        labels: np.ndarray,
+        split_memo: Optional[SplitMemo] = None,
+    ) -> "SubsetDecisionTreeClassifier":
         rows = np.asarray(rows, dtype=int)
         X = dataset.feature_columns(self.feature_names)[rows]
         y = labels[rows]
         self._tree = DecisionTreeClassifier(
             max_depth=self._max_depth, cost_matrix=self._cost_matrix
         )
-        self._tree.fit(X, y)
+        self._tree.fit(X, y, split_memo=split_memo)
         return self
 
     def predict_rows(self, dataset: PerformanceDataset, rows: Sequence[int]) -> DatasetPredictions:
@@ -243,7 +266,13 @@ class IncrementalFeatureExaminationClassifier(CandidateClassifier):
         self._n_regions = n_regions
         self._model: Optional[DiscretizedNaiveBayes] = None
 
-    def fit(self, dataset: PerformanceDataset, rows: Sequence[int], labels: np.ndarray) -> "IncrementalFeatureExaminationClassifier":
+    def fit(
+        self,
+        dataset: PerformanceDataset,
+        rows: Sequence[int],
+        labels: np.ndarray,
+        split_memo: Optional[SplitMemo] = None,
+    ) -> "IncrementalFeatureExaminationClassifier":
         rows = np.asarray(rows, dtype=int)
         X = dataset.feature_columns(self.feature_names)[rows]
         y = labels[rows]

@@ -30,6 +30,11 @@ so the serial path, the thread pool, and the process pool all select the
 identical production classifier with identical scores.  Per-candidate cache
 keys (dataset digest + split + spec) let a warm runtime skip retraining
 entirely.
+
+Every tree of one search is grown on the same rows, and most of their
+per-feature split scans repeat scans another tree already made.  The batch
+therefore ships one split memo (:mod:`repro.ml.decision_tree`) beside the
+dataset, and each executor shares it among the fits it runs.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ from repro.core.selection import (
     evaluate_classifier,
     select_production_classifier,
 )
+from repro.ml.decision_tree import SplitMemo
 from repro.runtime import Runtime, SharedRef, TaskSpec, content_key, default_runtime
 
 #: Registry token under which candidate batches ship the dataset to workers.
@@ -66,6 +72,13 @@ from repro.runtime import Runtime, SharedRef, TaskSpec, content_key, default_run
 #: tiny placeholder.  See :class:`repro.runtime.SharedRef`.
 _DATASET_TOKEN = "level2.dataset"
 _DATASET_REF = SharedRef(_DATASET_TOKEN)
+
+#: Registry token of the batch's split memo.  Shipped the way the dataset
+#: is, it reaches each pool worker once per pool (empty), and each worker
+#: fills its own copy across all of its leases; serial and thread batches
+#: share the one dict.  Task cache keys leave it out: it changes no result.
+_SPLIT_MEMO_TOKEN = "level2.split_memo"
+_SPLIT_MEMO_REF = SharedRef(_SPLIT_MEMO_TOKEN)
 
 
 @dataclass
@@ -367,10 +380,11 @@ def fit_candidate(
     dataset: PerformanceDataset,
     labels: np.ndarray,
     train_rows: np.ndarray,
+    split_memo: Optional[SplitMemo] = None,
 ) -> CandidateClassifier:
     """Task function: instantiate and fit one candidate."""
     return instantiate_candidate(spec, dataset, cost_matrix).fit(
-        dataset, train_rows, labels
+        dataset, train_rows, labels, split_memo=split_memo
     )
 
 
@@ -381,13 +395,14 @@ def fit_and_evaluate_candidate(
     labels: np.ndarray,
     train_rows: np.ndarray,
     test_rows: np.ndarray,
+    split_memo: Optional[SplitMemo] = None,
 ) -> Tuple[CandidateClassifier, ClassifierEvaluation]:
     """Task function: fit one candidate and score it on the test rows.
 
     Fitting and scoring live in one task so a candidate round-trips to a
     worker once and one cache entry covers both.
     """
-    classifier = fit_candidate(spec, cost_matrix, dataset, labels, train_rows)
+    classifier = fit_candidate(spec, cost_matrix, dataset, labels, train_rows, split_memo)
     return classifier, evaluate_classifier(classifier, dataset, test_rows)
 
 
@@ -408,22 +423,37 @@ def _search_fingerprint(
     )
 
 
-def _candidate_tasks(
-    candidates: Sequence[Tuple[CandidateSpec, Optional[np.ndarray]]],
-    fingerprint: str,
+def _run_candidates(
+    active: Runtime,
+    dataset: PerformanceDataset,
+    labels: np.ndarray,
+    cost_matrix: np.ndarray,
+    config: Level2Config,
     fn,
-    shared_args: Tuple,
-) -> List[TaskSpec]:
-    """One task per candidate, keyed by (search fingerprint, spec, matrix)."""
-    return [
+    rows: Tuple[np.ndarray, ...],
+    phase: str,
+) -> Tuple[List[Tuple[CandidateSpec, Optional[np.ndarray]]], List]:
+    """Run ``fn(spec, matrix, dataset, labels, *rows, split_memo)`` per candidate.
+
+    One task per candidate of :func:`enumerate_candidates`, keyed by (search
+    fingerprint, ``rows``, ``fn``, spec, matrix).  The dataset and a fresh
+    split memo ride the batch's shared registry.  Returns the candidates
+    and the task results, both in enumeration order.
+    """
+    candidates = enumerate_candidates(dataset, labels, cost_matrix, config)
+    fingerprint = content_key(_search_fingerprint(dataset, labels, config), *rows)
+    args = (_DATASET_REF, labels) + rows + (_SPLIT_MEMO_REF,)
+    tasks = [
         TaskSpec(
             fn=fn,
-            args=(spec, matrix) + shared_args,
+            args=(spec, matrix) + args,
             key=content_key(fn.__name__, fingerprint, spec, matrix),
             label=spec.name,
         )
         for spec, matrix in candidates
     ]
+    shared = {_DATASET_TOKEN: dataset.without_inputs(), _SPLIT_MEMO_TOKEN: {}}
+    return candidates, active.run_tasks(tasks, phase=phase, shared=shared)
 
 
 def train_classifier_zoo(
@@ -441,18 +471,11 @@ def train_classifier_zoo(
     identical to the serial loop it replaces.
     """
     active = runtime if runtime is not None else default_runtime()
-    train_rows = np.asarray(train_rows, dtype=int)
-    candidates = enumerate_candidates(dataset, labels, cost_matrix, config)
-    fingerprint = _search_fingerprint(dataset, labels, config)
-    tasks = _candidate_tasks(
-        candidates,
-        content_key(fingerprint, train_rows),
-        fit_candidate,
-        (_DATASET_REF, labels, train_rows),
+    rows = (np.asarray(train_rows, dtype=int),)
+    _, classifiers = _run_candidates(
+        active, dataset, labels, cost_matrix, config, fit_candidate, rows, "level2.fit"
     )
-    return active.run_tasks(
-        tasks, phase="level2.fit", shared={_DATASET_TOKEN: dataset.without_inputs()}
-    )
+    return classifiers
 
 
 def run_level2(
@@ -505,16 +528,15 @@ def run_level2(
         dataset, labels, accuracy_cost_weight=config.accuracy_cost_weight
     )
 
-    candidates = enumerate_candidates(dataset, labels, cost_matrix, config)
-    fingerprint = _search_fingerprint(dataset, labels, config)
-    tasks = _candidate_tasks(
-        candidates,
-        content_key(fingerprint, train_rows, test_rows),
+    candidates, fitted = _run_candidates(
+        active,
+        dataset,
+        labels,
+        cost_matrix,
+        config,
         fit_and_evaluate_candidate,
-        (_DATASET_REF, labels, train_rows, test_rows),
-    )
-    fitted = active.run_tasks(
-        tasks, phase="level2.candidates", shared={_DATASET_TOKEN: dataset.without_inputs()}
+        (train_rows, test_rows),
+        "level2.candidates",
     )
     classifiers = [classifier for classifier, _ in fitted]
     evaluations = [evaluation for _, evaluation in fitted]
@@ -536,7 +558,9 @@ def run_level2(
             n_splits=config.cv_folds,
             seed=config.seed,
             runtime=active,
-            key_prefix=content_key("level2.cv", fingerprint, spec, matrix),
+            key_prefix=content_key(
+                "level2.cv", _search_fingerprint(dataset, labels, config), spec, matrix
+            ),
         )
         production_cv_costs = [fold.performance_cost for fold in folds]
 

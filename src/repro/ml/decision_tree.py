@@ -15,14 +15,39 @@ twists:
   ``C[i, j]`` = cost of predicting ``j`` when the truth is ``i``;
 * the number of candidate thresholds per feature is capped, which keeps
   training fast on the datasets used in the reproduction.
+
+A node's best split is the best of its per-feature scans, and a scan's
+answer depends only on the column's values, the labels with the cost
+matrix, and the node's rows.  Level 2 grows one tree per feature subset on
+the same rows, so most of its scans repeat one another; ``fit`` therefore
+accepts a split memo that trees may share, keyed by exactly that content.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+
+#: One per-feature scan's answer: the feature's best gain and its threshold,
+#: or None when the feature offers no admissible threshold.
+ScanResult = Optional[Tuple[float, float]]
+
+#: Memo of per-feature scans shared by the fits of one search, keyed by
+#: ``(column digest, fit digest, node-row digest)``.  All three are 16-byte
+#: digests, so an entry's size does not grow with the number of rows.
+SplitMemo = Dict[Tuple[bytes, bytes, bytes], ScanResult]
+
+
+def _digest(*parts: bytes) -> bytes:
+    """16-byte digest of ``parts``, each length-prefixed (unambiguous)."""
+    digest = hashlib.blake2b(digest_size=16)
+    for part in parts:
+        digest.update(len(part).to_bytes(8, "little"))
+        digest.update(part)
+    return digest.digest()
 
 
 def _sorted_quantile(sorted_values: np.ndarray, quantiles: np.ndarray) -> np.ndarray:
@@ -70,7 +95,8 @@ class DecisionTreeClassifier:
         min_samples_leaf: both children of a split must have at least this
             many samples.
         max_thresholds: cap on candidate thresholds per feature per node
-            (quantile-based), trading a little split optimality for speed.
+            (quantile-based, at least 1), trading a little split optimality
+            for speed.
         cost_matrix: optional (n_classes, n_classes) array; entry (i, j) is
             the cost of predicting class j for a sample of true class i.
             When omitted, 0/1 misclassification cost (i.e. Gini-like
@@ -93,6 +119,8 @@ class DecisionTreeClassifier:
             raise ValueError("min_samples_split must be >= 2")
         if min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
+        if max_thresholds < 1:
+            raise ValueError("max_thresholds must be >= 1")
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
@@ -106,8 +134,20 @@ class DecisionTreeClassifier:
 
     # -- public API -----------------------------------------------------
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeClassifier":
-        """Grow the tree on features ``X`` (n_samples, n_features) and labels ``y``."""
+    def fit(
+        self, X: np.ndarray, y: np.ndarray, split_memo: Optional[SplitMemo] = None
+    ) -> "DecisionTreeClassifier":
+        """Grow the tree on features ``X`` (n_samples, n_features) and labels ``y``.
+
+        ``split_memo`` lets fits share their per-feature split scans.  An
+        entry is keyed by the digest of the column's values, the digest of
+        the labels, cost matrix, ``min_samples_leaf`` and ``max_thresholds``,
+        and the digest of the node's row positions -- never by feature index
+        or object identity -- so one dict may serve fits that differ in any
+        of them, and every fit grows the tree it would grow alone.  Without
+        one the fit uses a fresh dict.  The fitted tree keeps no reference
+        to it.
+        """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=int)
         if X.ndim != 2:
@@ -125,17 +165,30 @@ class DecisionTreeClassifier:
                     "cost_matrix is smaller than the number of classes "
                     f"({self.cost_matrix.shape} vs {self.n_classes_})"
                 )
+        # A scan's key, minus the node's rows: (column digest, fit digest).
+        cost = b"gini" if self.cost_matrix is None else (
+            repr(self.cost_matrix.shape).encode() + self.cost_matrix.tobytes()
+        )
+        fit_key = _digest(
+            y.tobytes(), cost, b"%d,%d" % (self.min_samples_leaf, self.max_thresholds)
+        )
+        scan_keys = [
+            (_digest(np.ascontiguousarray(X[:, f]).tobytes()), fit_key)
+            for f in range(X.shape[1])
+        ]
         # Presort every column once (stable); each node's sorted order is the
         # root order filtered by membership -- identical to re-sorting the
         # node's rows (stable sort of a subsequence preserves the original
         # relative order of equal elements), without the per-node argsort.
+        orders = [np.argsort(X[:, f], kind="stable") for f in range(X.shape[1])]
         self._fit_X = X
         self._fit_y = y
-        orders = [np.argsort(X[:, f], kind="stable") for f in range(X.shape[1])]
+        self._fit_memo = {} if split_memo is None else split_memo
+        self._fit_scan_keys = scan_keys
         try:
-            self._root = self._grow(orders, depth=0)
+            self._root = self._grow(orders, np.ones(X.shape[0], dtype=bool), depth=0)
         finally:
-            del self._fit_X, self._fit_y
+            del self._fit_X, self._fit_y, self._fit_memo, self._fit_scan_keys
         self._flat_cache = None
         return self
 
@@ -227,7 +280,8 @@ class DecisionTreeClassifier:
             return 1.0 - np.sum(probabilities ** 2, axis=1)
         return np.min(self._expected_costs(counts), axis=1) / totals
 
-    def _grow(self, orders: List[np.ndarray], depth: int) -> _Node:
+    def _grow(self, orders: List[np.ndarray], rows: np.ndarray, depth: int) -> _Node:
+        """Grow the subtree over ``rows`` (a mask of the fit's rows)."""
         y = self._fit_y[orders[0]]
         counts = self._class_counts(y)
         prediction = self._leaf_prediction(counts)
@@ -240,61 +294,83 @@ class DecisionTreeClassifier:
         ):
             return node
 
-        split = self._best_split(orders, counts)
+        split = self._best_split(orders, counts, _digest(np.packbits(rows).tobytes()))
         if split is None:
             return node
         feature, threshold = split
         go_left = self._fit_X[:, feature] <= threshold
         node.feature = feature
         node.threshold = threshold
-        node.left = self._grow([o[go_left[o]] for o in orders], depth + 1)
-        node.right = self._grow([o[~go_left[o]] for o in orders], depth + 1)
+        node.left = self._grow([o[go_left[o]] for o in orders], rows & go_left, depth + 1)
+        node.right = self._grow([o[~go_left[o]] for o in orders], rows & ~go_left, depth + 1)
         return node
 
     def _best_split(
-        self, orders: List[np.ndarray], parent_counts: np.ndarray
+        self, orders: List[np.ndarray], parent_counts: np.ndarray, rows_key: bytes
     ) -> Optional[tuple]:
-        n_samples = orders[0].shape[0]
-        n_features = len(orders)
+        """Fold the per-feature scans in feature order.
+
+        The running best is replaced only on strict improvement, so the
+        first feature (and, within it, the first threshold) wins ties.
+        Scans come from the fit's memo when any fit already made them.
+        Threads may share the memo without a lock: entries are only ever
+        added, and every fit that computes a key stores the same answer.
+        """
         parent_impurity = self._node_impurity(parent_counts)
+        memo = self._fit_memo
         best_gain = 1e-12
         best: Optional[tuple] = None
-
-        for feature in range(n_features):
-            order = orders[feature]
-            column = self._fit_X[order, feature]  # ascending by construction
-            thresholds = self._candidate_thresholds_sorted(column)
-            if thresholds.shape[0] == 0:
-                continue
-            # The left side of threshold t is exactly the first
-            # searchsorted(t) samples of the sorted column, so cumulative
-            # one-hot label counts give every threshold's (integer-exact)
-            # class counts in one pass instead of a mask + bincount per
-            # threshold.
-            cumulative = np.zeros((n_samples + 1, self.n_classes_), dtype=np.int64)
-            cumulative[np.arange(1, n_samples + 1), self._fit_y[order]] = 1
-            np.cumsum(cumulative, axis=0, out=cumulative)
-            n_left = np.searchsorted(column, thresholds, side="right")
-            n_right = n_samples - n_left
-            valid = (n_left >= self.min_samples_leaf) & (n_right >= self.min_samples_leaf)
-            if not valid.any():
-                continue
-            candidates = np.flatnonzero(valid)
-            left_counts = cumulative[n_left[candidates]].astype(float)
-            right_counts = parent_counts - left_counts
-            impurity = (
-                n_left[candidates] * self._impurity_rows(left_counts, left_counts.sum(axis=1))
-                + n_right[candidates] * self._impurity_rows(right_counts, right_counts.sum(axis=1))
-            ) / n_samples
-            gains = parent_impurity - impurity
-            # Replicates the scalar scan's tie-breaking: the running best is
-            # replaced only on strict improvement, so within a feature the
-            # winner is the *first* threshold attaining the maximum gain.
-            pick = int(np.argmax(gains))
-            if gains[pick] > best_gain:
-                best_gain = float(gains[pick])
-                best = (feature, float(thresholds[candidates[pick]]))
+        for feature, order in enumerate(orders):
+            key = self._fit_scan_keys[feature] + (rows_key,)
+            if key in memo:
+                scan = memo[key]
+            else:
+                scan = self._scan_feature(feature, order, parent_counts, parent_impurity)
+                memo[key] = scan
+            if scan is not None and scan[0] > best_gain:
+                best_gain = scan[0]
+                best = (feature, scan[1])
         return best
+
+    def _scan_feature(
+        self,
+        feature: int,
+        order: np.ndarray,
+        parent_counts: np.ndarray,
+        parent_impurity: float,
+    ) -> ScanResult:
+        """The best ``(gain, threshold)`` of one feature at a node, or None."""
+        n_samples = order.shape[0]
+        column = self._fit_X[order, feature]  # ascending by construction
+        thresholds = self._candidate_thresholds_sorted(column)
+        if thresholds.shape[0] == 0:
+            return None
+        # The left side of threshold t is exactly the first
+        # searchsorted(t) samples of the sorted column, so cumulative
+        # one-hot label counts give every threshold's (integer-exact)
+        # class counts in one pass instead of a mask + bincount per
+        # threshold.
+        cumulative = np.zeros((n_samples + 1, self.n_classes_), dtype=np.int64)
+        cumulative[np.arange(1, n_samples + 1), self._fit_y[order]] = 1
+        np.cumsum(cumulative, axis=0, out=cumulative)
+        n_left = np.searchsorted(column, thresholds, side="right")
+        n_right = n_samples - n_left
+        valid = (n_left >= self.min_samples_leaf) & (n_right >= self.min_samples_leaf)
+        if not valid.any():
+            return None
+        candidates = np.flatnonzero(valid)
+        left_counts = cumulative[n_left[candidates]].astype(float)
+        right_counts = parent_counts - left_counts
+        impurity = (
+            n_left[candidates] * self._impurity_rows(left_counts, left_counts.sum(axis=1))
+            + n_right[candidates] * self._impurity_rows(right_counts, right_counts.sum(axis=1))
+        ) / n_samples
+        gains = parent_impurity - impurity
+        # Within a feature the winner is the *first* threshold attaining
+        # the maximum gain, as in a scalar scan that replaces its running
+        # best only on strict improvement.
+        pick = int(np.argmax(gains))
+        return float(gains[pick]), float(thresholds[candidates[pick]])
 
     def _candidate_thresholds(self, column: np.ndarray) -> np.ndarray:
         unique = np.unique(column)

@@ -91,6 +91,12 @@ class TestDecisionTree:
             DecisionTreeClassifier(min_samples_split=1)
         with pytest.raises(ValueError):
             DecisionTreeClassifier(min_samples_leaf=0)
+        # 0 used to grow a single leaf silently; a negative cap failed deep
+        # inside fit with NumPy's linspace error.
+        with pytest.raises(ValueError, match="max_thresholds"):
+            DecisionTreeClassifier(max_thresholds=0)
+        with pytest.raises(ValueError, match="max_thresholds"):
+            DecisionTreeClassifier(max_thresholds=-3)
 
 
 class TestDecisionTreeEdgeCases:
