@@ -5,8 +5,8 @@ Records the perf baseline future scale-up PRs are measured against:
 * serial vs. process-pool wall time for one small Table-1 row (``sort1``),
 * cold-cache vs. warm-cache wall time and the warm run's cache hit rate,
 * raw executor throughput on one N x K measurement matrix,
-* peak transient memory of a measurement matrix with and without streaming
-  chunks (``Runtime.batch_chunk``),
+* peak transient memory of a measurement matrix dispatched as one
+  default-sized chunk and in small chunks (``Runtime.batch_chunk``),
 * end-to-end peak memory of a whole experiment with streamed inputs + a
   capped cache vs. the materialized-list path, at two input counts (the
   streamed peak must stop scaling with N),
@@ -17,8 +17,8 @@ The warm-cache run must be decisively faster than the cold run (every
 program execution is replaced by a cache lookup); the parallel numbers are
 recorded for tracking rather than asserted, because speedup depends on the
 host's core count and the benchmark's run-time granularity.  The streaming
-comparison asserts at ``REPRO_BENCH_SCALE=large`` that chunked dispatch
-keeps peak memory decisively below whole-batch dispatch (the results are
+comparison asserts at ``REPRO_BENCH_SCALE=large`` that small chunks keep
+peak memory decisively below one default-sized chunk (the results are
 asserted bit-identical at every scale).
 """
 
@@ -154,13 +154,15 @@ def test_measurement_matrix_throughput(benchmark, executor):
 
 
 def test_streaming_peak_memory(benchmark):
-    """Peak transient memory of one N x K matrix: whole-batch vs chunked.
+    """Peak transient memory of one N x K matrix: one chunk vs small chunks.
 
-    Without a cache, whole-batch dispatch holds every pair *and* every
-    result (including program outputs) until the batch completes -- O(N x K)
-    transient memory.  Streaming with ``batch_chunk`` folds each chunk into
-    the output arrays and drops it, so the transient footprint is bounded
-    by the chunk.  Results must be bit-identical either way.
+    ``batch_chunk=None`` means ``DEFAULT_BATCH_CHUNK`` (4,096), and both
+    scales here stay at or below 1,600 runs, so that run dispatches the
+    matrix as one chunk.  Without a cache, one chunk holds every pair *and*
+    every result (including program outputs) until it completes -- O(N x K)
+    transient memory.  Chunks of 32 fold into the output arrays and are
+    dropped, so the transient footprint is bounded by the chunk.  Results
+    must be bit-identical either way.
     """
     variant = get_benchmark("sort1")
     program = variant.benchmark.program
@@ -207,7 +209,7 @@ def test_streaming_peak_memory(benchmark):
     if bench_scale() == "large":
         # At paper-closer sizes the chunked peak must be decisively smaller.
         assert chunk_peak < full_peak * 0.5, (
-            f"streaming peak {chunk_peak} not below half of whole-batch "
+            f"streaming peak {chunk_peak} not below half of one-chunk "
             f"peak {full_peak}"
         )
 
@@ -217,9 +219,9 @@ def test_streaming_input_peak_memory(benchmark):
 
     Runs the whole experiment (input generation, feature extraction,
     autotuning, the measurement matrix, Level 2, evaluation) at two input
-    counts, once the legacy way (materialized input list, unbounded cache)
-    and once fully streamed (lazy ``InputSource``, ``batch_chunk``,
-    ``cache_max_entries``).  The streamed run's peak must be decisively
+    counts, once the legacy way (materialized input list, default chunk,
+    unbounded cache) and once fully streamed (lazy ``InputSource``, a
+    small ``batch_chunk``, ``cache_max_entries``).  The streamed run's peak must be decisively
     below the materialized run's, and -- the point of the input-streaming
     work -- its *growth* with N must be a fraction of the materialized
     growth: what remains is the <F, T, A, E> datatable itself, not the

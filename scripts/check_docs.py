@@ -12,6 +12,18 @@ Checks, per file:
   of the document silently on most renderers);
 * **no empty link targets** like ``[text]()``.
 
+The user docs (``README.md`` and ``docs/``) are also checked against the
+code, fenced blocks included, so a deleted option cannot linger there:
+
+* **every ``--flag`` exists** -- some ``add_argument("--flag", ...)`` under
+  ``src/`` or ``scripts/`` defines it (``--no-X`` counts when ``--X`` is
+  defined, as ``argparse.BooleanOptionalAction`` adds it);
+* **every ``REPRO_*`` variable is read** -- its name appears as a quoted
+  string in a Python file under ``src/``, ``scripts/``, ``tests/`` or
+  ``benchmarks/``, on a line that does not merely set or delete it.
+
+Both read the source as text, without importing ``repro``.
+
 Exit status 0 when clean, 1 with one line per problem otherwise::
 
     python scripts/check_docs.py            # checks docs/ + *.md at the root
@@ -25,13 +37,21 @@ import glob
 import os
 import re
 import sys
-from typing import List
+from typing import Iterator, List
+
+#: The repository root (this script lives in ``scripts/``).
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: ``[text](target)`` -- deliberately simple; nested brackets in link text
 #: are not used in this repo's docs.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]*)\)")
 
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$")
+
+_FLAG = re.compile(r"(?<![\w-])--([a-z][a-z0-9-]*)")
+_DEFINED_FLAG = re.compile(r"add_argument\(\s*[\"'](--[a-z0-9-]+)[\"']")
+_ENV_VAR = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
+_QUOTED_ENV_VAR = re.compile(r"[\"'](REPRO_[A-Z0-9_]+)[\"']")
 
 
 def _github_anchor(heading: str) -> str:
@@ -68,11 +88,63 @@ def _anchors_of(path: str) -> set:
     return anchors
 
 
+def _python_sources(*dirs: str) -> Iterator[str]:
+    for directory in dirs:
+        for path in glob.glob(os.path.join(_ROOT, directory, "**", "*.py"), recursive=True):
+            with open(path, "r", encoding="utf-8") as handle:
+                yield handle.read()
+
+
+@functools.lru_cache(maxsize=None)
+def _defined_flags() -> frozenset:
+    """Every ``--flag`` an ``add_argument`` under src/ or scripts/ defines."""
+    return frozenset(
+        flag
+        for text in _python_sources("src", "scripts")
+        for flag in _DEFINED_FLAG.findall(text)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _read_env_vars() -> frozenset:
+    """Every ``REPRO_*`` name quoted in code other than a setenv/delenv line."""
+    return frozenset(
+        name
+        for text in _python_sources("src", "scripts", "tests", "benchmarks")
+        for line in text.splitlines()
+        if "setenv" not in line and "delenv" not in line
+        for name in _QUOTED_ENV_VAR.findall(line)
+    )
+
+
+def _is_user_doc(path: str) -> bool:
+    relative = os.path.relpath(os.path.abspath(path), _ROOT)
+    return relative == "README.md" or relative.startswith("docs" + os.sep)
+
+
+def check_code_references(path: str, lines: List[str]) -> List[str]:
+    """Flags and environment variables the doc names but the code lacks."""
+    problems: List[str] = []
+    flags, env_vars = _defined_flags(), _read_env_vars()
+    for lineno, line in enumerate(lines, start=1):
+        for name in _FLAG.findall(line):
+            flag = "--" + name
+            if flag in flags or (name.startswith("no-") and "--" + name[3:] in flags):
+                continue
+            problems.append(f"{path}:{lineno}: flag {flag} is defined by no add_argument")
+        for name in _ENV_VAR.findall(line):
+            if name not in env_vars:
+                problems.append(f"{path}:{lineno}: {name} is read by no code")
+    return problems
+
+
 def check_file(path: str) -> List[str]:
     """All problems found in one markdown file."""
     problems: List[str] = []
     with open(path, "r", encoding="utf-8") as handle:
         raw_lines = handle.read().splitlines()
+    if _is_user_doc(path):
+        problems.extend(check_code_references(path, raw_lines))
 
     if sum(1 for line in raw_lines if line.lstrip().startswith("```")) % 2:
         problems.append(f"{path}: unbalanced fenced code block (odd number of ```)")
@@ -116,8 +188,7 @@ def default_targets(root: str) -> List[str]:
 
 
 def main(argv: List[str]) -> int:
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    targets = argv or default_targets(root)
+    targets = argv or default_targets(_ROOT)
     problems: List[str] = []
     for path in targets:
         problems.extend(check_file(path))

@@ -29,11 +29,10 @@ so adding a seventh benchmark requires no change outside its subpackage.
 from __future__ import annotations
 
 import abc
-import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.core.inputs import GeneratedInputSource, InputSource, MaterializedInputs
+from repro.core.inputs import GeneratedInputSource, InputSource
 from repro.lang.program import PetaBricksProgram
 
 
@@ -44,36 +43,18 @@ class InputGenerator:
     Attributes:
         name: generator name (e.g. ``"synthetic"``, ``"real_world"``).
         description: what input population this generator mimics.
-        func: optional callable ``func(n, seed) -> list`` producing ``n``
-            inputs at once (the legacy whole-list shape; still accepted so
-            external benchmarks keep working, but such populations can only
-            be streamed through a :class:`MaterializedInputs` adapter).
-        item: optional callable ``item(index, seed) -> input`` producing
-            input ``index`` alone -- the per-index shape every built-in
-            benchmark provides, and what makes a population lazily
-            streamable (see :mod:`repro.core.inputs`).
+        item: callable ``item(index, seed) -> input`` producing input
+            ``index`` alone -- what makes a population lazily streamable
+            (see :mod:`repro.core.inputs`).
     """
 
     name: str
     description: str
-    func: Optional[Callable[[int, int], List[Any]]] = None
-    item: Optional[Callable[[int, int], Any]] = None
-
-    def __post_init__(self) -> None:
-        if self.func is None and self.item is None:
-            raise ValueError("InputGenerator needs a whole-list func or a per-index item")
+    item: Callable[[int, int], Any]
 
     def source(self, n: int, seed: int = 0) -> InputSource:
-        """A lazy source of ``n`` inputs (materialized up front without ``item``)."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        if self.item is not None:
-            return GeneratedInputSource(n, seed, self.item, name=self.name)
-        return MaterializedInputs(self.func(n, seed))
-
-    def generate(self, n: int, seed: int = 0) -> List[Any]:
-        """Produce ``n`` inputs deterministically from ``seed`` as a list."""
-        return self.source(n, seed=seed).materialized()
+        """A lazy source of ``n`` inputs."""
+        return GeneratedInputSource(n, seed, self.item, name=self.name)
 
 
 class Benchmark(abc.ABC):
@@ -135,16 +116,6 @@ class Benchmark(abc.ABC):
             KeyError: if ``variant`` is not one of :meth:`input_generators`.
         """
         return self.input_source(n, variant=variant, seed=seed).materialized()
-
-    def default_variant(self) -> str:
-        """The generator used when an experiment does not name one."""
-        return "synthetic"
-
-    # -- misc -----------------------------------------------------------
-
-    def rng(self, seed: int) -> random.Random:
-        """A benchmark-scoped random source (keeps seeds independent)."""
-        return random.Random((hash(self.name) & 0xFFFF) ^ seed)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

@@ -16,18 +16,19 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.benchmarks_suite import registry
 from repro.runtime import EXECUTORS
+from repro.runtime.runtime import DEFAULT_BATCH_CHUNK
 from repro.experiments.figure7 import model_figure7a, model_figure7b
 from repro.experiments.reporting import format_series, format_table
 from repro.experiments.runner import (
     ExperimentConfig,
     _env_batch_chunk,
     _env_cache_max_entries,
-    _env_dist_workers,
     _env_stream_inputs,
+    _env_workers,
     run_experiment,
 )
 from repro.experiments.table1 import TABLE1_TESTS, format_table1, run_table1, summarize_headline
@@ -44,7 +45,6 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         seed=args.seed,
         executor=args.executor,
         workers=args.workers,
-        dist_workers=args.dist_workers,
         use_cache=not args.no_cache,
         cache_path=args.cache_path,
         batch_chunk=args.batch_chunk,
@@ -52,6 +52,32 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         stream_inputs=args.stream_inputs,
         checkpoint=getattr(args, "checkpoint", False),
         resume=getattr(args, "resume", False),
+    )
+
+
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type`` accepting integers >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--workers",
+        type=_int_at_least(0),
+        default=_env_workers(),
+        help="worker count for thread/process/distributed executors (default: "
+        "CPU count; with --executor distributed, 0 spawns none and relies on "
+        "externally attached 'python -m repro.worker' processes)",
     )
 
 
@@ -66,20 +92,7 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
         default=os.environ.get("REPRO_EXECUTOR", "serial"),
         help="run strategy for program measurements (default: serial, bit-identical)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker count for thread/process executors (default: CPU count)",
-    )
-    parser.add_argument(
-        "--dist-workers",
-        type=int,
-        default=_env_dist_workers(),
-        help="locally spawned worker processes for --executor distributed "
-        "(default: CPU count; 0 relies on externally attached "
-        "'python -m repro.worker' processes)",
-    )
+    _add_workers_argument(parser)
     parser.add_argument(
         "--no-cache",
         action="store_true",
@@ -93,10 +106,11 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--batch-chunk",
-        type=int,
+        type=_int_at_least(1),
         default=_env_batch_chunk(),
-        help="stream measurement/task batches in chunks of this many items "
-        "(bounds peak memory; results are bit-identical)",
+        help="stream measurement/task batches in chunks of at most this many "
+        f"items (default: {DEFAULT_BATCH_CHUNK}; bounds peak memory; results "
+        "are bit-identical)",
     )
     parser.add_argument(
         "--cache-max-entries",
@@ -358,7 +372,6 @@ def cmd_adapt_replay(args: argparse.Namespace) -> int:
         seed=args.seed,
         executor=args.executor,
         workers=args.workers,
-        dist_workers=args.dist_workers,
         use_cache=True,
         cache_path=args.cache_path,
     )
@@ -577,13 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=os.environ.get("REPRO_EXECUTOR", "serial"),
         help="measurement executor (the report is bit-identical across them)",
     )
-    adapt.add_argument("--workers", type=int, default=None, help="executor worker count")
-    adapt.add_argument(
-        "--dist-workers",
-        type=int,
-        default=_env_dist_workers(),
-        help="worker processes for --executor distributed",
-    )
+    _add_workers_argument(adapt)
     adapt.add_argument(
         "--cache-path", default=None, help="persisted run-cache directory to reuse"
     )

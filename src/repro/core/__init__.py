@@ -46,9 +46,7 @@ from repro.core.dataset import PerformanceDataset
 from repro.core.inputs import (
     GeneratedInputSource,
     InputSource,
-    MaterializedInputs,
     ObservedInputSource,
-    ensure_source,
     per_index_rng,
 )
 from repro.core.level1 import Level1Config, Level1Result, run_level1
@@ -67,7 +65,6 @@ __all__ = [
     "ClassifierEvaluation",
     "DeployedProgram",
     "DynamicOracle",
-    "ensure_source",
     "evaluate_classifier",
     "expected_speedup_loss",
     "fraction_of_full_speedup",
@@ -75,7 +72,6 @@ __all__ = [
     "IncrementalFeatureExaminationClassifier",
     "InputAwareLearning",
     "InputSource",
-    "MaterializedInputs",
     "ObservedInputSource",
     "per_index_rng",
     "Level1Config",

@@ -16,16 +16,13 @@ An :class:`InputSource` is a sequence-shaped view of an input population:
   so any access order, any chunking, and any number of re-materializations
   produce bit-identical objects (and therefore bit-identical run-cache keys,
   which is what keeps streamed experiments equal to materialized ones);
-* iteration is **chunked and transient** -- :meth:`InputSource.iter_chunks`
-  yields lists of at most ``chunk`` freshly materialized inputs, and plain
-  iteration materializes one input at a time, so a consumer that does not
-  hold references keeps peak memory at O(chunk), not O(N).
+* iteration is **transient** -- it materializes one input at a time, so a
+  consumer that does not hold references keeps peak memory at O(chunk),
+  not O(N).
 
 Per-index determinism comes from :func:`per_index_rng`: each input draws
 from its own RNG seeded by (namespace, seed, index), so generating input
-42 never requires generating inputs 0..41.  :class:`MaterializedInputs`
-adapts a plain list to the same interface for callers that already hold
-one; :func:`ensure_source` normalizes either shape.
+42 never requires generating inputs 0..41.
 """
 
 from __future__ import annotations
@@ -36,10 +33,6 @@ import time
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
-
-#: Default chunk size for :meth:`InputSource.iter_chunks` when the caller
-#: does not pass one.
-DEFAULT_CHUNK = 256
 
 
 def per_index_rng(seed: int, index: int, *namespace: str) -> np.random.Generator:
@@ -63,7 +56,7 @@ class InputSource(abc.ABC, Sequence):
     """A known-length input population, materialized per index on demand.
 
     Subclasses implement :meth:`__len__` and :meth:`materialize`; everything
-    else (indexing, iteration, chunking, selection) is derived.  The
+    else (indexing, iteration, selection) is derived.  The
     materialization contract -- ``materialize(i)`` is a pure function of the
     source and ``i`` -- is what every streaming guarantee in the repo rests
     on; :mod:`tests.benchmarks_suite.test_input_sources` enforces it for
@@ -92,20 +85,6 @@ class InputSource(abc.ABC, Sequence):
     def __iter__(self) -> Iterator[Any]:
         for i in range(len(self)):
             yield self.materialize(i)
-
-    def iter_chunks(self, chunk: Optional[int] = None) -> Iterator[List[Any]]:
-        """Yield the population as successive lists of at most ``chunk`` inputs.
-
-        Each chunk is materialized only when requested and can be dropped by
-        the consumer before the next is built, so a full pass costs O(chunk)
-        peak memory.
-        """
-        chunk = DEFAULT_CHUNK if chunk is None else int(chunk)
-        if chunk < 1:
-            raise ValueError("chunk must be >= 1")
-        n = len(self)
-        for start in range(0, n, chunk):
-            yield [self.materialize(i) for i in range(start, min(start + chunk, n))]
 
     def select(self, indices: Iterable[int]) -> "InputSource":
         """A lazy view of this source restricted to ``indices`` (in order)."""
@@ -153,27 +132,6 @@ class GeneratedInputSource(InputSource):
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return f"GeneratedInputSource({self._n},{label} seed={self.seed})"
-
-
-class MaterializedInputs(InputSource):
-    """Adapter: a plain in-memory input list behind the source interface.
-
-    Backward-compatibility shape for callers that already hold a list (or
-    for generators without a per-index form).  Costs the O(N) memory the
-    list already costs; "materialization" is a lookup.
-    """
-
-    def __init__(self, inputs: Sequence[Any]) -> None:
-        self._inputs = list(inputs)
-
-    def __len__(self) -> int:
-        return len(self._inputs)
-
-    def materialize(self, index: int) -> Any:
-        return self._inputs[index]
-
-    def materialized(self) -> List[Any]:
-        return list(self._inputs)
 
 
 class _SelectedInputSource(InputSource):
@@ -227,10 +185,3 @@ class ObservedInputSource(InputSource):
 
 def _silent_observer(_seconds: float) -> None:
     """No-op observer installed when an :class:`ObservedInputSource` is unpickled."""
-
-
-def ensure_source(inputs: Any) -> InputSource:
-    """Normalize a list or source to an :class:`InputSource`."""
-    if isinstance(inputs, InputSource):
-        return inputs
-    return MaterializedInputs(inputs)

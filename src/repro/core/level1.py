@@ -22,7 +22,7 @@ The output is a :class:`~repro.core.dataset.PerformanceDataset`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -54,8 +54,9 @@ class Level1Config:
             centroid itself; evaluating on a few nearby real inputs makes the
             landmark's accuracy guarantee hold with some confidence across
             the cluster, which matters for the variable-accuracy benchmarks.
-        deduplicate_landmarks: drop duplicate configurations produced for
-            different clusters (keeps the landmark set tight).
+
+    Duplicate configurations tuned for different clusters become one
+    landmark, which keeps the landmark set tight.
     """
 
     n_clusters: int = 15
@@ -63,7 +64,6 @@ class Level1Config:
     tuner_generations: int = 10
     tuner_population: int = 10
     tuning_neighbors: int = 3
-    deduplicate_landmarks: bool = True
 
 
 @dataclass
@@ -77,7 +77,7 @@ class Level1Result:
         representative_indices: per cluster, the indices of the training
             inputs used as the presumed inputs during autotuning (the
             ``tuning_neighbors`` members closest to the centroid).
-        landmarks: the landmark configurations (deduplicated when requested).
+        landmarks: the distinct landmark configurations.
         cluster_to_landmark: for each Level-1 cluster, the index of its
             landmark in ``landmarks`` (several clusters may share a landmark
             after deduplication).
@@ -229,10 +229,10 @@ def measure_performance(
     The N x K matrix is submitted to the measurement runtime as one logical
     batch, so a parallel executor can spread the runs across workers and a
     shared cache can recall measurements already taken (e.g. by the
-    autotuner or an earlier experiment).  When the runtime has a
-    ``batch_chunk`` configured, the batch streams through in content-ordered
-    chunks -- at the paper's 50-60k-input scale the task list never has to
-    exist in memory at once -- with bit-identical results either way.
+    autotuner or an earlier experiment).  The batch streams through in
+    content-ordered chunks of the runtime's ``batch_chunk`` -- at the
+    paper's 50-60k-input scale the task list never has to exist in memory
+    at once -- with results independent of the chunk size.
     """
     runtime = runtime if runtime is not None else default_runtime()
     n, k = len(inputs), len(landmarks)
@@ -286,17 +286,12 @@ def run_level1(
             program, inputs, representatives, config, progress=progress, runtime=runtime
         )
 
-    raw_landmarks = landmark_info["landmarks"]
-    if config.deduplicate_landmarks:
-        landmarks = []
-        cluster_to_landmark = []
-        for landmark in raw_landmarks:
-            if landmark not in landmarks:
-                landmarks.append(landmark)
-            cluster_to_landmark.append(landmarks.index(landmark))
-    else:
-        landmarks = list(raw_landmarks)
-        cluster_to_landmark = list(range(len(raw_landmarks)))
+    landmarks: List[Configuration] = []
+    cluster_to_landmark = []
+    for landmark in landmark_info["landmarks"]:
+        if landmark not in landmarks:
+            landmarks.append(landmark)
+        cluster_to_landmark.append(landmarks.index(landmark))
 
     measured = measure_performance(
         program, inputs, landmarks, progress=progress, runtime=runtime

@@ -22,7 +22,7 @@ import contextlib
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, Optional
 
 import numpy as np
 
@@ -39,32 +39,37 @@ def _env_executor() -> str:
     return os.environ.get("REPRO_EXECUTOR", "serial")
 
 
+def _env_int(
+    name: str, default: Optional[int], minimum: Optional[int] = None
+) -> Optional[int]:
+    """The integer in environment variable ``name``, or ``default``.
+
+    Unset gives ``default`` silently; a non-integer value, or one below
+    ``minimum``, gives it with a warning instead of crashing before any
+    useful output.  Shared by ``ExperimentConfig`` and the CLI defaults.
+    """
+    value = os.environ.get(name, "").strip()
+    if not value:
+        return default
+    try:
+        parsed = int(value)
+    except ValueError:
+        warnings.warn(f"ignoring non-integer {name}={value!r}")
+        return default
+    if minimum is not None and parsed < minimum:
+        warnings.warn(f"ignoring {name}={value!r}: must be >= {minimum}")
+        return default
+    return parsed
+
+
 def _env_workers() -> Optional[int]:
-    value = os.environ.get("REPRO_WORKERS")
-    return int(value) if value else None
-
-
-def _env_dist_workers() -> Optional[int]:
-    """``REPRO_DIST_WORKERS``: local worker count for the distributed executor."""
-    value = os.environ.get("REPRO_DIST_WORKERS")
-    return int(value) if value else None
+    """``REPRO_WORKERS`` (>= 0; 0 means attached workers only for distributed)."""
+    return _env_int("REPRO_WORKERS", None, minimum=0)
 
 
 def _env_batch_chunk() -> Optional[int]:
-    """``REPRO_BATCH_CHUNK`` as an int, or None when unset/unusable.
-
-    Shared by ``ExperimentConfig`` and the CLI's ``--batch-chunk`` default;
-    a malformed value degrades to "no chunking" with a warning instead of
-    crashing before any useful output.
-    """
-    value = os.environ.get("REPRO_BATCH_CHUNK", "").strip()
-    if not value:
-        return None
-    try:
-        return int(value)
-    except ValueError:
-        warnings.warn(f"ignoring non-integer REPRO_BATCH_CHUNK={value!r}")
-        return None
+    """``REPRO_BATCH_CHUNK`` (>= 1), or None for the runtime's default chunk."""
+    return _env_int("REPRO_BATCH_CHUNK", None, minimum=1)
 
 
 def _env_cache_max_entries() -> Optional[int]:
@@ -74,14 +79,7 @@ def _env_cache_max_entries() -> Optional[int]:
     cap); unset or malformed falls back to
     :attr:`repro.runtime.RunCache.DEFAULT_MAX_ENTRIES`.
     """
-    value = os.environ.get("REPRO_CACHE_MAX_ENTRIES", "").strip()
-    if not value:
-        return RunCache.DEFAULT_MAX_ENTRIES
-    try:
-        parsed = int(value)
-    except ValueError:
-        warnings.warn(f"ignoring non-integer REPRO_CACHE_MAX_ENTRIES={value!r}")
-        return RunCache.DEFAULT_MAX_ENTRIES
+    parsed = _env_int("REPRO_CACHE_MAX_ENTRIES", RunCache.DEFAULT_MAX_ENTRIES)
     return parsed if parsed > 0 else None
 
 
@@ -102,21 +100,23 @@ class ExperimentConfig:
     Execution knobs (see ``repro.runtime``): ``executor`` picks the run
     strategy (``serial`` -- the bit-identical default -- ``thread``,
     ``process``, or ``distributed``, which leases content-keyed chunks to
-    socket-attached worker processes; overridable via the
-    ``REPRO_EXECUTOR`` / ``REPRO_WORKERS`` / ``REPRO_DIST_WORKERS``
-    environment variables), ``use_cache`` deduplicates identical runs within
-    and across pipeline stages, and ``cache_path`` persists measurements to
-    a sharded on-disk store shared by later runs.  The executor carries
-    program runs *and* the learning tasks built on the generalized task
-    layer -- Level 2's candidate search and the autotuner's objective
-    evaluations -- so a parallel executor accelerates training end to end,
-    with results identical to serial by construction.
+    socket-attached worker processes), ``workers`` sizes its pool (for
+    ``distributed``, the locally spawned workers; 0 relies on externally
+    attached ones), both overridable via the ``REPRO_EXECUTOR`` /
+    ``REPRO_WORKERS`` environment variables; ``use_cache`` deduplicates
+    identical runs within and across pipeline stages, and ``cache_path``
+    persists measurements to a sharded on-disk store shared by later runs.
+    The executor carries program runs *and* the learning tasks built on the
+    generalized task layer -- Level 2's candidate search and the
+    autotuner's objective evaluations -- so a parallel executor accelerates
+    training end to end, with results identical to serial by construction.
 
-    ``batch_chunk`` (``--batch-chunk`` / ``REPRO_BATCH_CHUNK``) enables
-    streaming measurement batches: the N x K1 matrix and the Level-2 task
-    batches are dispatched in chunks of at most this many items, bounding
-    peak memory by O(chunk) on the way to the paper's 50-60k-input regime.
-    Results are bit-identical with or without it, whatever the executor.
+    ``batch_chunk`` (``--batch-chunk`` / ``REPRO_BATCH_CHUNK``; None means
+    :data:`repro.runtime.runtime.DEFAULT_BATCH_CHUNK`) sizes the streaming
+    measurement batches: the N x K1 matrix and the Level-2 task batches are
+    dispatched in chunks of at most this many items, bounding peak memory
+    by O(chunk) on the way to the paper's 50-60k-input regime.  Results are
+    bit-identical whatever the chunk size and the executor.
 
     The remaining two memory knobs complete that story end to end.
     ``stream_inputs`` (on by default; ``--no-stream-inputs`` /
@@ -125,7 +125,7 @@ class ExperimentConfig:
     list, so the inputs themselves are regenerated per index/chunk rather
     than pinned for the whole run.  ``cache_max_entries``
     (``--cache-max-entries`` / ``REPRO_CACHE_MAX_ENTRIES``; <= 0 for
-    unbounded) caps the in-memory run cache.  With all three set, a run's
+    unbounded) caps the in-memory run cache.  With all three, a run's
     peak memory is O(chunk) inputs + O(chunk) transient results +
     O(cache cap) -- not O(N) -- with bit-identical outputs.
     """
@@ -140,7 +140,6 @@ class ExperimentConfig:
     max_subsets: int = 192
     executor: str = field(default_factory=_env_executor)
     workers: Optional[int] = field(default_factory=_env_workers)
-    dist_workers: Optional[int] = field(default_factory=_env_dist_workers)
     use_cache: bool = True
     cache_path: Optional[str] = None
     batch_chunk: Optional[int] = field(default_factory=_env_batch_chunk)
@@ -152,32 +151,16 @@ class ExperimentConfig:
     #: Adopt a prior interrupted run's manifest: completed chunks replay as
     #: cache hits, producing bit-identical output.  Implies ``checkpoint``.
     resume: bool = False
-    #: Distributed-executor socket/join timeouts (None = env default).
-    dist_socket_timeout: Optional[float] = None
-    dist_join_timeout: Optional[float] = None
 
     def make_runtime(self) -> Runtime:
-        """Build the measurement runtime these knobs describe.
-
-        For the ``distributed`` executor, ``dist_workers``
-        (``--dist-workers`` / ``REPRO_DIST_WORKERS``) names the count of
-        locally spawned lease workers; other executors keep using
-        ``workers``.
-        """
-        workers = self.workers
-        if self.executor.partition(":")[0].strip().lower() == "distributed":
-            workers = self.dist_workers if self.dist_workers is not None else workers
+        """Build the measurement runtime these knobs describe."""
         return Runtime.create(
             executor=self.executor,
-            workers=workers,
+            workers=self.workers,
             use_cache=self.use_cache,
             max_entries=self.cache_max_entries,
             cache_path=self.cache_path,
             batch_chunk=self.batch_chunk,
-            executor_options={
-                "socket_timeout": self.dist_socket_timeout,
-                "join_timeout": self.dist_join_timeout,
-            },
         )
 
     def checkpoint_digest(self, test_name: str) -> str:

@@ -229,7 +229,6 @@ def run_chaos_load(
             execution_workers=1,
             breaker_threshold=3,
             breaker_recovery_seconds=600.0,
-            degraded_fallback=True,
         )
     with fault_scope(plan) as injector:
         metrics = run_load(

@@ -45,12 +45,10 @@ from __future__ import annotations
 import base64
 import json
 import multiprocessing
-import os
 import pickle
 import selectors
 import socket
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
@@ -73,27 +71,14 @@ PROTOCOL_VERSION = 1
 #: the latency of deadline/death checks without busy-waiting.
 _POLL_SECONDS = 0.05
 
+#: Timeout of one blocking operation on an accepted worker socket.  It
+#: bounds how long a send to a wedged worker can stall the coordinator
+#: loop; it is *not* the lease deadline (``lease_timeout`` governs how long
+#: a worker may hold a chunk).
+SOCKET_TIMEOUT = 30.0
 
-def _env_float(name: str, default: float) -> float:
-    """A float environment override, degrading to the default with a warning."""
-    value = os.environ.get(name, "").strip()
-    if not value:
-        return default
-    try:
-        return float(value)
-    except ValueError:
-        warnings.warn(f"ignoring non-numeric {name}={value!r}")
-        return default
-
-
-def default_socket_timeout() -> float:
-    """Per-connection socket timeout (``REPRO_DIST_SOCKET_TIMEOUT``, 30s)."""
-    return _env_float("REPRO_DIST_SOCKET_TIMEOUT", 30.0)
-
-
-def default_join_timeout() -> float:
-    """Dead-worker process join timeout (``REPRO_DIST_JOIN_TIMEOUT``, 2s)."""
-    return _env_float("REPRO_DIST_JOIN_TIMEOUT", 2.0)
+#: How long to wait for a dead or terminated spawned worker to be reaped.
+JOIN_TIMEOUT = 2.0
 
 
 def encode_payload(obj: Any) -> str:
@@ -172,15 +157,6 @@ class Coordinator:
         max_lease_retries: how many times one chunk may be *re*assigned
             before the batch fails -- the bound that keeps a chunk that
             reliably kills workers from cycling forever.
-        socket_timeout: per-connection timeout on accepted worker sockets,
-            in seconds.  Defaults to ``REPRO_DIST_SOCKET_TIMEOUT`` (30s).
-            Bounds how long a blocking send to a wedged worker can stall
-            the coordinator loop; it is *not* the lease deadline --
-            ``lease_timeout`` governs how long a worker may hold a chunk,
-            this governs how long one socket operation may block.
-        join_timeout: how long to wait for a dead spawned worker process
-            to be reaped, in seconds.  Defaults to
-            ``REPRO_DIST_JOIN_TIMEOUT`` (2s).
         port: TCP port to listen on; 0 (default) picks an ephemeral port.
             A fixed port is what lets external workers reconnect to a
             *restarted* coordinator without rediscovering the address --
@@ -195,19 +171,11 @@ class Coordinator:
         workers: int = 0,
         lease_timeout: float = 60.0,
         max_lease_retries: int = 3,
-        socket_timeout: Optional[float] = None,
-        join_timeout: Optional[float] = None,
         port: int = 0,
     ) -> None:
         self.workers = max(0, int(workers))
         self.lease_timeout = float(lease_timeout)
         self.max_lease_retries = int(max_lease_retries)
-        self.socket_timeout = (
-            default_socket_timeout() if socket_timeout is None else float(socket_timeout)
-        )
-        self.join_timeout = (
-            default_join_timeout() if join_timeout is None else float(join_timeout)
-        )
         self.counters: Dict[str, int] = {
             "leases_issued": 0,
             "leases_reassigned": 0,
@@ -283,7 +251,7 @@ class Coordinator:
         except (BlockingIOError, OSError):
             return
         conn.setblocking(True)
-        conn.settimeout(self.socket_timeout)
+        conn.settimeout(SOCKET_TIMEOUT)
         self._selector.register(conn, selectors.EVENT_READ)
         self._workers[conn] = _WorkerState(conn=conn)
 
@@ -301,7 +269,7 @@ class Coordinator:
             pass
         self._workers.pop(state.conn, None)
         if state.process is not None and not state.process.is_alive():
-            state.process.join(timeout=self.join_timeout)
+            state.process.join(timeout=JOIN_TIMEOUT)
         return state.chunk
 
     def connected_workers(self) -> int:
@@ -528,7 +496,7 @@ class Coordinator:
             self._drop_worker(state, died=False)
         for process in self._pending_processes:
             process.terminate()
-            process.join(timeout=self.join_timeout)
+            process.join(timeout=JOIN_TIMEOUT)
         try:
             self._selector.unregister(self._listener)
         except (KeyError, ValueError):
@@ -568,10 +536,6 @@ class DistributedExecutor(BaseExecutor):
             to rely solely on externally attached workers.
         lease_timeout: per-lease deadline in seconds.
         max_lease_retries: reassignment bound per chunk.
-        socket_timeout: per-connection socket timeout in seconds
-            (default: ``REPRO_DIST_SOCKET_TIMEOUT`` or 30s).
-        join_timeout: dead-worker process join timeout in seconds
-            (default: ``REPRO_DIST_JOIN_TIMEOUT`` or 2s).
         port: fixed coordinator port (0 = ephemeral); lets a restarted
             executor rebind the same address for externally attached
             workers, and lets a host budget its ports when a serving
@@ -580,6 +544,9 @@ class DistributedExecutor(BaseExecutor):
     Attributes:
         fallback_reason: set when a batch had to run serially because its
             content could not be pickled across the socket; None otherwise.
+
+    :meth:`stats` reports it as ``executor_fallback``, and the lease
+    counters as ``distributed`` once the coordinator has started.
 
     Note: ``run_batch`` results come back *output-free* (workers strip the
     program output before shipping, exactly as the measurement cache does);
@@ -594,15 +561,11 @@ class DistributedExecutor(BaseExecutor):
         workers: Optional[int] = None,
         lease_timeout: float = 60.0,
         max_lease_retries: int = 3,
-        socket_timeout: Optional[float] = None,
-        join_timeout: Optional[float] = None,
         port: int = 0,
     ) -> None:
         self.workers = _default_workers() if workers is None else max(0, int(workers))
         self.lease_timeout = lease_timeout
         self.max_lease_retries = max_lease_retries
-        self.socket_timeout = socket_timeout
-        self.join_timeout = join_timeout
         self.port = int(port)
         self.fallback_reason: Optional[str] = None
         self._coordinator: Optional[Coordinator] = None
@@ -615,8 +578,6 @@ class DistributedExecutor(BaseExecutor):
                 workers=self.workers,
                 lease_timeout=self.lease_timeout,
                 max_lease_retries=self.max_lease_retries,
-                socket_timeout=self.socket_timeout,
-                join_timeout=self.join_timeout,
                 port=self.port,
             )
         return self._coordinator
@@ -632,6 +593,14 @@ class DistributedExecutor(BaseExecutor):
         if self._coordinator is None:
             return {}
         return dict(self._coordinator.counters)
+
+    def stats(self) -> Dict[str, Any]:
+        info: Dict[str, Any] = {}
+        if self.fallback_reason:
+            info["executor_fallback"] = self.fallback_reason
+        if self._coordinator is not None:
+            info["distributed"] = self.lease_stats
+        return info
 
     def _picklable(self, *objects: Any) -> bool:
         try:

@@ -149,6 +149,10 @@ class BaseExecutor:
         """
         raise NotImplementedError
 
+    def stats(self) -> Dict[str, Any]:
+        """Executor state for ``Runtime.stats()``; empty when there is none."""
+        return {}
+
     def close(self) -> None:
         """Release any pooled resources (idempotent)."""
 
@@ -300,8 +304,10 @@ class ProcessExecutor(BaseExecutor):
         retry_policy: the :class:`~repro.resilience.retry.RetryPolicy`
             governing broken-pool resubmission -- one rebuild-and-retry by
             default, matching the historical behaviour.
-        retry_counters: ``retry_*`` telemetry incremented by the policy;
-            surfaced through ``Runtime.stats()``.
+        retry_counters: ``retry_*`` telemetry incremented by the policy.
+
+    Both surface through :meth:`stats` as ``executor_fallback`` and
+    ``retries`` once set.
     """
 
     name = "process"
@@ -473,6 +479,14 @@ class ProcessExecutor(BaseExecutor):
         block = np.concatenate(blocks, axis=1)
         return block[0], block[1]
 
+    def stats(self) -> Dict[str, Any]:
+        info: Dict[str, Any] = {}
+        if self.fallback_reason:
+            info["executor_fallback"] = self.fallback_reason
+        if self.retry_counters:
+            info["retries"] = dict(self.retry_counters)
+        return info
+
     def _shutdown_pool(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
@@ -487,11 +501,11 @@ class ProcessExecutor(BaseExecutor):
         return f"ProcessExecutor(workers={self.workers})"
 
 
-def _make_distributed(workers: Optional[int] = None, **options: Any) -> BaseExecutor:
+def _make_distributed(workers: Optional[int] = None) -> BaseExecutor:
     """Factory for the distributed executor (imported lazily: no cycle)."""
     from repro.runtime.distributed import DistributedExecutor
 
-    return DistributedExecutor(workers=workers, **options)
+    return DistributedExecutor(workers=workers)
 
 
 #: Registered executor strategies, keyed by flag value.
@@ -503,31 +517,17 @@ EXECUTORS = {
 }
 
 
-def get_executor(
-    spec: str = "serial", workers: Optional[int] = None, **options: Any
-) -> BaseExecutor:
+def get_executor(spec: str = "serial", workers: Optional[int] = None) -> BaseExecutor:
     """Build an executor from a flag value.
 
-    Accepts ``"serial"``, ``"thread"``, ``"process"``, ``"distributed"``,
-    optionally suffixed with a worker count as ``"thread:4"`` /
-    ``"process:8"`` / ``"distributed:2"`` (an explicit ``workers`` argument
-    wins over the suffix).  Extra keyword ``options`` (``socket_timeout``,
-    ``join_timeout``, ...) apply to the distributed strategy and are
-    ignored by the in-process ones.
+    Accepts ``"serial"``, ``"thread"``, ``"process"`` or ``"distributed"``;
+    ``workers`` sizes the pool (ignored by ``serial``).
     """
-    name, _, suffix = spec.partition(":")
-    name = name.strip().lower() or "serial"
+    name = spec.strip().lower() or "serial"
     if name not in EXECUTORS:
         raise ValueError(
             f"unknown executor {spec!r}; available: {sorted(EXECUTORS)}"
         )
-    if workers is None and suffix:
-        workers = int(suffix)
     if name == "serial":
         return SerialExecutor()
-    if name == "distributed":
-        return _make_distributed(
-            workers=workers,
-            **{k: v for k, v in options.items() if v is not None},
-        )
     return EXECUTORS[name](workers=workers)

@@ -31,6 +31,11 @@ from repro.runtime.keys import config_key, input_key, join_run_key, run_key, run
 from repro.runtime.tasks import TaskCache, TaskSpec, is_missing
 from repro.runtime.telemetry import Telemetry
 
+#: Chunk size when none is given.  It keeps every dispatch of the default
+#: experiment scale whole (the largest, 240 inputs x 12 landmarks, is 2,880
+#: runs), so only larger populations are split.
+DEFAULT_BATCH_CHUNK = 4096
+
 
 def _strip_output(result: RunResult) -> RunResult:
     """A copy of ``result`` without the program output (for measurement caching)."""
@@ -47,18 +52,16 @@ class Runtime:
     Args:
         executor: execution strategy; defaults to :class:`SerialExecutor`.
         cache: run cache; ``None`` disables caching entirely (every request
-            executes), which is the bit-identical legacy behaviour.
-        telemetry: telemetry sink; a fresh one is created when omitted.
-        task_cache: memo for generalized task results (see
-            :meth:`run_tasks`).  When omitted, one is created whenever a run
-            cache is present, so a caching runtime also memoizes keyed tasks.
-        batch_chunk: streaming chunk size.  ``None`` (default) keeps the
-            legacy all-at-once batches; a positive value makes
-            :meth:`run_pairs` / :meth:`run_tasks` / :meth:`measure` process
-            batches in chunks of at most this many items, bounding peak
-            memory by O(chunk) instead of O(batch) while producing
-            bit-identical results (chunks preserve enumeration order, and
-            chunk-local cache fills stand in for whole-batch deduplication).
+            executes), which is the bit-identical legacy behaviour.  A
+            caching runtime also memoizes keyed tasks in a
+            :class:`TaskCache` (see :meth:`run_tasks`).
+        batch_chunk: streaming chunk size; ``None`` means
+            :data:`DEFAULT_BATCH_CHUNK`.  :meth:`run_pairs` /
+            :meth:`run_tasks` / :meth:`measure` process batches in chunks of
+            at most this many items, bounding peak memory by O(chunk)
+            instead of O(batch) while producing bit-identical results
+            (chunks preserve enumeration order, and chunk-local cache fills
+            stand in for whole-batch deduplication).
     """
 
     #: Default entry cap for the auto-created task cache; task results
@@ -70,19 +73,19 @@ class Runtime:
         self,
         executor: Optional[BaseExecutor] = None,
         cache: Optional[RunCache] = None,
-        telemetry: Optional[Telemetry] = None,
-        task_cache: Optional[TaskCache] = None,
         batch_chunk: Optional[int] = None,
     ) -> None:
-        if batch_chunk is not None and batch_chunk < 1:
+        if batch_chunk is None:
+            batch_chunk = DEFAULT_BATCH_CHUNK
+        if batch_chunk < 1:
             raise ValueError("batch_chunk must be >= 1 or None")
         self.executor = executor if executor is not None else SerialExecutor()
         self.cache = cache
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
-        if task_cache is None and cache is not None:
-            task_cache = TaskCache(max_entries=self.TASK_CACHE_ENTRIES)
-        self.task_cache = task_cache
-        self.batch_chunk = batch_chunk
+        self.telemetry = Telemetry()
+        self.task_cache = (
+            TaskCache(max_entries=self.TASK_CACHE_ENTRIES) if cache is not None else None
+        )
+        self.batch_chunk: int = batch_chunk
         #: Optional :class:`~repro.resilience.checkpoint.ExperimentCheckpoint`
         #: attached by the experiment runner; when set, every chunk boundary
         #: persists dirty cache shards and advances the resume manifest.
@@ -97,7 +100,6 @@ class Runtime:
         max_entries: Optional[int] = RunCache.DEFAULT_MAX_ENTRIES,
         cache_path: Optional[str] = None,
         batch_chunk: Optional[int] = None,
-        executor_options: Optional[Dict[str, Any]] = None,
     ) -> "Runtime":
         """Build a runtime from flag-style settings.
 
@@ -106,8 +108,9 @@ class Runtime:
         path that holds a file rather than a store directory); call
         :meth:`save_cache` after a run to persist the updated cache.
         ``use_cache=False`` disables caching outright -- including any
-        persisted store -- so every measurement demonstrably re-executes.  ``batch_chunk`` enables
-        streaming batches (see the class docstring).  ``max_entries`` caps
+        persisted store -- so every measurement demonstrably re-executes.
+        ``batch_chunk`` sizes the streaming chunks (see the class
+        docstring).  ``max_entries`` caps
         the in-memory run cache (``None`` = unbounded); the default keeps a
         50k-input experiment's cache at tens of MB -- see
         :attr:`RunCache.DEFAULT_MAX_ENTRIES` -- and with a sharded store
@@ -119,7 +122,7 @@ class Runtime:
             if cache_path:
                 cache.load()
         return cls(
-            executor=get_executor(executor, workers=workers, **(executor_options or {})),
+            executor=get_executor(executor, workers=workers),
             cache=cache,
             batch_chunk=batch_chunk,
         )
@@ -211,9 +214,9 @@ class Runtime:
         """Execute a batch of (configuration, input) tasks, in order.
 
         Cache hits are recalled, identical tasks within a dispatch execute
-        once, and the remaining misses go through the executor.  With
-        :attr:`batch_chunk` set the batch is dispatched in content-ordered
-        chunks (see :meth:`iter_pairs`); results are identical either way.
+        once, and the remaining misses go through the executor.  The batch
+        is dispatched in content-ordered chunks of :attr:`batch_chunk`
+        tasks (see :meth:`iter_pairs`); results do not depend on the size.
         """
         return list(self.iter_pairs(program, pairs))
 
@@ -229,26 +232,19 @@ class Runtime:
     ) -> Iterator[List[RunResult]]:
         """Yield each dispatch unit's results, in order.
 
-        The streaming core of :meth:`run_pairs` and :meth:`measure`: with
-        :attr:`batch_chunk` set, ``pairs`` is consumed lazily in chunks of at
-        most that many tasks -- each chunk is cache-checked, dispatched, and
-        folded into the cache before the next chunk is even built -- so a
-        50k x K1 measurement matrix never exists as one in-memory task list.
-        Without a chunk size the whole batch is dispatched at once (legacy
-        behaviour).  Enumeration order, and therefore every yielded result,
-        is bit-identical in both modes: duplicates that whole-batch dispatch
+        The streaming core of :meth:`run_pairs` and :meth:`measure`:
+        ``pairs`` is consumed lazily in chunks of at most :attr:`batch_chunk`
+        tasks -- each chunk is cache-checked, dispatched, and folded into the
+        cache before the next chunk is even built -- so a 50k x K1
+        measurement matrix never exists as one in-memory task list.
+        Enumeration order, and therefore every yielded result, is
+        independent of the chunk size: duplicates that one larger dispatch
         would deduplicate in-batch are instead answered by the cache entries
         the earlier chunk just filled.
         """
-        chunk = self.batch_chunk
-        if not chunk:
-            materialized = pairs if isinstance(pairs, Sequence) else list(pairs)
-            yield self._dispatch_pairs(program, materialized)
-            self._chunk_completed()
-            return
         iterator = iter(pairs)
         while True:
-            piece = list(itertools.islice(iterator, chunk))
+            piece = list(itertools.islice(iterator, self.batch_chunk))
             if not piece:
                 return
             self.telemetry.count("chunks_dispatched")
@@ -270,7 +266,7 @@ class Runtime:
     def _dispatch_pairs(
         self, program: PetaBricksProgram, pairs: Sequence[Task]
     ) -> List[RunResult]:
-        """Cache-check and execute one dispatch unit (a whole batch or chunk)."""
+        """Cache-check and execute one dispatch unit (a chunk)."""
         self.telemetry.count("runs_requested", len(pairs))
         if self.cache is None:
             results = self.executor.run_batch(program, pairs)
@@ -343,10 +339,10 @@ class Runtime:
         exact sequence the equivalent serial loop would have produced --
         this is what keeps parallel searches (e.g. Level 2's classifier
         zoo) deterministic: candidates are compared in enumeration order,
-        a key independent of completion order.  With :attr:`batch_chunk`
-        set, the batch is dispatched chunk by chunk; duplicate keys across
-        chunks are answered by the task-cache entries earlier chunks
-        filled, so results stay identical to whole-batch dispatch.
+        a key independent of completion order.  A batch larger than
+        :attr:`batch_chunk` is dispatched chunk by chunk; duplicate keys
+        across chunks are answered by the task-cache entries earlier chunks
+        filled, so results do not depend on the chunk size.
 
         Args:
             specs: the tasks.  Tasks must be pure functions of their
@@ -360,7 +356,7 @@ class Runtime:
         scope = self.telemetry.phase(phase) if phase else contextlib.nullcontext()
         with scope:
             chunk = self.batch_chunk
-            if not chunk or len(specs) <= chunk:
+            if len(specs) <= chunk:
                 return self._run_tasks(specs, shared)
             results: List[Any] = []
             for start in range(0, len(specs), chunk):
@@ -435,8 +431,8 @@ class Runtime:
         slice assignment.  Input-major order matters for lazily generated
         inputs (:mod:`repro.core.inputs`): each input is materialized
         exactly once and shared by its K adjacent tasks, so a full matrix
-        costs N materializations -- not N x K -- and with
-        :attr:`batch_chunk` set only ~chunk/K inputs are ever in flight.
+        costs N materializations -- not N x K -- and only ~chunk/K inputs
+        are ever in flight.
         The matrix itself (two ``(n, k)`` float arrays) is the only
         O(N x K) allocation.  Runs are pure functions of their content, so
         enumeration order never affects any value in the matrices.
@@ -470,16 +466,8 @@ class Runtime:
         info: Dict[str, Any] = {
             "executor": self.executor.name,
             "telemetry": self.telemetry.snapshot(),
+            **self.executor.stats(),
         }
-        fallback = getattr(self.executor, "fallback_reason", None)
-        if fallback:
-            info["executor_fallback"] = fallback
-        lease_stats = getattr(self.executor, "lease_stats", None)
-        if lease_stats:
-            info["distributed"] = dict(lease_stats)
-        retries = getattr(self.executor, "retry_counters", None)
-        if retries:
-            info["retries"] = dict(retries)
         if self.cache is not None:
             info["cache"] = self.cache.stats()
         if self.task_cache is not None:

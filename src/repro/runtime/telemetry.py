@@ -188,22 +188,6 @@ class Telemetry:
             return 0.0
         return self.cache_hits / requested
 
-    def merge(self, other: "Telemetry") -> None:
-        """Fold another telemetry object's counts and timings into this one."""
-        for name, value in other.counters.items():
-            self.count(name, value)
-        for name, stats in other.phases.items():
-            mine = self.phases.setdefault(name, PhaseStats())
-            mine.calls += stats.calls
-            mine.seconds += stats.seconds
-        for name, recorder in other.latencies.items():
-            mine_rec = self.latencies.setdefault(name, LatencyRecorder())
-            for sample in recorder.samples:
-                mine_rec.record(sample)
-            mine_rec.dropped += recorder.dropped
-            mine_rec.count += recorder.dropped
-            mine_rec.total_seconds += recorder.total_seconds - sum(recorder.samples)
-
     def snapshot(self) -> Dict[str, Any]:
         """A plain-dict view suitable for reports and JSON."""
         view: Dict[str, Any] = {
@@ -219,21 +203,3 @@ class Telemetry:
                 name: recorder.snapshot() for name, recorder in self.latencies.items()
             }
         return view
-
-    def format_summary(self) -> str:
-        """A short human-readable summary (used by the CLI)."""
-        lines = [
-            f"runs: {self.runs_requested} requested, "
-            f"{self.runs_executed} executed, "
-            f"{self.cache_hits} cache hits ({self.hit_rate():.1%})"
-        ]
-        if self.tasks_requested:
-            lines.append(
-                f"tasks: {self.tasks_requested} requested, "
-                f"{self.tasks_executed} executed, "
-                f"{self.task_cache_hits} cache hits"
-            )
-        for name in sorted(self.phases):
-            stats = self.phases[name]
-            lines.append(f"phase {name}: {stats.seconds:.3f}s over {stats.calls} call(s)")
-        return "\n".join(lines)

@@ -100,27 +100,24 @@ class ServingConfig:
             (bit-identical to a sequential ``DeployedProgram.run`` loop by
             construction); raising it overlaps them, results staying
             identical because runs are pure.
-        default_seed: population seed assumed by ``index`` input specs that
-            do not name one.
         breaker_threshold: consecutive execution failures that open the
             serving circuit breaker.
         breaker_recovery_seconds: how long the breaker stays open before
             admitting half-open trial executions.
-        degraded_fallback: serve degraded answers instead of errors when no
-            model is registered for a (known-benchmark) test -- the
-            benchmark's default configuration runs with ``landmark: -1`` --
-            or when the breaker is open, in which case the answer is a
-            no-execution degraded frame.  See ``docs/resilience.md``.
+
+    ``index`` input specs that name no seed use population seed 0.  The
+    server answers degraded instead of failing when no model is registered
+    for a known benchmark's test (its default configuration runs with
+    ``landmark: -1``) and while the breaker is open (a no-execution
+    degraded frame); see ``docs/resilience.md``.
     """
 
     host: str = "127.0.0.1"
     port: int = 0
     max_pending: int = 64
     execution_workers: int = 1
-    default_seed: int = 0
     breaker_threshold: int = 5
     breaker_recovery_seconds: float = 30.0
-    degraded_fallback: bool = True
 
 
 @dataclass(frozen=True)
@@ -395,12 +392,11 @@ class SelectorServer:
         try:
             entry = self.registry.get(test)
         except KeyError as error:
-            # No model published for this test.  With degraded fallback on
-            # and the test naming a known benchmark, serve its default
-            # configuration (landmark -1) instead of failing the request.
+            # No model published for this test.  When the test names a
+            # known benchmark, serve its default configuration (landmark
+            # -1) instead of failing the request.
             entry = None
-            if self.config.degraded_fallback:
-                fallback_program = self._fallback_program(test)
+            fallback_program = self._fallback_program(test)
             if fallback_program is None:
                 await self._reject(
                     writer, write_lock, protocol.UNKNOWN_TEST, str(error), request_id
@@ -430,18 +426,11 @@ class SelectorServer:
             if not self.breaker.allow():
                 # Executions are tripping; shed load without executing.
                 self.telemetry.count("serve_breaker_open")
-                if self.config.degraded_fallback:
-                    self.telemetry.count("serve_degraded")
-                    await self._send(
-                        writer, write_lock,
-                        self._degraded_response(test, request_id, "breaker_open"),
-                    )
-                else:
-                    await self._reject(
-                        writer, write_lock, protocol.OVERLOADED,
-                        "circuit breaker open: executions suspended; retry later",
-                        request_id,
-                    )
+                self.telemetry.count("serve_degraded")
+                await self._send(
+                    writer, write_lock,
+                    self._degraded_response(test, request_id, "breaker_open"),
+                )
                 return
         else:
             self.telemetry.count("serve_coalesced")
@@ -661,7 +650,7 @@ class SelectorServer:
         """The wire input spec, enriched so a trace can rematerialize it.
 
         An ``index`` spec only names an index on the wire (the test rides
-        the message envelope and the seed may be the server default);
+        the message envelope and the seed may be left at its default, 0);
         folding both in makes the stored record self-contained for offline
         replay.  Pickle specs already carry their payload.
         """
@@ -671,7 +660,7 @@ class SelectorServer:
             return {
                 **input_spec,
                 "test": test,
-                "seed": int(input_spec.get("seed", self.config.default_seed)),
+                "seed": int(input_spec.get("seed", 0)),
             }
         return dict(input_spec)
 
@@ -742,7 +731,7 @@ class SelectorServer:
                 raise ValueError("index input spec needs an integer 'index'") from None
             if index < 0:
                 raise ValueError("input index must be non-negative")
-            seed = int(spec.get("seed", self.config.default_seed))
+            seed = int(spec.get("seed", 0))
             from repro.benchmarks_suite import get_benchmark  # lazy: heavy import
 
             try:

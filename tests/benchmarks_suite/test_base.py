@@ -60,9 +60,9 @@ class TestBenchmarkInterface:
             benchmark.generate_inputs(1, "nope")
 
     def test_input_generator_rejects_negative_count(self):
-        generator = InputGenerator("g", "test", lambda n, seed: [0] * n)
+        generator = InputGenerator("g", "test", item=lambda index, seed: 0)
         with pytest.raises(ValueError):
-            generator.generate(-1)
+            generator.source(-1)
 
     def test_abstract_benchmark_cannot_instantiate(self):
         with pytest.raises(TypeError):

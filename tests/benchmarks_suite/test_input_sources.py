@@ -32,13 +32,12 @@ def digests(inputs):
 @pytest.mark.parametrize("test_name", ALL_TESTS)
 @pytest.mark.parametrize("n,seed", SIZE_SEED_PAIRS)
 def test_source_equals_generate_inputs(test_name, n, seed):
-    """Chunk-wise materialization of the source equals the legacy list."""
+    """Lazy iteration of the source equals the materialized list."""
     variant = get_benchmark(test_name)
     source = variant.benchmark.input_source(n, variant.variant, seed=seed)
     legacy = variant.benchmark.generate_inputs(n, variant.variant, seed=seed)
     assert len(source) == len(legacy) == n
-    chunked = [x for chunk in source.iter_chunks(4) for x in chunk]
-    assert digests(chunked) == digests(legacy)
+    assert digests(source) == digests(legacy)
 
 
 @pytest.mark.parametrize("test_name", ALL_TESTS)

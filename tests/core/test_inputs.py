@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.inputs import (
-    DEFAULT_CHUNK,
     GeneratedInputSource,
     InputSource,
-    MaterializedInputs,
     ObservedInputSource,
-    ensure_source,
     per_index_rng,
 )
 
@@ -76,24 +73,8 @@ class TestGeneratedInputSource:
         assert source.index(4) == 2
 
 
-class TestIterChunks:
-    def test_chunk_sizes_and_order(self):
-        source = GeneratedInputSource(7, seed=0, item=squares)
-        chunks = list(source.iter_chunks(3))
-        assert [len(c) for c in chunks] == [3, 3, 1]
-        assert [x for c in chunks for x in c] == source.materialized()
-
-    def test_default_chunk(self):
-        source = GeneratedInputSource(DEFAULT_CHUNK + 1, seed=0, item=squares)
-        chunks = list(source.iter_chunks())
-        assert [len(c) for c in chunks] == [DEFAULT_CHUNK, 1]
-
-    def test_invalid_chunk_rejected(self):
-        source = GeneratedInputSource(3, seed=0, item=squares)
-        with pytest.raises(ValueError):
-            next(source.iter_chunks(0))
-
-    def test_chunks_are_materialized_lazily(self):
+class TestIteration:
+    def test_inputs_are_materialized_lazily(self):
         calls = []
 
         def tracking(index, seed):
@@ -101,11 +82,11 @@ class TestIterChunks:
             return index
 
         source = GeneratedInputSource(6, seed=0, item=tracking)
-        iterator = source.iter_chunks(2)
+        iterator = iter(source)
         next(iterator)
-        assert calls == [0, 1]  # later chunks not generated yet
+        assert calls == [0]  # later inputs not generated yet
         next(iterator)
-        assert calls == [0, 1, 2, 3]
+        assert calls == [0, 1]
 
 
 class TestSelect:
@@ -126,27 +107,6 @@ class TestSelect:
         source = GeneratedInputSource(10, seed=0, item=squares)
         view = source.select(range(2, 9)).select([0, 3])
         assert list(view) == [squares(2, 0), squares(5, 0)]
-
-
-class TestMaterializedInputs:
-    def test_wraps_a_list(self):
-        inputs = MaterializedInputs(["a", "b", "c"])
-        assert len(inputs) == 3
-        assert inputs[1] == "b"
-        assert list(inputs) == ["a", "b", "c"]
-
-    def test_materialized_returns_a_copy(self):
-        inputs = MaterializedInputs([1, 2])
-        copy = inputs.materialized()
-        copy.append(3)
-        assert len(inputs) == 2
-
-    def test_ensure_source_passthrough_and_wrap(self):
-        source = GeneratedInputSource(2, seed=0, item=squares)
-        assert ensure_source(source) is source
-        wrapped = ensure_source([4, 5])
-        assert isinstance(wrapped, MaterializedInputs)
-        assert list(wrapped) == [4, 5]
 
 
 class TestObservedInputSource:

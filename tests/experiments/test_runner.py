@@ -110,3 +110,24 @@ class TestMemoryKnobDefaults:
         with pytest.warns(UserWarning, match="REPRO_CACHE_MAX_ENTRIES"):
             config = ExperimentConfig()
         assert config.cache_max_entries == RunCache.DEFAULT_MAX_ENTRIES
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_env_workers_malformed_warns_and_defaults(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_WORKERS", value)
+        with pytest.warns(UserWarning, match="REPRO_WORKERS"):
+            config = ExperimentConfig()
+        assert config.workers is None
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_env_batch_chunk_malformed_warns_and_defaults(self, monkeypatch, value):
+        from repro.runtime.runtime import DEFAULT_BATCH_CHUNK
+
+        monkeypatch.setenv("REPRO_BATCH_CHUNK", value)
+        with pytest.warns(UserWarning, match="REPRO_BATCH_CHUNK"):
+            config = ExperimentConfig()
+        assert config.batch_chunk is None
+        runtime = config.make_runtime()
+        try:
+            assert runtime.batch_chunk == DEFAULT_BATCH_CHUNK
+        finally:
+            runtime.close()

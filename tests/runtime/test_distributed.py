@@ -410,7 +410,7 @@ def test_run_experiment_bit_identical_to_serial(test_name):
     """The ISSUE acceptance bar: distributed == serial, end to end."""
     serial = run_experiment(test_name, config=tiny_config("serial"))
     distributed = run_experiment(
-        test_name, config=tiny_config("distributed", dist_workers=2)
+        test_name, config=tiny_config("distributed", workers=2)
     )
     assert (
         serial.training.production_classifier.name
@@ -427,3 +427,16 @@ def test_run_experiment_bit_identical_to_serial(test_name):
     assert dist_stats is not None
     assert dist_stats["leases_issued"] >= 1
     assert dist_stats["worker_deaths"] == 0
+
+
+def test_workers_zero_spawns_no_workers():
+    """``workers=0`` on the distributed executor means attached workers only."""
+    runtime = tiny_config("distributed", workers=0).make_runtime()
+    try:
+        assert runtime.executor.workers == 0
+        runtime.executor.coordinator.ensure_workers()
+        stats = runtime.stats()
+        assert set(stats) == {"executor", "telemetry", "distributed", "cache", "task_cache"}
+        assert stats["distributed"]["workers_spawned"] == 0
+    finally:
+        runtime.close()

@@ -1,5 +1,7 @@
 """Tests for the serial / thread-pool / process-pool executors."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,13 @@ class TestProcessPoolRecovery:
         victim = next(iter(pool._processes.values()))
         _kill_pid(victim.pid)
         victim.join(timeout=10)
+        # The pool's manager thread reaps the dead worker too.  When its
+        # waitpid wins, the join above returns before the manager has
+        # recorded the exit code, and is_alive() still reads True; polling
+        # with sleeps lets the manager finish.
+        deadline = time.monotonic() + 10
+        while victim.is_alive() and time.monotonic() < deadline:
+            time.sleep(0.01)
         assert not victim.is_alive()
 
     def test_run_batch_survives_worker_killed_between_batches(self, sort_setup):
@@ -191,6 +200,11 @@ class TestProcessPoolRecovery:
             assert executor._pool is not broken_pool
             follow_up = executor.run_batch(program, tasks[:3])
             assert [r.time for r in follow_up] == [r.time for r in expected[:3]]
+            # The break and its retry surface through Runtime.stats().
+            stats = executor.stats()
+            assert set(stats) == {"executor_fallback", "retries"}
+            assert stats["executor_fallback"].startswith("process pool broke")
+            assert stats["retries"]["retry_retries"] == 1
 
     def test_run_calls_rebuild_reregisters_shared_initializer(self):
         shared = {"payload": list(range(50))}
@@ -331,19 +345,18 @@ class TestGetExecutor:
         assert isinstance(get_executor("serial"), SerialExecutor)
         assert isinstance(get_executor("thread"), ThreadExecutor)
         assert isinstance(get_executor("process"), ProcessExecutor)
-        distributed = get_executor("distributed:2")
+        distributed = get_executor("distributed", workers=2)
         assert isinstance(distributed, DistributedExecutor)
         assert distributed.workers == 2
+        assert distributed.stats() == {}  # no coordinator yet
         distributed.close()  # never started; must be a no-op
 
-    def test_worker_suffix(self):
-        executor = get_executor("thread:3")
-        assert executor.workers == 3
-
-    def test_explicit_workers_win_over_suffix(self):
-        executor = get_executor("process:3", workers=5)
-        assert executor.workers == 5
+    def test_workers_argument(self):
+        assert get_executor("thread", workers=3).workers == 3
+        assert get_executor("process", workers=5).workers == 5
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             get_executor("quantum")
+        with pytest.raises(ValueError):
+            get_executor("thread:4")  # worker counts go in ``workers``

@@ -25,6 +25,7 @@ from repro.runtime import (
     SerialExecutor,
     ThreadExecutor,
 )
+from repro.runtime import runtime as runtime_module
 from repro.runtime.cache import RunCache
 
 
@@ -164,15 +165,24 @@ def table_setup(sort_setup):
     return program, configs, inputs, rows
 
 
-@pytest.mark.parametrize("batch_chunk", [None, 5])
+@pytest.mark.parametrize(
+    "batch_chunk,default_chunk",
+    # The last case: None means DEFAULT_BATCH_CHUNK, so with the default
+    # patched to 5 it must dispatch exactly as batch_chunk=5 does.
+    [(None, None), (5, None), (None, 5)],
+    ids=["default", "chunk5", "default5"],
+)
 @pytest.mark.parametrize("cache_state", ["off", "cold", "half-warm"])
 @pytest.mark.parametrize("executor_name", ["serial", "thread", "process", "distributed"])
 def test_measure_matches_serial_everywhere(
-    executors, table_setup, executor_name, cache_state, batch_chunk
+    executors, table_setup, monkeypatch, executor_name, cache_state, batch_chunk,
+    default_chunk,
 ):
     program, configs, inputs, rows = table_setup
     n, k = len(inputs), len(configs)
     expected = serial_matrices(program, configs, inputs)
+    if default_chunk is not None:
+        monkeypatch.setattr(runtime_module, "DEFAULT_BATCH_CHUNK", default_chunk)
     runtime = Runtime(
         executor=executors[executor_name],
         cache=None if cache_state == "off" else RunCache(),
@@ -191,7 +201,10 @@ def test_measure_matches_serial_everywhere(
 
     after = runtime.telemetry.snapshot()["counters"]
     assert_identical(actual, expected)
-    assert getattr(runtime.executor, "fallback_reason", None) is None
+    assert "executor_fallback" not in runtime.stats()
+    chunk = batch_chunk or default_chunk or runtime_module.DEFAULT_BATCH_CHUNK
+    dispatched = after["chunks_dispatched"] - before.get("chunks_dispatched", 0)
+    assert dispatched == -(-n * k // chunk)
     executed = after.get("runs_executed", 0) - before.get("runs_executed", 0)
     if cache_state == "off":
         assert executed == n * k

@@ -162,7 +162,10 @@ class TestMeasure:
         second = runtime.measure(program, configs, [0, 1, 2])
         assert len(calls) == executed
         assert np.array_equal(first["times"], second["times"])
-        assert runtime.stats()["telemetry"]["hit_rate"] == pytest.approx(0.5)
+        stats = runtime.stats()
+        assert stats["telemetry"]["hit_rate"] == pytest.approx(0.5)
+        # The serial executor adds no keys of its own.
+        assert set(stats) == {"executor", "telemetry", "cache", "task_cache"}
 
 
 class TestPersistedRuntime:

@@ -1,10 +1,11 @@
 """Streaming (chunked) batch dispatch: determinism and memory shape.
 
-The acceptance bar for the 50k-input-regime work: setting
+The acceptance bar for the 50k-input-regime work: the size of
 ``Runtime.batch_chunk`` (or ``ExperimentConfig.batch_chunk`` /
 ``--batch-chunk``) must change *nothing* about the results -- the full
-experiment pipeline and the Level-2 search are bit-identical with and
-without chunking, under every executor -- while bounding the transient
+experiment pipeline and the Level-2 search are bit-identical with small
+chunks and with the default, which keeps every batch of these tiny runs
+whole ("unchunked"), under every executor -- while bounding the transient
 footprint of a measurement batch by O(chunk).
 """
 

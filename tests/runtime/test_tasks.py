@@ -113,7 +113,10 @@ class TestRunTasks:
         runtime = Runtime.create(executor="process", workers=2, use_cache=False)
         closure = lambda: 41 + 1  # noqa: E731 - deliberately unpicklable
         assert runtime.run_tasks([TaskSpec(fn=closure), TaskSpec(fn=closure)]) == [42, 42]
-        assert "not picklable" in runtime.stats()["executor_fallback"]
+        stats = runtime.stats()
+        assert "not picklable" in stats["executor_fallback"]
+        # The probe failed before any submission, so no retry was counted.
+        assert set(stats) == {"executor", "telemetry", "executor_fallback"}
         runtime.close()
 
 

@@ -83,22 +83,7 @@ class TestPhases:
         assert telemetry.phases["boom"].calls == 1
 
 
-class TestMergeAndSnapshot:
-    def test_merge(self):
-        a = Telemetry()
-        a.count("runs_requested", 2)
-        with a.phase("measure"):
-            pass
-        b = Telemetry()
-        b.count("runs_requested", 3)
-        b.count("cache_hits", 1)
-        with b.phase("measure"):
-            pass
-        a.merge(b)
-        assert a.runs_requested == 5
-        assert a.cache_hits == 1
-        assert a.phases["measure"].calls == 2
-
+class TestSnapshot:
     def test_snapshot_shape(self):
         telemetry = Telemetry()
         telemetry.count("runs_requested", 4)
@@ -121,27 +106,6 @@ class TestMergeAndSnapshot:
 
     def test_snapshot_omits_latencies_when_unused(self):
         assert "latencies" not in Telemetry().snapshot()
-
-    def test_merge_folds_latencies(self):
-        a = Telemetry()
-        a.record_latency("req", 0.010)
-        b = Telemetry()
-        b.record_latency("req", 0.030)
-        b.record_latency("req", 0.050)
-        a.merge(b)
-        recorder = a.latencies["req"]
-        assert recorder.count == 3
-        assert recorder.total_seconds == pytest.approx(0.090)
-        assert recorder.p50 == pytest.approx(0.030)
-
-    def test_format_summary_mentions_runs_and_phases(self):
-        telemetry = Telemetry()
-        telemetry.count("runs_requested", 2)
-        with telemetry.phase("measure"):
-            pass
-        summary = telemetry.format_summary()
-        assert "2 requested" in summary
-        assert "phase measure" in summary
 
 
 class TestPercentileProperties:

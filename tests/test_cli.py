@@ -53,6 +53,27 @@ class TestParser:
         args = build_parser().parse_args(["train", "sort2", "--cache-max-entries", "0"])
         assert _experiment_config(args).cache_max_entries is None
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--batch-chunk", "0"],
+            ["--batch-chunk", "many"],
+            ["--executor", "thread", "--workers", "-1"],
+        ],
+    )
+    def test_invalid_values_exit_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["train", "sort2", *argv])
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_workers_zero_is_accepted(self):
+        """0 means "attached workers only" for the distributed executor."""
+        args = build_parser().parse_args(
+            ["train", "sort2", "--executor", "distributed", "--workers", "0"]
+        )
+        assert _experiment_config(args).workers == 0
+
     def test_stream_inputs_flag_overrides_env_opt_out(self, monkeypatch):
         """REPRO_STREAM_INPUTS=0 sets the default off, and --stream-inputs
         must still be able to turn streaming back on."""
