@@ -20,9 +20,18 @@ code, fenced blocks included, so a deleted option cannot linger there:
   defined, as ``argparse.BooleanOptionalAction`` adds it);
 * **every ``REPRO_*`` variable is read** -- its name appears as a quoted
   string in a Python file under ``src/``, ``scripts/``, ``tests/`` or
-  ``benchmarks/``, on a line that does not merely set or delete it.
+  ``benchmarks/``, on a line that does not merely set or delete it;
+* **every ``repro.*`` module exists** -- the longest dotted prefix that
+  names a file under ``src/`` (``a/b.py`` or ``a/b/__init__.py``) is the
+  module, and the next name, if any, must be defined at its top level (a
+  ``def``, ``class``, assignment or import), so a deleted submodule is
+  caught even though its parent package still exists;
+* **every repo path exists** -- a path under ``src/``, ``tests/``,
+  ``benchmarks/``, ``scripts/``, ``docs/``, ``perfbench/`` or
+  ``examples/`` (relative to the repository root) names a file or
+  directory (a ``*`` in it must match one).
 
-Both read the source as text, without importing ``repro``.
+All of them read the source as text, without importing ``repro``.
 
 Exit status 0 when clean, 1 with one line per problem otherwise::
 
@@ -32,12 +41,13 @@ Exit status 0 when clean, 1 with one line per problem otherwise::
 
 from __future__ import annotations
 
+import ast
 import functools
 import glob
 import os
 import re
 import sys
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 #: The repository root (this script lives in ``scripts/``).
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -52,6 +62,10 @@ _FLAG = re.compile(r"(?<![\w-])--([a-z][a-z0-9-]*)")
 _DEFINED_FLAG = re.compile(r"add_argument\(\s*[\"'](--[a-z0-9-]+)[\"']")
 _ENV_VAR = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
 _QUOTED_ENV_VAR = re.compile(r"[\"'](REPRO_[A-Z0-9_]+)[\"']")
+_MODULE = re.compile(r"(?<![\w.])repro(?:\.[A-Za-z_]\w*)+")
+_REPO_PATH = re.compile(
+    r"(?<![\w./-])(?:src|tests|benchmarks|scripts|docs|perfbench|examples)/[\w./*-]*"
+)
 
 
 def _github_anchor(heading: str) -> str:
@@ -117,13 +131,52 @@ def _read_env_vars() -> frozenset:
     )
 
 
+def _module_file(dotted: str) -> Optional[str]:
+    """The file under src/ that defines module ``dotted``, or None."""
+    base = os.path.join(_ROOT, "src", *dotted.split("."))
+    for candidate in (base + ".py", os.path.join(base, "__init__.py")):
+        if os.path.isfile(candidate):
+            return candidate
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _top_level_names(module_file: str) -> frozenset:
+    """Names a module binds at its top level: defs, classes, assignments
+    and imports (parsed, never executed)."""
+    with open(module_file, "r", encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), module_file)
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return frozenset(names)
+
+
+def _module_exists(reference: str) -> bool:
+    """True when ``repro.a.b.C...`` names a module under src/ (plus, when
+    a name follows the module, one that module defines)."""
+    parts = reference.split(".")
+    for end in range(len(parts), 0, -1):
+        module_file = _module_file(".".join(parts[:end]))
+        if module_file is not None:
+            return end == len(parts) or parts[end] in _top_level_names(module_file)
+    return False
+
+
 def _is_user_doc(path: str) -> bool:
     relative = os.path.relpath(os.path.abspath(path), _ROOT)
     return relative == "README.md" or relative.startswith("docs" + os.sep)
 
 
 def check_code_references(path: str, lines: List[str]) -> List[str]:
-    """Flags and environment variables the doc names but the code lacks."""
+    """Flags, environment variables, modules and paths the doc names but
+    the repository lacks."""
     problems: List[str] = []
     flags, env_vars = _defined_flags(), _read_env_vars()
     for lineno, line in enumerate(lines, start=1):
@@ -135,6 +188,13 @@ def check_code_references(path: str, lines: List[str]) -> List[str]:
         for name in _ENV_VAR.findall(line):
             if name not in env_vars:
                 problems.append(f"{path}:{lineno}: {name} is read by no code")
+        for reference in _MODULE.findall(line):
+            if not _module_exists(reference):
+                problems.append(f"{path}:{lineno}: {reference}: no module under src/ defines it")
+        for repo_path in _REPO_PATH.findall(line):
+            repo_path = repo_path.rstrip(".")
+            if not glob.glob(os.path.join(_ROOT, repo_path)):  # globs allowed
+                problems.append(f"{path}:{lineno}: path {repo_path} does not exist")
     return problems
 
 

@@ -27,6 +27,8 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from repro.serving.protocol import decode_input
+
 
 @dataclass(frozen=True)
 class FeedbackRecord:
@@ -92,7 +94,7 @@ class FeedbackRecord:
         except (KeyError, TypeError) as error:
             raise ValueError(f"malformed feedback record: {error}") from None
 
-    def materialize_input(self, default_seed: int = 0) -> Any:
+    def materialize_input(self) -> Any:
         """Rebuild the served input this record describes.
 
         Index-encoded specs rematerialize from the named per-index seeded
@@ -102,29 +104,10 @@ class FeedbackRecord:
 
         Raises:
             ValueError: when the record carries no input spec, or the spec
-                is malformed.
+                is malformed (the message names the field at fault).
         """
         spec = self.input_spec
-        if not isinstance(spec, dict):
-            raise ValueError("feedback record carries no input spec")
-        encoding = spec.get("encoding")
-        if encoding == "pickle":
-            from repro.runtime.distributed import decode_payload
-
-            return decode_payload(spec["payload"])
-        if encoding == "index":
-            from repro.benchmarks_suite import get_benchmark
-
-            test = spec.get("test")
-            if not isinstance(test, str):
-                raise ValueError("index feedback spec needs a 'test' name")
-            index = int(spec["index"])
-            seed = int(spec.get("seed", default_seed))
-            variant = get_benchmark(test)
-            variant_name = spec.get("variant") or variant.variant
-            source = variant.benchmark.input_source(index + 1, variant_name, seed=seed)
-            return source.materialize(index)
-        raise ValueError(f"unknown feedback input encoding {encoding!r}")
+        return decode_input(spec, spec.get("test") if isinstance(spec, dict) else None)
 
 
 class FeedbackLog:

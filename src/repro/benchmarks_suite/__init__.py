@@ -11,7 +11,7 @@ Each benchmark subpackage provides:
 * input generators: a synthetic generator spanning the feature space plus,
   where the paper used a real-world dataset (sort1, clustering1), a
   "real-world-like" generator that mimics that dataset's statistical
-  character (see DESIGN.md, substitution 2);
+  character (see README.md, "Substitutions", item 2);
 * a :class:`~repro.benchmarks_suite.base.Benchmark` subclass tying it all
   together into a :class:`~repro.lang.program.PetaBricksProgram`.
 """

@@ -7,7 +7,7 @@
   dataset.  That dataset is categorical (ranks and suits), so points fall on
   a small discrete lattice with massive duplication; this generator produces
   lattice-valued 2-D points with skewed occupancy to mimic that structure.
-  See DESIGN.md, substitution 2.
+  See README.md, "Substitutions", item 2.
 
 Inputs are :class:`ClusteringInput` objects (defined in ``benchmark.py``)
 carrying the point array, the generator's true cluster count when known, and

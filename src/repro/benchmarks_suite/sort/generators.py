@@ -11,7 +11,7 @@ Two populations, mirroring the paper's two Sort tests:
   generator synthesizes lists with the statistical character of such
   registry extracts: long runs of already-sorted blocks (data exported from
   sorted tables), heavy duplication (categorical codes, repeated ZIP codes),
-  and skewed magnitudes.  See DESIGN.md, substitution 2.
+  and skewed magnitudes.  See README.md, "Substitutions", item 2.
 
 Generation is **per-index**: ``synthetic_item(i, seed)`` /
 ``real_world_item(i, seed)`` produce input *i* from an RNG seeded by

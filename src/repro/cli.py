@@ -73,11 +73,9 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
 def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
-        type=_int_at_least(0),
+        type=_int_at_least(1),
         default=_env_workers(),
-        help="worker count for thread/process/distributed executors (default: "
-        "CPU count; with --executor distributed, 0 spawns none and relies on "
-        "externally attached 'python -m repro.worker' processes)",
+        help="worker count for the thread/process executors (default: CPU count)",
     )
 
 
@@ -167,15 +165,6 @@ def _print_runtime_stats(args: argparse.Namespace, stats: dict) -> None:
         print(
             f"  cache: {cache['entries']} entries, "
             f"{cache['hits']} hits, {cache['misses']} misses{extras}"
-        )
-    distributed = stats.get("distributed")
-    if distributed:
-        print(
-            f"  distributed: {distributed.get('leases_issued', 0)} leases issued, "
-            f"{distributed.get('leases_reassigned', 0)} reassigned, "
-            f"{distributed.get('worker_deaths', 0)} worker death(s), "
-            f"{distributed.get('workers_spawned', 0)} spawned, "
-            f"{distributed.get('workers_attached', 0)} attached"
         )
     telemetry = stats.get("telemetry", {})
     counters = telemetry.get("counters", {})
@@ -613,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--preset",
         choices=sorted(PRESETS),
         default=None,
-        help="named fault plan (distributed presets need --executor distributed)",
+        help="named fault plan",
     )
     chaos.add_argument("--plan", default=None, help="JSON fault-plan file (alternative to --preset)")
     chaos.add_argument("--fault-seed", type=int, default=0, help="fault plan seed")

@@ -63,8 +63,8 @@ def _env_int(
 
 
 def _env_workers() -> Optional[int]:
-    """``REPRO_WORKERS`` (>= 0; 0 means attached workers only for distributed)."""
-    return _env_int("REPRO_WORKERS", None, minimum=0)
+    """``REPRO_WORKERS`` (>= 1), or None for the CPU count."""
+    return _env_int("REPRO_WORKERS", None, minimum=1)
 
 
 def _env_batch_chunk() -> Optional[int]:
@@ -98,14 +98,12 @@ class ExperimentConfig:
     to approach the paper's scale (50-60k inputs, 100 landmarks).
 
     Execution knobs (see ``repro.runtime``): ``executor`` picks the run
-    strategy (``serial`` -- the bit-identical default -- ``thread``,
-    ``process``, or ``distributed``, which leases content-keyed chunks to
-    socket-attached worker processes), ``workers`` sizes its pool (for
-    ``distributed``, the locally spawned workers; 0 relies on externally
-    attached ones), both overridable via the ``REPRO_EXECUTOR`` /
-    ``REPRO_WORKERS`` environment variables; ``use_cache`` deduplicates
-    identical runs within and across pipeline stages, and ``cache_path``
-    persists measurements to a sharded on-disk store shared by later runs.
+    strategy (``serial`` -- the bit-identical default -- ``thread`` or
+    ``process``), ``workers`` sizes its pool, both overridable via the
+    ``REPRO_EXECUTOR`` / ``REPRO_WORKERS`` environment variables;
+    ``use_cache`` deduplicates identical runs within and across pipeline
+    stages, and ``cache_path`` persists measurements to a sharded on-disk
+    store shared by later runs.
     The executor carries program runs *and* the learning tasks built on the
     generalized task layer -- Level 2's candidate search and the
     autotuner's objective evaluations -- so a parallel executor accelerates

@@ -6,7 +6,7 @@ dynamic oracle, the two-level method with and without feature-extraction
 time, the one-level method with and without feature-extraction time, and the
 one-level method's accuracy-satisfaction percentage.
 
-The expected *shape* (see DESIGN.md): dynamic oracle >= two-level >= 1.0,
+The expected *shape* (see README.md, "Substitutions"): dynamic oracle >= two-level >= 1.0,
 two-level barely affected by feature-extraction cost, one-level degraded
 (sometimes catastrophically) once extraction cost is charged, and one-level
 satisfaction below 95% on most variable-accuracy tests.

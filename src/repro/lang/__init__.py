@@ -17,7 +17,7 @@ features the paper relies on:
   accuracy metrics, accuracy thresholds, and satisfaction thresholds.
 * **cost accounting** -- :class:`~repro.lang.cost.CostCounter` provides the
   deterministic work-unit cost model used in place of wall-clock time (see
-  DESIGN.md, substitution 1).
+  README.md, "Substitutions", item 1).
 * **programs** -- :class:`~repro.lang.program.PetaBricksProgram` bundles the
   above into the object that the autotuner and the two-level learning
   framework operate on.

@@ -2,7 +2,7 @@
 
 The paper measures wall-clock execution time on a 32-core Xeon.  This
 reproduction replaces wall-clock time with a deterministic *work unit* count
-(see DESIGN.md, substitution 1): every benchmark algorithm charges abstract
+(see README.md, "Substitutions", item 1): every benchmark algorithm charges
 operations (comparisons, swaps, arithmetic operations, stencil updates, ...)
 to a :class:`CostCounter`.  The resulting counts play the role of execution
 time everywhere in the system -- in the autotuner's objective, in the

@@ -32,7 +32,7 @@ class RunResult:
     Attributes:
         output: the program's output object (benchmark specific).
         time: execution cost in deterministic work units (stands in for
-            wall-clock time; see DESIGN.md).
+            wall-clock time; see README.md, "Substitutions").
         accuracy: value of the program's accuracy metric on this run.
         extra: optional benchmark-specific diagnostics.
     """

@@ -4,12 +4,12 @@ The modules here give the system one vocabulary for "things going wrong":
 
 * :mod:`~repro.resilience.faults` -- a seeded, declarative fault-injection
   harness.  Production code declares *sites* (``cache.shard_write``,
-  ``dist.send``, ...); a chaos run activates a :class:`FaultPlan` that fires
-  raise/delay/truncate/drop/kill actions at chosen calls, bit-for-bit
+  ``serve.execute``, ...); a chaos run activates a :class:`FaultPlan` that
+  fires raise/delay/truncate/kill actions at chosen calls, bit-for-bit
   reproducibly.
 * :mod:`~repro.resilience.retry` -- :class:`RetryPolicy`, the single
   retry/backoff implementation shared by the process executor's pool
-  rebuilds, distributed worker connects, and the serving client.
+  rebuilds and the serving client.
 * :mod:`~repro.resilience.breaker` -- :class:`CircuitBreaker` guarding
   serving-side executions.
 * :mod:`~repro.resilience.checkpoint` -- crash-safe experiment resume via

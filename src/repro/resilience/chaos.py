@@ -58,14 +58,6 @@ PRESETS: Dict[str, Callable[[], List[FaultSpec]]] = {
     "shard-torn-write": lambda: [
         FaultSpec(site="cache.shard_write", action="truncate", nth=1, count=2)
     ],
-    # A worker process dies mid-lease on its second execution; the
-    # coordinator must requeue the chunk.  Needs --executor distributed.
-    "worker-crash": lambda: [
-        FaultSpec(site="worker.execute", action="raise", nth=2, count=1)
-    ],
-    # The coordinator's socket to a worker drops right after a lease is
-    # issued; the lease must time out and be reassigned.  Distributed only.
-    "lease-drop": lambda: [FaultSpec(site="dist.lease", action="drop", nth=2, count=1)],
     # Serving brownout: the first five program executions raise, which
     # must trip the circuit breaker and switch the server to degraded
     # default-configuration answers instead of dropping requests.
@@ -174,7 +166,6 @@ def run_chaos_experiment(
             result_digest = experiment_digest(result)
             stats = result.runtime_stats
             diagnostics["retries"] = stats.get("retries", {})
-            diagnostics["distributed"] = stats.get("distributed", {})
             diagnostics["executor_fallback"] = stats.get("executor_fallback")
         diagnostics["faults"] = injector.snapshot()
     if baseline_digest is not None:

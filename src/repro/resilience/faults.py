@@ -14,18 +14,15 @@ Known sites (grep for the literals to find the instrumented code):
 
 ========================  ====================================================
 ``cache.shard_write``     sharded-store file writes (``_atomic_write_json``)
-``dist.send``             coordinator -> worker socket sends
-``dist.lease``            a lease just assigned to a distributed worker
-``worker.execute``        a distributed worker about to execute a lease
+``ckpt.write``            the checkpoint manifest write (same writer)
 ``serve.execute``         the serving event loop about to answer a request
 ``runtime.chunk``         a runtime chunk boundary (checkpoint/kill point)
 ========================  ====================================================
 
 Actions: ``raise`` (raise :class:`FaultError`, an ``OSError``), ``delay``
 (sleep ``delay_seconds``), ``truncate`` (torn write: the site persists only
-the first ``truncate_bytes`` bytes), ``drop`` (the site tears down its
-socket mid-conversation), ``kill`` (SIGKILL the current process -- a crash,
-not an exception).
+the first ``truncate_bytes`` bytes), ``kill`` (SIGKILL the current process --
+a crash, not an exception).
 
 Injectors travel into worker processes by environment variable: the chaos
 harness serializes the plan into ``REPRO_FAULT_PLAN``; spawned workers call
@@ -50,21 +47,19 @@ from typing import Any, Dict, Iterator, List, Optional
 #: Environment variable carrying a JSON-serialized plan into subprocesses.
 PLAN_ENV_VAR = "REPRO_FAULT_PLAN"
 
-_ACTIONS = ("raise", "delay", "truncate", "drop", "kill")
+_ACTIONS = ("raise", "delay", "truncate", "kill")
 
 
 class FaultError(OSError):
-    """Raised by a fault site executing a ``raise`` (or ``drop``) action.
+    """Raised by a fault site executing a ``raise`` action.
 
-    Subclasses ``OSError`` so transport-level handlers (socket send loops,
-    shard writers) treat an injected fault exactly like the real I/O error
-    it stands in for.
+    Subclasses ``OSError`` so I/O handlers (shard writers, say) treat an
+    injected fault exactly like the real I/O error it stands in for.
     """
 
-    def __init__(self, site: str, action: str = "raise") -> None:
-        super().__init__(f"injected fault at {site!r} (action={action})")
+    def __init__(self, site: str) -> None:
+        super().__init__(f"injected fault at {site!r} (action=raise)")
         self.site = site
-        self.action = action
 
 
 @dataclass(frozen=True)
@@ -73,7 +68,7 @@ class FaultSpec:
 
     Args:
         site: fault-site name (see module docstring).
-        action: one of ``raise``/``delay``/``truncate``/``drop``/``kill``.
+        action: one of ``raise``/``delay``/``truncate``/``kill``.
         nth: fire on the site's nth call (1-based) *in each process*.
             Mutually exclusive with ``probability``.
         probability: fire each call with this seeded probability.
@@ -289,8 +284,8 @@ def fault_scope(plan: FaultPlan, env: bool = True) -> Iterator[FaultInjector]:
 
 
 def fault_site(site: str, detail: Optional[str] = None) -> Optional[FaultSpec]:
-    """Record a call at ``site``; return the firing spec for caller-applied
-    actions (``truncate``, ``drop``) or None.
+    """Record a call at ``site``; return the firing spec for the
+    caller-applied ``truncate`` action, or None.
 
     ``raise``/``delay``/``kill`` actions are applied here directly, so most
     call sites only need the one-line :func:`maybe_fail` form.

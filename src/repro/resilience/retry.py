@@ -1,11 +1,11 @@
 """The system's one retry/backoff implementation.
 
 :class:`RetryPolicy` replaces the hand-rolled ``for retry in (False, True)``
-loops that used to live in the process executor, the distributed worker's
-connect path, and the serving client.  A policy is a small immutable value:
-max attempts, exponential backoff with *deterministic* jitter (seeded from
-the policy seed and the attempt number, never the wall clock), an optional
-overall deadline, and the exception classes worth retrying.
+loops that used to live in the process executor and the serving client.  A
+policy is a small immutable value: max attempts, exponential backoff with
+*deterministic* jitter (seeded from the policy seed and the attempt number,
+never the wall clock), an optional overall deadline, and the exception
+classes worth retrying.
 
 Call sites use :meth:`RetryPolicy.run`::
 

@@ -6,7 +6,6 @@ reproduction.  See :class:`repro.runtime.Runtime` for the facade and
 """
 
 from repro.runtime.cache import CacheEntry, RunCache
-from repro.runtime.distributed import Coordinator, DistributedExecutor
 from repro.runtime.executors import (
     EXECUTORS,
     BaseExecutor,
@@ -32,8 +31,6 @@ from repro.runtime.telemetry import PhaseStats, Telemetry
 __all__ = [
     "BaseExecutor",
     "CacheEntry",
-    "Coordinator",
-    "DistributedExecutor",
     "EXECUTORS",
     "PhaseStats",
     "ProcessExecutor",

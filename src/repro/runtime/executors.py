@@ -501,27 +501,19 @@ class ProcessExecutor(BaseExecutor):
         return f"ProcessExecutor(workers={self.workers})"
 
 
-def _make_distributed(workers: Optional[int] = None) -> BaseExecutor:
-    """Factory for the distributed executor (imported lazily: no cycle)."""
-    from repro.runtime.distributed import DistributedExecutor
-
-    return DistributedExecutor(workers=workers)
-
-
 #: Registered executor strategies, keyed by flag value.
 EXECUTORS = {
     "serial": SerialExecutor,
     "thread": ThreadExecutor,
     "process": ProcessExecutor,
-    "distributed": _make_distributed,
 }
 
 
 def get_executor(spec: str = "serial", workers: Optional[int] = None) -> BaseExecutor:
     """Build an executor from a flag value.
 
-    Accepts ``"serial"``, ``"thread"``, ``"process"`` or ``"distributed"``;
-    ``workers`` sizes the pool (ignored by ``serial``).
+    Accepts ``"serial"``, ``"thread"`` or ``"process"``; ``workers`` sizes
+    the pool (ignored by ``serial``).
     """
     name = spec.strip().lower() or "serial"
     if name not in EXECUTORS:

@@ -1,10 +1,9 @@
 """Wire protocol of the selector server: newline-delimited JSON frames.
 
-The serving layer speaks the same framing dialect as the distributed
-executor (:mod:`repro.runtime.distributed`): one JSON object per line over
-TCP, with Python payloads riding in base64-encoded-pickle fields.  Keeping
-the two protocols shaped alike means one set of debugging habits (and one
-``nc``-friendly wire format) covers both subsystems.
+One JSON object per line over TCP (UTF-8, compact separators, a
+terminating newline), so the wire stays ``nc``-friendly.  Python objects
+ride in string fields as base64-encoded pickles (:func:`encode_payload` /
+:func:`decode_payload`).
 
 Client -> server message types:
 
@@ -17,9 +16,8 @@ Client -> server message types:
   The ``input`` spec comes in two encodings.  ``"index"`` names input
   ``index`` of the test's per-index seeded population (variant defaults to
   the registered one) -- a few bytes on the wire however large the input
-  is, mirroring how the distributed executor ships row descriptors instead
-  of rows.  ``"pickle"`` carries the input itself in ``payload`` as a
-  base64 pickle.
+  is.  ``"pickle"`` carries the input itself in ``payload`` as a base64
+  pickle.  :func:`decode_input` turns either back into the input.
 * ``swap``  -- atomically hot-swap the model serving ``test``; ``payload``
   is a base64-pickled :class:`~repro.core.pipeline.DeployedProgram`.
 * ``stats`` -- request the server's telemetry/registry snapshot.
@@ -40,13 +38,12 @@ request set ``want_output``.
 
 from __future__ import annotations
 
+import base64
 import json
+import pickle
 from typing import Any, Dict, Optional
 
-from repro.runtime.distributed import decode_payload, encode_payload
-
-#: Serving protocol version, checked via ``ping``/``pong``; independent of
-#: the distributed executor's lease protocol version.
+#: Serving protocol version, checked via ``ping``/``pong``.
 SERVING_PROTOCOL_VERSION = 1
 
 #: ``error`` response codes (HTTP-flavoured, so dashboards read naturally).
@@ -54,6 +51,17 @@ BAD_REQUEST = 400
 UNKNOWN_TEST = 404
 EXECUTION_FAILED = 500
 OVERLOADED = 503
+
+
+def encode_payload(obj: Any) -> str:
+    """Pickle + base64 an arbitrary Python object for a JSON message."""
+    raw = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    return base64.b64encode(raw).decode("ascii")
+
+
+def decode_payload(text: str) -> Any:
+    """Invert :func:`encode_payload`."""
+    return pickle.loads(base64.b64decode(text.encode("ascii")))
 
 
 def encode_message(message: Dict[str, Any]) -> bytes:
@@ -84,6 +92,56 @@ def index_input(index: int, seed: int = 0, variant: Optional[str] = None) -> Dic
 def pickle_input(program_input: Any) -> Dict[str, Any]:
     """An ``input`` spec carrying the input object itself."""
     return {"encoding": "pickle", "payload": encode_payload(program_input)}
+
+
+def decode_input(spec: Any, test: Optional[str]) -> Any:
+    """Materialize the input an ``input`` spec describes.
+
+    An ``index`` spec rematerializes input ``index`` of ``test``'s
+    per-index seeded population (``seed`` defaults to 0); a ``pickle``
+    spec decodes its ``payload``.
+
+    Raises:
+        ValueError: on a malformed spec, naming the field at fault.
+    """
+    if not isinstance(spec, dict):
+        raise ValueError("no input spec: expected a JSON object")
+    encoding = spec.get("encoding")
+    if encoding == "pickle":
+        payload = spec.get("payload")
+        if not isinstance(payload, str):
+            raise ValueError("pickle input spec needs a 'payload'")
+        try:
+            return decode_payload(payload)
+        except Exception as error:
+            raise ValueError(f"undecodable input 'payload': {error!r}") from None
+    if encoding == "index":
+        try:
+            index = int(spec["index"])
+        except (KeyError, TypeError, ValueError):
+            raise ValueError("index input spec needs an integer 'index'") from None
+        if index < 0:
+            raise ValueError("input 'index' must be non-negative")
+        try:
+            seed = int(spec.get("seed", 0))
+        except (TypeError, ValueError):
+            raise ValueError("index input spec needs an integer 'seed'") from None
+        if not isinstance(test, str):
+            raise ValueError("index input spec needs a 'test' name")
+        from repro.benchmarks_suite import get_benchmark  # lazy: heavy import
+
+        try:
+            variant = get_benchmark(test)
+        except KeyError:
+            raise ValueError(f"index input spec names an unknown 'test' {test!r}") from None
+        try:
+            source = variant.benchmark.input_source(
+                index + 1, spec.get("variant") or variant.variant, seed=seed
+            )
+        except (KeyError, TypeError) as error:
+            raise ValueError(f"index input spec 'variant': {error}") from None
+        return source.materialize(index)
+    raise ValueError(f"unknown input encoding {encoding!r}")
 
 
 def run_request(

@@ -86,9 +86,9 @@ class ServingConfig:
     """Knobs of one :class:`SelectorServer`.
 
     Attributes:
-        host: bind address; loopback by default (same trust model as the
-            distributed executor -- payloads are pickles, so only expose
-            the port to peers you would hand a Python interpreter).
+        host: bind address; loopback by default (payloads are pickles, so
+            only expose the port to peers you would hand a Python
+            interpreter).
         port: bind port; 0 picks an ephemeral port (read it back from
             :attr:`SelectorServer.address`).
         max_pending: admission cap on distinct in-flight executions; the
@@ -270,9 +270,8 @@ class SelectorServer:
             self._handle_connection,
             host=self.config.host,
             port=self.config.port,
-            # Same restart-path requirement as Coordinator's listener: a
-            # serving process must rebind its fixed port immediately even
-            # while old connections linger in TIME_WAIT.
+            # A restarted serving process must rebind its fixed port
+            # immediately even while old connections linger in TIME_WAIT.
             reuse_address=True,
         )
         self.address = self._server.sockets[0].getsockname()[:2]
@@ -403,7 +402,7 @@ class SelectorServer:
                 )
                 return
         try:
-            program_input = self._decode_input(test, message.get("input"))
+            program_input = protocol.decode_input(message.get("input"), test)
         except ValueError as error:
             await self._reject(
                 writer, write_lock, protocol.BAD_REQUEST, str(error), request_id
@@ -704,49 +703,6 @@ class SelectorServer:
         request_id: Any = None,
     ) -> None:
         await self._send(writer, write_lock, error_response(code, error, request_id))
-
-    # -- input decoding ----------------------------------------------------
-
-    def _decode_input(self, test: str, spec: Any) -> Any:
-        """Materialize the input a ``run`` request describes.
-
-        Raises:
-            ValueError: on a malformed spec (reported as a 400).
-        """
-        if not isinstance(spec, dict):
-            raise ValueError("run request carries no 'input' spec")
-        encoding = spec.get("encoding")
-        if encoding == "pickle":
-            payload = spec.get("payload")
-            if not isinstance(payload, str):
-                raise ValueError("pickle input spec needs a 'payload'")
-            try:
-                return protocol.decode_payload(payload)
-            except Exception as error:
-                raise ValueError(f"undecodable input payload: {error}") from None
-        if encoding == "index":
-            try:
-                index = int(spec["index"])
-            except (KeyError, TypeError, ValueError):
-                raise ValueError("index input spec needs an integer 'index'") from None
-            if index < 0:
-                raise ValueError("input index must be non-negative")
-            seed = int(spec.get("seed", 0))
-            from repro.benchmarks_suite import get_benchmark  # lazy: heavy import
-
-            try:
-                variant = get_benchmark(test)
-            except KeyError as error:
-                raise ValueError(str(error)) from None
-            variant_name = spec.get("variant") or variant.variant
-            try:
-                source = variant.benchmark.input_source(
-                    index + 1, variant_name, seed=seed
-                )
-            except KeyError as error:
-                raise ValueError(str(error)) from None
-            return source.materialize(index)
-        raise ValueError(f"unknown input encoding {encoding!r}")
 
     # -- introspection -----------------------------------------------------
 

@@ -52,7 +52,24 @@ class TestFeedbackRecord:
 
     def test_materialize_unknown_encoding_raises(self):
         record = make_record(0, input_spec={"encoding": "carrier-pigeon"})
-        with pytest.raises(ValueError, match="unknown feedback input encoding"):
+        with pytest.raises(ValueError, match="unknown input encoding"):
+            record.materialize_input()
+
+    @pytest.mark.parametrize(
+        "spec,field",
+        [
+            ({"encoding": "index", "test": "sort2"}, "'index'"),
+            ({"encoding": "index", "test": "no-such-test", "index": 0}, "'test'"),
+            ({"encoding": "pickle"}, "'payload'"),
+            ({"encoding": "pickle", "payload": "aGVsbG8="}, "'payload'"),
+        ],
+        ids=["missing-index", "unknown-test", "missing-payload", "unpicklable-payload"],
+    )
+    def test_malformed_spec_raises_value_error_naming_field(self, spec, field):
+        """A trace read from disk gets a clean error, not a KeyError or an
+        UnpicklingError from deep inside the decoder."""
+        record = make_record(0, input_spec=spec)
+        with pytest.raises(ValueError, match=field):
             record.materialize_input()
 
 

@@ -63,8 +63,8 @@ def binpacking_training():
     return {"variant": variant, "inputs": inputs, "training": training}
 
 
-# The serving and distributed suites bind real TCP sockets (always on
-# OS-assigned ephemeral ports -- never fixed numbers).  They used to lean
+# The serving suites bind real TCP sockets (always on OS-assigned
+# ephemeral ports -- never fixed numbers).  They used to lean
 # on a whole-test rerun hook (``socket_retry``) to absorb transient
 # connect races; those races are now retried where they happen, inside
 # ``repro.resilience.retry.RetryPolicy``-backed connect paths and

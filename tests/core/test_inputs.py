@@ -1,8 +1,11 @@
 """Unit tests for the lazy input-source layer (repro.core.inputs)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.benchmarks_suite import get_benchmark
 from repro.core.inputs import (
     GeneratedInputSource,
     InputSource,
@@ -128,3 +131,13 @@ class TestObservedInputSource:
         assert len(source) == 10
         assert list(view) == [9, 1]
         assert len(seen) == 2  # selections still route through the observer
+
+    def test_observed_source_pickles_without_observer(self):
+        variant = get_benchmark("sort2")
+        source = variant.benchmark.input_source(4, variant.variant, seed=0)
+        seen = []
+        observed = ObservedInputSource(source, seen.append)
+        clone = pickle.loads(pickle.dumps(observed))
+        # Identical materializations; the clone's observer is silent.
+        np.testing.assert_array_equal(observed.materialize(2), clone.materialize(2))
+        assert len(seen) == 1  # only the original observed

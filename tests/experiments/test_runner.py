@@ -111,7 +111,7 @@ class TestMemoryKnobDefaults:
             config = ExperimentConfig()
         assert config.cache_max_entries == RunCache.DEFAULT_MAX_ENTRIES
 
-    @pytest.mark.parametrize("value", ["abc", "-1"])
+    @pytest.mark.parametrize("value", ["abc", "-1", "0"])
     def test_env_workers_malformed_warns_and_defaults(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_WORKERS", value)
         with pytest.warns(UserWarning, match="REPRO_WORKERS"):

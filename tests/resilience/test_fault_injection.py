@@ -31,6 +31,8 @@ class TestFaultSpec:
     def test_rejects_unknown_action(self):
         with pytest.raises(ValueError):
             FaultSpec(site="s", action="explode", nth=1)
+        with pytest.raises(ValueError):
+            FaultSpec(site="s", action="drop", nth=1)  # no site applies it
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -181,11 +183,14 @@ class TestActions:
             assert truncate_bytes("w") == 8
             assert truncate_bytes("w") is None  # fired once
 
-    def test_drop_spec_returned_for_caller_action(self):
-        plan = FaultPlan(faults=[FaultSpec(site="d", action="drop", nth=1)])
+    def test_truncate_spec_returned_for_caller_action(self):
+        plan = FaultPlan(
+            faults=[FaultSpec(site="t", action="truncate", nth=1, truncate_bytes=4)]
+        )
         with fault_scope(plan, env=False):
-            spec = fault_site("d")
-        assert spec is not None and spec.action == "drop"
+            spec = fault_site("t")
+        assert spec is not None and spec.action == "truncate"
+        assert spec.truncate_bytes == 4
 
     def test_delay_sleeps_briefly(self):
         import time

@@ -73,6 +73,26 @@ class TestCrossExecutorDeterminism:
             serial_result.training.level1.cluster_labels,
         )
 
+    @pytest.mark.parametrize("test_name", ["sort2", "binpacking"])
+    def test_run_experiment_bit_identical_to_serial(self, test_name):
+        """Another sort input distribution, and a variable-accuracy test, end
+        to end through the process pool."""
+        serial = run_experiment(test_name, tiny_config("serial"))
+        process = run_experiment(test_name, tiny_config("process"))
+        assert "executor_fallback" not in process.runtime_stats
+        assert (
+            serial.training.production_classifier.name
+            == process.training.production_classifier.name
+        )
+        np.testing.assert_array_equal(
+            serial.training.dataset.times, process.training.dataset.times
+        )
+        np.testing.assert_array_equal(
+            serial.training.dataset.accuracies, process.training.dataset.accuracies
+        )
+        for name, outcome in serial.methods.items():
+            np.testing.assert_array_equal(outcome.times, process.methods[name].times)
+
     def test_serial_rerun_is_bit_identical(self, serial_result):
         """Seeded-RNG audit: nothing in the pipeline draws unseeded entropy."""
         result = run_experiment("sort1", tiny_config("serial"))

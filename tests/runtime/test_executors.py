@@ -1,5 +1,7 @@
 """Tests for the serial / thread-pool / process-pool executors."""
 
+import os
+import signal
 import time
 
 import numpy as np
@@ -48,6 +50,15 @@ class TestSerialExecutor:
     def test_empty_batch(self, sort_setup):
         program, _ = sort_setup
         assert SerialExecutor().run_batch(program, []) == []
+
+
+@pytest.mark.parametrize("name", ["serial", "thread", "process"])
+def test_empty_batches_start_no_pool(sort_setup, name):
+    program, _ = sort_setup
+    with get_executor(name, workers=2) as executor:
+        assert executor.run_batch(program, []) == []
+        assert executor.run_calls([]) == []
+        assert getattr(executor, "_pool", None) is None
 
 
 class TestThreadExecutor:
@@ -154,10 +165,26 @@ class TestTaskErrorsPropagate:
 
 def _kill_pid(pid):
     """SIGKILL a process (module-level so pools can ship it)."""
-    import os
-    import signal
-
     os.kill(pid, signal.SIGKILL)
+
+
+def _kill_worker_once(marker, value):
+    """SIGKILL the executing worker the first time; marker-guarded.
+
+    The marker is created *before* the kill, so the resubmitted call sees
+    it and returns normally.
+    """
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        _kill_pid(os.getpid())
+    return value * 2
+
+
+def _kill_any_worker(parent_pid, value):
+    """SIGKILL whichever pool worker runs this; only the parent returns."""
+    if os.getpid() != parent_pid:
+        _kill_pid(os.getpid())
+    return value * 2
 
 
 class TestProcessPoolRecovery:
@@ -220,6 +247,29 @@ class TestProcessPoolRecovery:
             # (the initializer is re-registered), or refs would not resolve.
             assert executor.run_calls(calls, shared=shared) == expected
             assert executor._pool is not broken_pool
+
+
+    def test_worker_killed_mid_batch_is_resubmitted(self, tmp_path):
+        marker = str(tmp_path / "killed")
+        calls = [(_kill_worker_once, (marker, value), {}) for value in range(5)]
+        with ProcessExecutor(workers=2) as executor:
+            assert executor.run_calls(calls) == [0, 2, 4, 6, 8]
+            stats = executor.stats()
+            assert stats["executor_fallback"].startswith("process pool broke")
+            assert stats["retries"]["retry_retries"] == 1
+            assert stats["retries"]["retry_recoveries"] == 1
+            # The rebuilt pool serves the next batch.
+            assert executor.run_calls(calls[:2]) == [0, 2]
+            assert executor._pool is not None
+
+    def test_pool_that_stays_broken_ends_on_serial(self):
+        calls = [(_kill_any_worker, (os.getpid(), value), {}) for value in range(3)]
+        with ProcessExecutor(workers=2) as executor:
+            assert executor.run_calls(calls) == [0, 2, 4]
+            assert executor._pool is None  # torn down, not kept broken
+            stats = executor.stats()
+        assert stats["executor_fallback"].startswith("process pool broke")
+        assert stats["retries"]["retry_giveups"] == 1
 
 
 class TestSharedArgs:
@@ -340,16 +390,17 @@ class TestCallChunksize:
 
 class TestGetExecutor:
     def test_names(self):
-        from repro.runtime import DistributedExecutor
-
         assert isinstance(get_executor("serial"), SerialExecutor)
         assert isinstance(get_executor("thread"), ThreadExecutor)
         assert isinstance(get_executor("process"), ProcessExecutor)
-        distributed = get_executor("distributed", workers=2)
-        assert isinstance(distributed, DistributedExecutor)
-        assert distributed.workers == 2
-        assert distributed.stats() == {}  # no coordinator yet
-        distributed.close()  # never started; must be a no-op
+
+    @pytest.mark.parametrize("name", ["thread", "process"])
+    def test_unstarted_pool_executor_is_inert(self, name):
+        executor = get_executor(name, workers=1)
+        assert executor.workers == 1
+        assert executor.stats() == {}
+        executor.close()  # never started: a no-op, and idempotent
+        executor.close()
 
     def test_workers_argument(self):
         assert get_executor("thread", workers=3).workers == 3
@@ -360,3 +411,5 @@ class TestGetExecutor:
             get_executor("quantum")
         with pytest.raises(ValueError):
             get_executor("thread:4")  # worker counts go in ``workers``
+        with pytest.raises(ValueError):
+            get_executor("distributed")

@@ -18,13 +18,7 @@ from repro.benchmarks_suite import get_benchmark
 from repro.lang.config import ConfigurationSpace, IntegerParameter
 from repro.lang.cost import charge
 from repro.lang.program import PetaBricksProgram
-from repro.runtime import (
-    DistributedExecutor,
-    ProcessExecutor,
-    Runtime,
-    SerialExecutor,
-    ThreadExecutor,
-)
+from repro.runtime import ProcessExecutor, Runtime, SerialExecutor, ThreadExecutor
 from repro.runtime import runtime as runtime_module
 from repro.runtime.cache import RunCache
 
@@ -108,9 +102,34 @@ class TestProcessMeasure:
             assert len(runtime.cache) == 12
             # A repeat is answered from the cache, not re-executed.
             assert_identical(runtime.measure(program, configs, inputs), expected)
+            # So are single pairs through ``run_pairs``.
+            recalled = runtime.run_pairs(
+                program, [(configs[1], inputs[3]), (configs[0], inputs[5])]
+            )
             counters = runtime.telemetry.snapshot()["counters"]
-        assert counters["cache_hits"] == 12
+        assert counters["cache_hits"] == 14
         assert counters["runs_executed"] == 12
+        assert [r.time for r in recalled] == [
+            expected["times"][3, 1], expected["times"][5, 0]
+        ]
+
+    def test_streamed_repeat_counts_equal_serial(self, sort_setup):
+        """A lazy source measured twice: each cell executes once, and the
+        process runtime's counters equal a serial runtime's exactly."""
+        program, configs, _ = sort_setup
+        variant = get_benchmark("sort2")
+        source = variant.benchmark.input_source(8, variant.variant, seed=0)
+        matrices, counters = {}, {}
+        for executor in (SerialExecutor(), ProcessExecutor(workers=2)):
+            with Runtime(executor=executor, cache=RunCache(), batch_chunk=6) as runtime:
+                first = runtime.measure(program, configs, source)
+                assert_identical(runtime.measure(program, configs, source), first)
+                matrices[executor.name] = first
+                counters[executor.name] = runtime.telemetry.snapshot()["counters"]
+        assert_identical(matrices["process"], matrices["serial"])
+        assert counters["process"] == counters["serial"]
+        assert counters["serial"]["runs_executed"] == len(source) * len(configs)
+        assert counters["serial"]["cache_hits"] == len(source) * len(configs)
 
     def test_unpicklable_program_falls_back_to_serial(self):
         program = closure_program()
@@ -144,7 +163,6 @@ def executors():
         "serial": SerialExecutor(),
         "thread": ThreadExecutor(workers=2),
         "process": ProcessExecutor(workers=2),
-        "distributed": DistributedExecutor(workers=1),
     }
     yield pool
     for executor in pool.values():
@@ -173,7 +191,7 @@ def table_setup(sort_setup):
     ids=["default", "chunk5", "default5"],
 )
 @pytest.mark.parametrize("cache_state", ["off", "cold", "half-warm"])
-@pytest.mark.parametrize("executor_name", ["serial", "thread", "process", "distributed"])
+@pytest.mark.parametrize("executor_name", ["serial", "thread", "process"])
 def test_measure_matches_serial_everywhere(
     executors, table_setup, monkeypatch, executor_name, cache_state, batch_chunk,
     default_chunk,

@@ -7,6 +7,7 @@ byte-identical to what a sequential ``DeployedProgram.run`` loop produces.
 """
 
 import random
+import socket
 import sys
 import threading
 import time
@@ -138,6 +139,14 @@ class TestProtocol:
         assert protocol.decode_output(response) == [1, 2]
         assert protocol.decode_output({"type": "result"}) is None
 
+    def test_payload_round_trip(self):
+        payload = {"a": [1, 2.5, "x"], "b": np.arange(4)}
+        text = protocol.encode_payload(payload)
+        assert isinstance(text, str) and text.isascii()  # rides a JSON string
+        decoded = protocol.decode_payload(text)
+        assert decoded["a"] == payload["a"]
+        np.testing.assert_array_equal(decoded["b"], payload["b"])
+
 
 class TestRegistry:
     def test_publish_versions_monotonic(self):
@@ -253,6 +262,21 @@ class TestServerBasics:
         assert response["type"] == "error"
         assert response["code"] == protocol.BAD_REQUEST
 
+    def test_frame_split_across_writes_is_answered_once_whole(self, sort_server):
+        frame = protocol.encode_message({"type": "ping"})
+        with connect(sort_server) as client:
+            client._sock.sendall(frame[:5])
+            time.sleep(0.05)  # let the server read the partial frame alone
+            client._sock.sendall(frame[5:])
+            assert client.recv()["type"] == "pong"
+
+    def test_frames_pipelined_in_one_write_are_answered_in_order(self, sort_server):
+        frames = [{"type": "ping"}, {"type": "stats"}, {"type": "ping"}]
+        with connect(sort_server) as client:
+            client._sock.sendall(b"".join(map(protocol.encode_message, frames)))
+            kinds = [client.recv()["type"] for _ in frames]
+        assert kinds == ["pong", "stats", "pong"]
+
     def test_unknown_message_type_is_400(self, sort_server):
         with connect(sort_server) as client:
             response = client.request({"type": "dance"})
@@ -313,6 +337,56 @@ class TestServerBasics:
         assert response["selection_seconds"] >= 0.0
         assert response["execution_seconds"] >= 0.0
         assert response["model_version"] >= 1
+
+
+def leave_time_wait(host, port):
+    """Leave a connection in TIME_WAIT on ``port``'s server side, as a
+    server that closes its connections first on shutdown does."""
+    with socket.socket() as listener:
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind((host, port))
+        listener.listen(1)
+        with socket.create_connection((host, port)) as client:
+            accepted, _peer = listener.accept()
+            accepted.close()  # the server side closes first ...
+        # ... so the client's close leaves that side in TIME_WAIT.
+
+
+class TestRestart:
+    def test_restart_rebinds_the_same_port_at_once(self, sort_training):
+        """A restarted server must come straight back on its fixed port even
+        while old connections linger in TIME_WAIT (``reuse_address``):
+        clients reconnect to the address they know."""
+        deployed = sort_training["training"].deployed
+        first = SelectorServer()
+        first.publish("sort2", deployed)
+        with ServerThread(first):
+            host, port = first.address
+            with connect(first) as client:
+                before = client.run("sort2", protocol.index_input(4))
+        leave_time_wait(host, port)
+        second = SelectorServer(config=ServingConfig(host=host, port=port))
+        second.publish("sort2", deployed)
+        with ServerThread(second):
+            assert second.address == (host, port)
+            with connect(second) as client:
+                after = client.run("sort2", protocol.index_input(4))
+        assert before["type"] == after["type"] == "result"
+        for field in ("landmark", "time", "accuracy", "total_time"):
+            assert after[field] == before[field]
+
+
+    def test_occupied_port_is_rejected(self):
+        holder = SelectorServer()
+        with ServerThread(holder):
+            host, port = holder.address
+            second = SelectorServer(config=ServingConfig(host=host, port=port))
+            with pytest.raises(RuntimeError, match="failed to start") as info:
+                ServerThread(second).start()
+            assert isinstance(info.value.__cause__, OSError)
+            # The holder keeps its port and keeps answering.
+            with connect(holder) as client:
+                assert client.ping()["type"] == "pong"
 
 
 class TestCoalescing:

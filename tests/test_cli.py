@@ -59,6 +59,8 @@ class TestParser:
             ["--batch-chunk", "0"],
             ["--batch-chunk", "many"],
             ["--executor", "thread", "--workers", "-1"],
+            ["--workers", "0"],
+            ["--executor", "distributed"],
         ],
     )
     def test_invalid_values_exit_with_usage(self, argv, capsys):
@@ -66,13 +68,6 @@ class TestParser:
             build_parser().parse_args(["train", "sort2", *argv])
         assert exit_info.value.code == 2
         assert "usage:" in capsys.readouterr().err
-
-    def test_workers_zero_is_accepted(self):
-        """0 means "attached workers only" for the distributed executor."""
-        args = build_parser().parse_args(
-            ["train", "sort2", "--executor", "distributed", "--workers", "0"]
-        )
-        assert _experiment_config(args).workers == 0
 
     def test_stream_inputs_flag_overrides_env_opt_out(self, monkeypatch):
         """REPRO_STREAM_INPUTS=0 sets the default off, and --stream-inputs
