@@ -29,7 +29,9 @@ code, fenced blocks included, so a deleted option cannot linger there:
 * **every repo path exists** -- a path under ``src/``, ``tests/``,
   ``benchmarks/``, ``scripts/``, ``docs/``, ``perfbench/`` or
   ``examples/`` (relative to the repository root) names a file or
-  directory (a ``*`` in it must match one).
+  directory (a ``*`` in it must match one);
+* **every chaos preset exists** -- the ``NAME`` of ``--preset NAME`` is a
+  key of ``PRESETS`` in ``src/repro/resilience/chaos.py``.
 
 All of them read the source as text, without importing ``repro``.
 
@@ -66,6 +68,7 @@ _MODULE = re.compile(r"(?<![\w.])repro(?:\.[A-Za-z_]\w*)+")
 _REPO_PATH = re.compile(
     r"(?<![\w./-])(?:src|tests|benchmarks|scripts|docs|perfbench|examples)/[\w./*-]*"
 )
+_PRESET = re.compile(r"--preset[ =]([\w-]+)")
 
 
 def _github_anchor(heading: str) -> str:
@@ -169,14 +172,30 @@ def _module_exists(reference: str) -> bool:
     return False
 
 
+@functools.lru_cache(maxsize=None)
+def _chaos_presets() -> frozenset:
+    """The keys of ``PRESETS`` in the chaos module (parsed, never executed)."""
+    path = os.path.join(_ROOT, "src", "repro", "resilience", "chaos.py")
+    with open(path, "r", encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "PRESETS" for t in targets):
+                return frozenset(
+                    key.value for key in node.value.keys if isinstance(key, ast.Constant)
+                )
+    return frozenset()
+
+
 def _is_user_doc(path: str) -> bool:
     relative = os.path.relpath(os.path.abspath(path), _ROOT)
     return relative == "README.md" or relative.startswith("docs" + os.sep)
 
 
 def check_code_references(path: str, lines: List[str]) -> List[str]:
-    """Flags, environment variables, modules and paths the doc names but
-    the repository lacks."""
+    """Flags, environment variables, modules, paths and chaos presets the
+    doc names but the repository lacks."""
     problems: List[str] = []
     flags, env_vars = _defined_flags(), _read_env_vars()
     for lineno, line in enumerate(lines, start=1):
@@ -195,6 +214,9 @@ def check_code_references(path: str, lines: List[str]) -> List[str]:
             repo_path = repo_path.rstrip(".")
             if not glob.glob(os.path.join(_ROOT, repo_path)):  # globs allowed
                 problems.append(f"{path}:{lineno}: path {repo_path} does not exist")
+        for name in _PRESET.findall(line):
+            if name not in _chaos_presets():
+                problems.append(f"{path}:{lineno}: chaos preset {name} is not a key of PRESETS")
     return problems
 
 

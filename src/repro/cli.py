@@ -80,9 +80,15 @@ def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--inputs", type=int, default=120, help="training+test inputs per benchmark")
-    parser.add_argument("--clusters", type=int, default=10, help="number of Level-1 clusters (K1)")
-    parser.add_argument("--generations", type=int, default=6, help="autotuner generations per landmark")
+    parser.add_argument(
+        "--inputs", type=_int_at_least(4), default=120, help="training+test inputs per benchmark"
+    )
+    parser.add_argument(
+        "--clusters", type=_int_at_least(1), default=10, help="number of Level-1 clusters (K1)"
+    )
+    parser.add_argument(
+        "--generations", type=_int_at_least(1), default=6, help="autotuner generations per landmark"
+    )
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument(
         "--executor",
@@ -99,7 +105,7 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-path",
         default=None,
-        help="sharded store (directory) to load/persist run measurements "
+        help="SQLite database file to load/persist run measurements "
         "across invocations",
     )
     parser.add_argument(
@@ -129,8 +135,8 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--checkpoint",
         action="store_true",
-        help="write a chunk-granular resume manifest next to --cache-path "
-        "(see docs/resilience.md)",
+        help="save a chunk-granular resume manifest with the runs in "
+        "--cache-path (see docs/resilience.md)",
     )
     parser.add_argument(
         "--resume",
@@ -155,13 +161,7 @@ def _print_runtime_stats(args: argparse.Namespace, stats: dict) -> None:
         print(f"  executor fallback: {stats['executor_fallback']}")
     cache = stats.get("cache")
     if cache:
-        extras = ""
-        if "shards_loaded" in cache:
-            extras += f", {cache['shards_loaded']} shard(s) loaded"
-        if cache.get("evictions"):
-            extras += f", {cache['evictions']} evictions"
-        if cache.get("shard_rereads"):
-            extras += f", {cache['shard_rereads']} shard re-reads"
+        extras = f", {cache['evictions']} evictions" if cache["evictions"] else ""
         print(
             f"  cache: {cache['entries']} entries, "
             f"{cache['hits']} hits, {cache['misses']} misses{extras}"
@@ -437,9 +437,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     else:
         with open(args.plan, "r", encoding="utf-8") as handle:
             plan = FaultPlan.from_json(handle.read())
-    if args.replays < 1:
-        print("--replays must be >= 1", file=sys.stderr)
-        return 2
 
     config = _experiment_config(args)
     reports = []
@@ -518,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument("test")
     profile.add_argument(
-        "--top", type=int, default=30, help="number of functions to print"
+        "--top", type=_int_at_least(1), default=30, help="number of functions to print"
     )
     profile.add_argument(
         "--sort",
@@ -545,13 +542,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=7415, help="bind port (0 = ephemeral)")
     serve.add_argument(
         "--max-pending",
-        type=int,
+        type=_int_at_least(1),
         default=64,
         help="admission cap on distinct in-flight executions (503 beyond it)",
     )
     serve.add_argument(
         "--execution-workers",
-        type=int,
+        type=_int_at_least(1),
         default=1,
         help="thread-pool width for the program runs of cache misses",
     )
@@ -581,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_workers_argument(adapt)
     adapt.add_argument(
-        "--cache-path", default=None, help="persisted run-cache directory to reuse"
+        "--cache-path", default=None, help="persisted run-cache database file to reuse"
     )
     adapt.add_argument("--output", default=None, help="write the full JSON report here")
     adapt.add_argument(
@@ -608,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--fault-seed", type=int, default=0, help="fault plan seed")
     chaos.add_argument(
         "--replays",
-        type=int,
+        type=_int_at_least(1),
         default=2,
         help="times to replay the plan; reports must agree bit-for-bit",
     )
@@ -618,9 +615,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="experiment mode: skip the fault-free baseline run "
         "(drops the matches_baseline invariant)",
     )
-    chaos.add_argument("--requests", type=int, default=32, help="load mode: trace length")
-    chaos.add_argument("--unique-inputs", type=int, default=8, help="load mode: distinct inputs")
-    chaos.add_argument("--clients", type=int, default=2, help="load mode: client connections")
+    chaos.add_argument(
+        "--requests", type=_int_at_least(1), default=32, help="load mode: trace length"
+    )
+    chaos.add_argument(
+        "--unique-inputs", type=_int_at_least(1), default=8, help="load mode: distinct inputs"
+    )
+    chaos.add_argument(
+        "--clients", type=_int_at_least(1), default=2, help="load mode: client connections"
+    )
     chaos.add_argument("--output", default=None, help="write the JSON report here")
     _add_scale_arguments(chaos)
     chaos.set_defaults(func=cmd_chaos)

@@ -27,7 +27,7 @@ from repro.autotuner import EvolutionaryAutotuner
 from repro.core.baselines import DynamicOracle, StaticOracle
 from repro.core.dataset import PerformanceDataset
 from repro.core.level1 import Level1Config, measure_performance
-from repro.experiments.runner import ExperimentConfig, ExperimentResult, run_experiment
+from repro.experiments.runner import ExperimentResult
 from repro.runtime import Runtime
 
 
@@ -190,31 +190,3 @@ def pca_clustering_ablation(
     return PcaClusteringAblation(
         pca_speedup=pca_speedup, two_level_speedup=two_level_speedup
     )
-
-
-def run_ablations(
-    test_name: str = "sort2",
-    config: Optional[ExperimentConfig] = None,
-    n_landmarks: int = 5,
-    runtime: Optional[Runtime] = None,
-) -> dict:
-    """Run both ablations for one test and return a summary dict.
-
-    The experiment and the landmark-selection ablation share one
-    measurement runtime, so the ablation's re-measurements of already-seen
-    (configuration, input) pairs come from the cache.
-    """
-    if config is None:
-        config = ExperimentConfig()
-    with config.runtime_scope(runtime) as active:
-        result = run_experiment(test_name, config=config, runtime=active)
-        selection = landmark_selection_ablation(
-            result, n_landmarks=n_landmarks, runtime=active
-        )
-        return {
-            "test_name": test_name,
-            "kmeans_speedup": selection.kmeans_speedup,
-            "random_speedup": selection.random_speedup,
-            "random_degradation": selection.degradation,
-            "relabel_shift": relabel_shift(result),
-        }

@@ -102,8 +102,8 @@ class ExperimentConfig:
     ``process``), ``workers`` sizes its pool, both overridable via the
     ``REPRO_EXECUTOR`` / ``REPRO_WORKERS`` environment variables;
     ``use_cache`` deduplicates identical runs within and across pipeline
-    stages, and ``cache_path`` persists measurements to a sharded on-disk
-    store shared by later runs.
+    stages, and ``cache_path`` persists measurements to an SQLite database
+    file shared by later runs.
     The executor carries program runs *and* the learning tasks built on the
     generalized task layer -- Level 2's candidate search and the
     autotuner's objective evaluations -- so a parallel executor accelerates
@@ -143,8 +143,8 @@ class ExperimentConfig:
     batch_chunk: Optional[int] = field(default_factory=_env_batch_chunk)
     cache_max_entries: Optional[int] = field(default_factory=_env_cache_max_entries)
     stream_inputs: bool = field(default_factory=_env_stream_inputs)
-    #: Write a chunk-granular resume manifest next to the cache store
-    #: (requires ``cache_path``); see ``docs/resilience.md``.
+    #: Save a chunk-granular resume manifest with the runs in the cache
+    #: store (requires ``cache_path``); see ``docs/resilience.md``.
     checkpoint: bool = False
     #: Adopt a prior interrupted run's manifest: completed chunks replay as
     #: cache hits, producing bit-identical output.  Implies ``checkpoint``.
@@ -353,12 +353,11 @@ def run_experiment(
         config = ExperimentConfig()
     with config.runtime_scope(runtime) as active:
         checkpoint = None
-        if (config.checkpoint or config.resume) and config.cache_path:
+        cache = active.cache
+        if (config.checkpoint or config.resume) and cache is not None and cache.persist_path:
             from repro.resilience.checkpoint import ExperimentCheckpoint
 
-            checkpoint = ExperimentCheckpoint(
-                config.cache_path, config.checkpoint_digest(test_name)
-            )
+            checkpoint = ExperimentCheckpoint(cache, config.checkpoint_digest(test_name))
             if config.resume:
                 checkpoint.resume()
             active.checkpoint = checkpoint
@@ -396,7 +395,7 @@ def run_experiment(
             checkpoint.set_phase("evaluate")
         methods = evaluate_methods(training, runtime=active)
         if checkpoint is not None:
-            checkpoint.finish(active)
+            checkpoint.finish()
             active.checkpoint = None
         return ExperimentResult(
             test_name=test_name,

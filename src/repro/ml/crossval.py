@@ -97,10 +97,6 @@ class StratifiedKFold:
                 continue
             yield all_indices[~test_mask], all_indices[test_mask]
 
-    def n_effective_splits(self, y: np.ndarray) -> int:
-        """Number of folds that actually contain test samples."""
-        return sum(1 for _ in self.split(y))
-
 
 def cross_val_accuracy(classifier_factory, X: np.ndarray, y: np.ndarray,
                        n_splits: int = 10, random_state: Optional[int] = None) -> List[float]:

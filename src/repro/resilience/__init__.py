@@ -3,9 +3,9 @@
 The modules here give the system one vocabulary for "things going wrong":
 
 * :mod:`~repro.resilience.faults` -- a seeded, declarative fault-injection
-  harness.  Production code declares *sites* (``cache.shard_write``,
+  harness.  Production code declares *sites* (``cache.save``,
   ``serve.execute``, ...); a chaos run activates a :class:`FaultPlan` that
-  fires raise/delay/truncate/kill actions at chosen calls, bit-for-bit
+  fires raise/delay/kill actions at chosen calls, bit-for-bit
   reproducibly.
 * :mod:`~repro.resilience.retry` -- :class:`RetryPolicy`, the single
   retry/backoff implementation shared by the process executor's pool
@@ -13,7 +13,7 @@ The modules here give the system one vocabulary for "things going wrong":
 * :mod:`~repro.resilience.breaker` -- :class:`CircuitBreaker` guarding
   serving-side executions.
 * :mod:`~repro.resilience.checkpoint` -- crash-safe experiment resume via
-  an atomic checkpoint manifest over the sharded run cache.
+  a checkpoint manifest saved in one transaction with the runs it covers.
 * :mod:`~repro.resilience.chaos` -- the harness behind ``repro chaos``:
   runs an experiment or a loadgen trace under a fault plan and reports
   which system-level invariants held.
@@ -28,10 +28,8 @@ from repro.resilience.faults import (
     FaultSpec,
     active_injector,
     fault_scope,
-    fault_site,
     install_from_env,
     maybe_fail,
-    truncate_bytes,
 )
 from repro.resilience.retry import RetryError, RetryPolicy
 
@@ -45,10 +43,8 @@ __all__ = [
     "FaultSpec",
     "active_injector",
     "fault_scope",
-    "fault_site",
     "install_from_env",
     "maybe_fail",
-    "truncate_bytes",
     "RetryError",
     "RetryPolicy",
 ]

@@ -49,14 +49,14 @@ from repro.resilience.faults import FaultPlan, FaultSpec, fault_scope
 #: Named fault plans covering each subsystem's recovery path.  Values are
 #: thunks so every call gets fresh (immutable, but independently owned)
 #: spec lists.  Sites that a given run never reaches simply do not fire
-#: (e.g. ``cache.shard_write`` without ``--cache-path``); the report's
+#: (e.g. ``cache.save`` without ``--cache-path``); the report's
 #: diagnostics show the per-site fire counts.
 PRESETS: Dict[str, Callable[[], List[FaultSpec]]] = {
-    # Torn shard writes: the first two persisted shards are truncated
-    # mid-write before the atomic rename is reached, so the store must
-    # come up clean from the surviving bytes.  Needs a cache path.
-    "shard-torn-write": lambda: [
-        FaultSpec(site="cache.shard_write", action="truncate", nth=1, count=2)
+    # Failed store writes: the first two cache saves raise, so their
+    # entries must stay unsaved for a later save instead of crashing the
+    # run or being dropped.  Needs a cache path.
+    "store-write-fail": lambda: [
+        FaultSpec(site="cache.save", action="raise", nth=1, count=2)
     ],
     # Serving brownout: the first five program executions raise, which
     # must trip the circuit breaker and switch the server to degraded

@@ -1,25 +1,23 @@
-"""Crash-safe experiment resume: an atomic manifest over the run cache.
+"""Crash-safe experiment resume: a manifest saved with the runs it covers.
 
 The runtime's persistence story already makes resumption *correct*: every
-run is a pure function of content, and the sharded
-:class:`~repro.runtime.cache.RunCache` persists measurements keyed by that
-content.  What it lacked was *durability at chunk granularity* -- a run
+run is a pure function of content, and the
+:class:`~repro.runtime.cache.RunCache` store persists measurements keyed by
+that content.  What it lacked was *durability at chunk granularity* -- a run
 SIGKILLed mid-measurement used to lose everything since the last explicit
 ``save_cache()`` (typically the whole phase).
 
 :class:`ExperimentCheckpoint` closes that gap.  Attached to a
 :class:`~repro.runtime.runtime.Runtime` (``runtime.checkpoint``), it is
-called at every chunk boundary: it saves the cache's dirty shards (cheap --
-only shards touched since the last save are rewritten, fsynced, and
-renamed into place) and atomically rewrites a small manifest JSON next to
-the store::
+called at every chunk boundary, where it saves the cache together with a
+small manifest -- one transaction writes the chunk's runs and the manifest
+that records them, so no crash can leave one without the other::
 
     {
       "version": 1,
       "config": "<sha256 digest of the experiment's identity>",
       "phase": "level1.measure",
       "completed_chunks": [0, 1, 2, ...],
-      "shards": ["0a", "3f", ...],
       "interrupted": true
     }
 
@@ -40,14 +38,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from typing import Any, Dict, List, Optional
 
 #: Manifest format version.
 MANIFEST_VERSION = 1
-
-#: Manifest filename inside the cache store directory.
-MANIFEST_NAME = "checkpoint.json"
 
 
 def config_digest(payload: Dict[str, Any]) -> str:
@@ -67,42 +61,24 @@ class ExperimentCheckpoint:
     """Chunk-granular progress manifest for one experiment run.
 
     Args:
-        store_path: the sharded cache store directory; the manifest lives
-            inside it (they survive or die together).
+        cache: the :class:`~repro.runtime.cache.RunCache` whose store keeps
+            the manifest with the runs (they survive or die together).
         digest: the experiment's config digest (:func:`config_digest`).
-        every: write the manifest every N completed chunks (shard saves
-            still happen every chunk; raising this only batches manifest
-            rewrites for very small chunks).
     """
 
-    def __init__(self, store_path: str, digest: str, every: int = 1) -> None:
-        if every < 1:
-            raise ValueError("every must be >= 1")
-        self.store_path = store_path
+    def __init__(self, cache: Any, digest: str) -> None:
+        self.cache = cache
         self.digest = digest
-        self.every = every
         self.phase = "start"
         self.completed_chunks: List[int] = []
-        self._chunk_counter = 0
         self.resumed_from: Optional[Dict[str, Any]] = None
-
-    @property
-    def manifest_path(self) -> str:
-        return os.path.join(self.store_path, MANIFEST_NAME)
 
     # -- reading ---------------------------------------------------------
 
     def load(self) -> Optional[Dict[str, Any]]:
-        """The on-disk manifest, or None if missing/corrupt/incompatible."""
-        try:
-            with open(self.manifest_path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if (
-            not isinstance(manifest, dict)
-            or manifest.get("version") != MANIFEST_VERSION
-        ):
+        """The saved manifest, or None if missing/corrupt/incompatible."""
+        manifest = self.cache.read_manifest()
+        if manifest is None or manifest.get("version") != MANIFEST_VERSION:
             return None
         return manifest
 
@@ -117,8 +93,8 @@ class ExperimentCheckpoint:
             return None
         if manifest.get("config") != self.digest:
             raise CheckpointMismatch(
-                f"checkpoint at {self.manifest_path!r} belongs to a different "
-                f"experiment (config {manifest.get('config')!r}, "
+                f"checkpoint in {self.cache.persist_path!r} belongs to a "
+                f"different experiment (config {manifest.get('config')!r}, "
                 f"expected {self.digest!r}); remove the store or rerun "
                 "without --resume"
             )
@@ -130,45 +106,25 @@ class ExperimentCheckpoint:
     def set_phase(self, name: str) -> None:
         """Record entering a coarse experiment phase."""
         self.phase = name
-        self._write(interrupted=True)
+        self._save(interrupted=True)
 
-    def chunk_completed(self, runtime: Any) -> None:
-        """Runtime chunk-boundary hook: persist shards, advance the manifest.
+    def chunk_completed(self) -> None:
+        """Runtime chunk-boundary hook: save the chunk's runs together with
+        the manifest that records the chunk."""
+        self.completed_chunks.append(len(self.completed_chunks))
+        self._save(interrupted=True)
 
-        ``runtime`` is the calling :class:`~repro.runtime.runtime.Runtime`;
-        its dirty cache shards are saved (atomic, fsynced writes -- see
-        ``_atomic_write_json``) *before* the manifest records the chunk, so
-        a kill between the two steps merely re-runs one recorded-as-
-        incomplete chunk.
-        """
-        runtime.save_cache()
-        self.completed_chunks.append(self._chunk_counter)
-        self._chunk_counter += 1
-        if self._chunk_counter % self.every == 0:
-            self._write(interrupted=True)
-
-    def finish(self, runtime: Any) -> None:
+    def finish(self) -> None:
         """Mark the run complete (a later ``--resume`` becomes a no-op)."""
-        runtime.save_cache()
-        self._write(interrupted=False)
+        self._save(interrupted=False)
 
-    def _write(self, interrupted: bool) -> None:
-        from repro.runtime.cache import RunCache, _atomic_write_json
-
-        # The store directory appears on the first shard save; the manifest
-        # may legitimately be written first (phase "start" of a fresh run).
-        os.makedirs(self.store_path, exist_ok=True)
-        meta = RunCache._read_meta(self.store_path) or {}
-        shards = sorted((meta.get("shards") or {}).keys())
-        _atomic_write_json(
-            self.manifest_path,
-            {
+    def _save(self, interrupted: bool) -> None:
+        self.cache.save(
+            manifest={
                 "version": MANIFEST_VERSION,
                 "config": self.digest,
                 "phase": self.phase,
                 "completed_chunks": self.completed_chunks,
-                "shards": shards,
                 "interrupted": interrupted,
-            },
-            site="ckpt.write",
+            }
         )

@@ -1,8 +1,8 @@
 """Deterministic fault injection behind named sites.
 
 Production code is instrumented with *fault sites* -- cheap, named check
-points (:func:`maybe_fail`, :func:`fault_site`, :func:`truncate_bytes`)
-that are no-ops unless a chaos run has activated a :class:`FaultPlan`.
+points (:func:`maybe_fail`) that are no-ops unless a chaos run has
+activated a :class:`FaultPlan`.
 A plan is declarative: each :class:`FaultSpec` names a site, a trigger
 (the site's nth call, or a seeded per-call probability), and an action.
 Everything that decides whether a fault fires is a pure function of the
@@ -13,16 +13,14 @@ workload injects the same faults, bit for bit.
 Known sites (grep for the literals to find the instrumented code):
 
 ========================  ====================================================
-``cache.shard_write``     sharded-store file writes (``_atomic_write_json``)
-``ckpt.write``            the checkpoint manifest write (same writer)
+``cache.save``            a run-cache save, before its transaction writes
 ``serve.execute``         the serving event loop about to answer a request
 ``runtime.chunk``         a runtime chunk boundary (checkpoint/kill point)
 ========================  ====================================================
 
 Actions: ``raise`` (raise :class:`FaultError`, an ``OSError``), ``delay``
-(sleep ``delay_seconds``), ``truncate`` (torn write: the site persists only
-the first ``truncate_bytes`` bytes), ``kill`` (SIGKILL the current process --
-a crash, not an exception).
+(sleep ``delay_seconds``), ``kill`` (SIGKILL the current process -- a
+crash, not an exception).
 
 Injectors travel into worker processes by environment variable: the chaos
 harness serializes the plan into ``REPRO_FAULT_PLAN``; spawned workers call
@@ -47,14 +45,14 @@ from typing import Any, Dict, Iterator, List, Optional
 #: Environment variable carrying a JSON-serialized plan into subprocesses.
 PLAN_ENV_VAR = "REPRO_FAULT_PLAN"
 
-_ACTIONS = ("raise", "delay", "truncate", "kill")
+_ACTIONS = ("raise", "delay", "kill")
 
 
 class FaultError(OSError):
     """Raised by a fault site executing a ``raise`` action.
 
-    Subclasses ``OSError`` so I/O handlers (shard writers, say) treat an
-    injected fault exactly like the real I/O error it stands in for.
+    Subclasses ``OSError`` so I/O handlers (the run-cache store, say) treat
+    an injected fault exactly like the real I/O error it stands in for.
     """
 
     def __init__(self, site: str) -> None:
@@ -68,16 +66,15 @@ class FaultSpec:
 
     Args:
         site: fault-site name (see module docstring).
-        action: one of ``raise``/``delay``/``truncate``/``kill``.
+        action: one of ``raise``/``delay``/``kill``.
         nth: fire on the site's nth call (1-based) *in each process*.
             Mutually exclusive with ``probability``.
         probability: fire each call with this seeded probability.
         count: maximum number of fires per process (``None`` = unlimited
             for probability triggers; ``nth`` triggers always fire once).
         delay_seconds: sleep length for ``delay`` actions.
-        truncate_bytes: bytes preserved by a ``truncate`` action.
-        match: only consider calls whose detail string (e.g. the target
-            path of a shard write) contains this substring.
+        match: only consider calls whose detail string (e.g. the store
+            path of a cache save) contains this substring.
     """
 
     site: str
@@ -86,7 +83,6 @@ class FaultSpec:
     probability: Optional[float] = None
     count: Optional[int] = None
     delay_seconds: float = 0.05
-    truncate_bytes: int = 16
     match: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -109,8 +105,6 @@ class FaultSpec:
             record["count"] = self.count
         if self.action == "delay":
             record["delay_seconds"] = self.delay_seconds
-        if self.action == "truncate":
-            record["truncate_bytes"] = self.truncate_bytes
         if self.match is not None:
             record["match"] = self.match
         return record
@@ -124,7 +118,6 @@ class FaultSpec:
             probability=record.get("probability"),
             count=record.get("count"),
             delay_seconds=float(record.get("delay_seconds", 0.05)),
-            truncate_bytes=int(record.get("truncate_bytes", 16)),
             match=record.get("match"),
         )
 
@@ -283,37 +276,18 @@ def fault_scope(plan: FaultPlan, env: bool = True) -> Iterator[FaultInjector]:
                 os.environ[PLAN_ENV_VAR] = saved_env
 
 
-def fault_site(site: str, detail: Optional[str] = None) -> Optional[FaultSpec]:
-    """Record a call at ``site``; return the firing spec for the
-    caller-applied ``truncate`` action, or None.
-
-    ``raise``/``delay``/``kill`` actions are applied here directly, so most
-    call sites only need the one-line :func:`maybe_fail` form.
-    """
+def maybe_fail(site: str, detail: Optional[str] = None) -> None:
+    """Record one call at ``site`` and apply the action that fires, if any:
+    raise :class:`FaultError`, sleep, or SIGKILL this process."""
     injector = active_injector()
     if injector is None:
-        return None
+        return
     spec = injector.check(site, detail)
     if spec is None:
-        return None
+        return
     if spec.action == "raise":
         raise FaultError(site)
     if spec.action == "delay":
         time.sleep(spec.delay_seconds)
-        return None
-    if spec.action == "kill":
+    elif spec.action == "kill":
         os.kill(os.getpid(), signal.SIGKILL)
-    return spec
-
-
-def maybe_fail(site: str, detail: Optional[str] = None) -> None:
-    """One-line fault site for raise/delay/kill actions."""
-    fault_site(site, detail)
-
-
-def truncate_bytes(site: str, detail: Optional[str] = None) -> Optional[int]:
-    """Fault site for writers: bytes to keep for a torn write, or None."""
-    spec = fault_site(site, detail)
-    if spec is not None and spec.action == "truncate":
-        return spec.truncate_bytes
-    return None

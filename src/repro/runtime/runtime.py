@@ -88,7 +88,7 @@ class Runtime:
         self.batch_chunk: int = batch_chunk
         #: Optional :class:`~repro.resilience.checkpoint.ExperimentCheckpoint`
         #: attached by the experiment runner; when set, every chunk boundary
-        #: persists dirty cache shards and advances the resume manifest.
+        #: saves the cache together with the resume manifest.
         self.checkpoint: Optional[Any] = None
 
     @classmethod
@@ -103,18 +103,18 @@ class Runtime:
     ) -> "Runtime":
         """Build a runtime from flag-style settings.
 
-        When ``cache_path`` is given, previously persisted measurements are
-        attached immediately (a missing store is a cold start, and so is a
-        path that holds a file rather than a store directory); call
-        :meth:`save_cache` after a run to persist the updated cache.
+        When ``cache_path`` is given, the store at that database file is
+        attached immediately (a missing file becomes a new store; a path
+        holding anything else warns and runs cold); call :meth:`save_cache`
+        after a run to persist the updated cache.
         ``use_cache=False`` disables caching outright -- including any
         persisted store -- so every measurement demonstrably re-executes.
         ``batch_chunk`` sizes the streaming chunks (see the class
         docstring).  ``max_entries`` caps
         the in-memory run cache (``None`` = unbounded); the default keeps a
         50k-input experiment's cache at tens of MB -- see
-        :attr:`RunCache.DEFAULT_MAX_ENTRIES` -- and with a sharded store
-        attached, evicted entries remain reachable from disk.
+        :attr:`RunCache.DEFAULT_MAX_ENTRIES` -- and with a store attached,
+        saved entries remain reachable from disk after eviction.
         """
         cache: Optional[RunCache] = None
         if use_cache:
@@ -256,11 +256,11 @@ class Runtime:
 
         The ``runtime.chunk`` fault site lives here so chaos plans can kill
         (or stall) a run at a precise chunk boundary; with a checkpoint
-        attached, dirty cache shards and the resume manifest are persisted
+        attached, the chunk's runs and the resume manifest are saved
         *before* the site fires -- the crash-then-resume test's contract.
         """
         if self.checkpoint is not None:
-            self.checkpoint.chunk_completed(self)
+            self.checkpoint.chunk_completed()
         maybe_fail("runtime.chunk")
 
     def _dispatch_pairs(
@@ -455,11 +455,11 @@ class Runtime:
 
     # -- management -----------------------------------------------------
 
-    def save_cache(self, path: Optional[str] = None) -> int:
+    def save_cache(self) -> int:
         """Persist the cache (no-op returning 0 when caching is disabled)."""
         if self.cache is None:
             return 0
-        return self.cache.save(path)
+        return self.cache.save()
 
     def stats(self) -> Dict[str, Any]:
         """Executor, cache, and telemetry state as a plain dict."""
@@ -475,8 +475,10 @@ class Runtime:
         return info
 
     def close(self) -> None:
-        """Release executor resources (worker pools)."""
+        """Release executor resources (worker pools) and the cache's store."""
         self.executor.close()
+        if self.cache is not None:
+            self.cache.close()
 
     def __enter__(self) -> "Runtime":
         return self

@@ -232,10 +232,8 @@ class SelectorServer:
         self._inflight: Dict[Tuple[str, str], "asyncio.Task"] = {}
         #: test -> selection memo of the model entry that last answered it.
         self._selections: Dict[str, _SelectionMemo] = {}
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(1, self.config.execution_workers),
-            thread_name_prefix="repro-serve",
-        )
+        #: Runs cache misses; built by :meth:`start`, released by :meth:`stop`.
+        self._pool: Optional[ThreadPoolExecutor] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self.address: Optional[Tuple[str, int]] = None
 
@@ -274,6 +272,10 @@ class SelectorServer:
             # immediately even while old connections linger in TIME_WAIT.
             reuse_address=True,
         )
+        self._pool = ThreadPoolExecutor(
+            max_workers=max(1, self.config.execution_workers),
+            thread_name_prefix="repro-serve",
+        )
         self.address = self._server.sockets[0].getsockname()[:2]
         return self.address
 
@@ -296,7 +298,9 @@ class SelectorServer:
         for task in list(self._inflight.values()):
             task.cancel()
         self._inflight.clear()
-        self._pool.shutdown(wait=True)
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
 
     # -- connection handling ----------------------------------------------
 

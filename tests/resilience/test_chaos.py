@@ -8,9 +8,9 @@ uninterrupted run produces.
 """
 
 import dataclasses
-import json
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import textwrap
@@ -25,8 +25,9 @@ from repro.resilience.chaos import (
     run_chaos_experiment,
     run_chaos_load,
 )
-from repro.resilience.checkpoint import MANIFEST_NAME
+from repro.resilience.checkpoint import ExperimentCheckpoint
 from repro.resilience.faults import PLAN_ENV_VAR, FaultPlan, FaultSpec
+from repro.runtime import RunCache
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -43,6 +44,21 @@ def tiny_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**settings)
 
 
+@pytest.fixture(scope="module")
+def clean_digest():
+    """Digest of the tiny sort1 experiment run without a store."""
+    return experiment_digest(run_experiment("sort1", config=tiny_config()))
+
+
+def saved_manifest(path):
+    """The checkpoint manifest in the store at ``path``, as a resumer reads it."""
+    cache = RunCache(persist_path=path)
+    try:
+        return ExperimentCheckpoint(cache, "unused").load()
+    finally:
+        cache.close()
+
+
 class TestPresets:
     def test_all_presets_build_valid_plans(self):
         for name in PRESETS:
@@ -56,18 +72,28 @@ class TestPresets:
 
 
 class TestChaosExperiment:
-    def test_torn_writes_replay_identically_and_match_baseline(self, tmp_path):
-        """Same plan, two replays: identical reports, baseline-identical data."""
-        baseline = experiment_digest(run_experiment("sort1", config=tiny_config()))
-        plan = preset_plan("shard-torn-write")
+    def test_store_write_failures_replay_identically_and_match_baseline(
+        self, tmp_path, clean_digest
+    ):
+        """Same plan, two replays: identical reports, baseline-identical data,
+        and the runs of the two failed saves reach the store later."""
+        plan = preset_plan("store-write-fail")
         reports = []
         for replay in range(2):
-            config = tiny_config(cache_path=str(tmp_path / f"store-{replay}"))
-            reports.append(
-                run_chaos_experiment(
-                    "sort1", plan, config=config, baseline_digest=baseline
+            store = str(tmp_path / f"store-{replay}.db")
+            # A checkpointed run saves at every chunk, so the runs the two
+            # failed saves kept must reach the store through a later one.
+            config = tiny_config(cache_path=store, checkpoint=True, batch_chunk=64)
+            with pytest.warns(UserWarning, match="stay unsaved"):
+                reports.append(
+                    run_chaos_experiment(
+                        "sort1", plan, config=config, baseline_digest=clean_digest
+                    )
                 )
-            )
+            warm = run_experiment("sort1", config=tiny_config(cache_path=store))
+            counters = warm.runtime_stats["telemetry"]["counters"]
+            assert counters["runs_requested"] > 0
+            assert counters.get("runs_executed", 0) == 0
         assert reports[0]["digest"] == reports[1]["digest"]
         assert reports[0]["compared"] == reports[1]["compared"]
         for report in reports:
@@ -75,11 +101,8 @@ class TestChaosExperiment:
                 "completed": True,
                 "matches_baseline": True,
             }
-            assert report["compared"]["result_digest"] == baseline
-            # The plan actually tore a write; recovery was exercised.
-            assert report["diagnostics"]["faults"]["fired"].get(
-                "cache.shard_write"
-            )
+            assert report["compared"]["result_digest"] == clean_digest
+            assert report["diagnostics"]["faults"]["fired"] == {"cache.save": 2}
 
     def test_failed_run_reports_completed_false(self, tmp_path):
         """A plan the runtime cannot absorb yields a failed-invariant report,
@@ -87,7 +110,7 @@ class TestChaosExperiment:
         plan = FaultPlan(
             faults=[FaultSpec(site="runtime.chunk", action="raise", nth=1)]
         )
-        config = tiny_config(batch_chunk=4, cache_path=str(tmp_path / "store"))
+        config = tiny_config(batch_chunk=4, cache_path=str(tmp_path / "store.db"))
         report = run_chaos_experiment("sort1", plan, config=config)
         assert report["compared"]["invariants"]["completed"] is False
         assert report["compared"]["result_digest"] is None
@@ -168,7 +191,7 @@ class TestKillAndResume:
         )
 
     def test_sigkill_then_resume_is_bit_identical(self, tmp_path):
-        store = str(tmp_path / "store")
+        store = str(tmp_path / "store.db")
         kill_plan = FaultPlan(
             faults=[FaultSpec(site="runtime.chunk", action="kill", nth=6)]
         )
@@ -178,10 +201,8 @@ class TestKillAndResume:
             env_extra={PLAN_ENV_VAR: kill_plan.to_json()},
         )
         assert killed.returncode == -signal.SIGKILL, killed.stderr
-        manifest_path = os.path.join(store, MANIFEST_NAME)
-        assert os.path.exists(manifest_path)
-        with open(manifest_path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
+        manifest = saved_manifest(store)
+        assert manifest is not None
         assert manifest["interrupted"] is True
         # The kill fires *after* the chunk is durably recorded.
         assert len(manifest["completed_chunks"]) == 6
@@ -195,16 +216,61 @@ class TestKillAndResume:
             line for line in proc.stdout.splitlines() if line.startswith("DIGEST")
         ][0]
         assert digest_of(resumed) == digest_of(clean)
-
-        with open(manifest_path, encoding="utf-8") as handle:
-            assert json.load(handle)["interrupted"] is False
+        assert saved_manifest(store)["interrupted"] is False
 
     def test_resume_with_other_config_refuses(self, tmp_path):
         from repro.resilience.checkpoint import CheckpointMismatch
 
-        store = str(tmp_path / "store")
+        store = str(tmp_path / "store.db")
         config = tiny_config(batch_chunk=4, cache_path=store, checkpoint=True)
         run_experiment("sort1", config=config)
         other = dataclasses.replace(config, seed=1, resume=True)
         with pytest.raises(CheckpointMismatch):
             run_experiment("sort1", config=other)
+
+
+class TestBadStoreAtCachePath:
+    """A cache path holding no usable store never crashes a run."""
+
+    @staticmethod
+    def snapshot(path):
+        if path.is_dir():
+            return sorted(
+                (str(p.relative_to(path)), p.read_bytes() if p.is_file() else None)
+                for p in path.rglob("*")
+            )
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["garbage", "shard-directory", "other-version"])
+    def test_runs_cold_to_the_cacheless_digest(self, tmp_path, clean_digest, kind):
+        path = tmp_path / "store"
+        if kind == "garbage":
+            path.write_bytes(b"\x00not a database\xff" * 64)
+        elif kind == "shard-directory":
+            (path / "shards").mkdir(parents=True)
+            (path / "shards" / "0a.json").write_text('{"version": 1, "entries": {}}')
+            (path / "cache-meta.json").write_text('{"store_version": 1, "shards": {"0a": 0}}')
+        else:
+            db = sqlite3.connect(str(path))
+            db.execute("PRAGMA user_version = 99")
+            db.close()
+        before = self.snapshot(path)
+        config = tiny_config(cache_path=str(path), checkpoint=True)
+        with pytest.warns(UserWarning, match="not a usable store"):
+            result = run_experiment("sort1", config=config)
+        assert experiment_digest(result) == clean_digest
+        assert self.snapshot(path) == before
+
+
+class TestPoolWorkers:
+    def test_process_pool_with_a_store_never_falls_back(self, tmp_path, clean_digest):
+        """The store's connection stays in the parent process: a process-pool
+        run with a store attached ships nothing that holds it (an unpicklable
+        connection in a task would push the pool onto its serial fallback),
+        and it matches the serial digest."""
+        config = tiny_config(
+            executor="process", workers=2, cache_path=str(tmp_path / "store.db")
+        )
+        result = run_experiment("sort1", config=config)
+        assert "executor_fallback" not in result.runtime_stats
+        assert experiment_digest(result) == clean_digest

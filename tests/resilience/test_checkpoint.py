@@ -1,32 +1,45 @@
 """Tests for the crash-safe experiment checkpoint manifest."""
 
 import json
-import os
+import sqlite3
 
 import pytest
 
+from repro.lang.program import RunResult
 from repro.resilience.checkpoint import (
-    MANIFEST_NAME,
     MANIFEST_VERSION,
     CheckpointMismatch,
     ExperimentCheckpoint,
     config_digest,
 )
+from repro.resilience.faults import FaultPlan, FaultSpec, fault_scope
+from repro.runtime import RunCache
 
 
-class FakeRuntime:
-    """Stands in for Runtime: counts save_cache() calls."""
+@pytest.fixture
+def store(tmp_path):
+    """Build caches on one store file; their connections close at teardown."""
+    caches = []
+    path = str(tmp_path / "store.db")
 
-    def __init__(self):
-        self.saves = 0
+    def make():
+        cache = RunCache(persist_path=path)
+        caches.append(cache)
+        return cache
 
-    def save_cache(self):
-        self.saves += 1
+    make.path = path
+    yield make
+    for cache in caches:
+        cache.close()
 
 
 def read_manifest(store):
-    with open(os.path.join(str(store), MANIFEST_NAME), encoding="utf-8") as handle:
-        return json.load(handle)
+    """The saved manifest, read through a fresh cache as a resumer would."""
+    return ExperimentCheckpoint(store(), "unused").load()
+
+
+def put_run(cache, key):
+    cache.put(key, RunResult(output=None, time=1.0, accuracy=1.0, extra={}), has_output=False)
 
 
 class TestConfigDigest:
@@ -38,9 +51,8 @@ class TestConfigDigest:
 
 
 class TestWriting:
-    def test_set_phase_creates_manifest_in_fresh_store(self, tmp_path):
-        store = tmp_path / "store"  # does not exist yet
-        checkpoint = ExperimentCheckpoint(str(store), "digest-a")
+    def test_set_phase_creates_manifest_in_fresh_store(self, store):
+        checkpoint = ExperimentCheckpoint(store(), "digest-a")  # no file yet
         checkpoint.set_phase("train")
         manifest = read_manifest(store)
         assert manifest["version"] == MANIFEST_VERSION
@@ -49,70 +61,81 @@ class TestWriting:
         assert manifest["interrupted"] is True
         assert manifest["completed_chunks"] == []
 
-    def test_chunk_completed_saves_cache_then_records(self, tmp_path):
-        checkpoint = ExperimentCheckpoint(str(tmp_path / "store"), "d")
-        runtime = FakeRuntime()
-        for _ in range(3):
-            checkpoint.chunk_completed(runtime)
-        assert runtime.saves == 3
-        manifest = read_manifest(tmp_path / "store")
+    def test_chunk_completed_saves_cache_then_records(self, store):
+        cache = store()
+        checkpoint = ExperimentCheckpoint(cache, "d")
+        for chunk in range(3):
+            put_run(cache, f"run:{chunk}")
+            checkpoint.chunk_completed()
+        manifest = read_manifest(store)
         assert manifest["completed_chunks"] == [0, 1, 2]
         assert manifest["interrupted"] is True
+        reader = store()
+        reader.load()
+        assert all(reader.get(f"run:{chunk}") is not None for chunk in range(3))
 
-    def test_every_batches_manifest_rewrites(self, tmp_path):
-        checkpoint = ExperimentCheckpoint(str(tmp_path / "store"), "d", every=2)
-        runtime = FakeRuntime()
-        checkpoint.chunk_completed(runtime)  # chunk 0: no manifest yet
-        assert not os.path.exists(checkpoint.manifest_path)
-        checkpoint.chunk_completed(runtime)  # chunk 1: manifest written
-        assert read_manifest(tmp_path / "store")["completed_chunks"] == [0, 1]
+    def test_manifest_and_runs_commit_together(self, store):
+        """A failed chunk save writes neither the chunk's runs nor the
+        manifest that records it; the next save writes both."""
+        cache = store()
+        checkpoint = ExperimentCheckpoint(cache, "d")
+        put_run(cache, "run:0")
+        checkpoint.chunk_completed()
+        put_run(cache, "run:1")
+        plan = FaultPlan(faults=[FaultSpec(site="cache.save", action="raise", nth=1)])
+        with fault_scope(plan, env=False), pytest.warns(UserWarning, match="unsaved"):
+            checkpoint.chunk_completed()
+        assert read_manifest(store)["completed_chunks"] == [0]
+        reader = store()
+        reader.load()
+        assert reader.get("run:1") is None
+        put_run(cache, "run:2")
+        checkpoint.chunk_completed()
+        assert read_manifest(store)["completed_chunks"] == [0, 1, 2]
+        assert reader.get("run:1") is not None and reader.get("run:2") is not None
 
-    def test_rejects_bad_every(self, tmp_path):
-        with pytest.raises(ValueError):
-            ExperimentCheckpoint(str(tmp_path), "d", every=0)
-
-    def test_finish_clears_interrupted(self, tmp_path):
-        checkpoint = ExperimentCheckpoint(str(tmp_path / "store"), "d")
-        runtime = FakeRuntime()
-        checkpoint.chunk_completed(runtime)
-        checkpoint.finish(runtime)
-        assert read_manifest(tmp_path / "store")["interrupted"] is False
-        assert runtime.saves == 2
+    def test_finish_clears_interrupted(self, store):
+        checkpoint = ExperimentCheckpoint(store(), "d")
+        checkpoint.chunk_completed()
+        checkpoint.finish()
+        assert read_manifest(store)["interrupted"] is False
 
 
 class TestResume:
-    def test_resume_without_manifest_is_none(self, tmp_path):
-        checkpoint = ExperimentCheckpoint(str(tmp_path / "store"), "d")
+    def test_resume_without_manifest_is_none(self, store):
+        checkpoint = ExperimentCheckpoint(store(), "d")
         assert checkpoint.resume() is None
         assert checkpoint.resumed_from is None
 
-    def test_resume_adopts_matching_manifest(self, tmp_path):
-        store = str(tmp_path / "store")
-        first = ExperimentCheckpoint(store, "same")
+    def test_resume_adopts_matching_manifest(self, store):
+        first = ExperimentCheckpoint(store(), "same")
         first.set_phase("train")
-        first.chunk_completed(FakeRuntime())
-        second = ExperimentCheckpoint(store, "same")
+        first.chunk_completed()
+        second = ExperimentCheckpoint(store(), "same")
         manifest = second.resume()
         assert manifest is not None
         assert manifest["completed_chunks"] == [0]
         assert second.resumed_from == manifest
 
-    def test_resume_refuses_other_experiments_manifest(self, tmp_path):
-        store = str(tmp_path / "store")
-        ExperimentCheckpoint(store, "one").set_phase("train")
+    def test_resume_refuses_other_experiments_manifest(self, store):
+        ExperimentCheckpoint(store(), "one").set_phase("train")
         with pytest.raises(CheckpointMismatch):
-            ExperimentCheckpoint(store, "two").resume()
+            ExperimentCheckpoint(store(), "two").resume()
 
-    def test_corrupt_manifest_reads_as_missing(self, tmp_path):
-        store = tmp_path / "store"
-        store.mkdir()
-        (store / MANIFEST_NAME).write_text("not json{{")
-        assert ExperimentCheckpoint(str(store), "d").load() is None
+    @staticmethod
+    def overwrite_manifest(store, body):
+        ExperimentCheckpoint(store(), "d").set_phase("train")
+        db = sqlite3.connect(store.path)
+        with db:
+            db.execute("UPDATE manifest SET body = ?", (body,))
+        db.close()
 
-    def test_unknown_version_reads_as_missing(self, tmp_path):
-        store = tmp_path / "store"
-        store.mkdir()
-        (store / MANIFEST_NAME).write_text(
-            json.dumps({"version": MANIFEST_VERSION + 1, "config": "d"})
+    def test_corrupt_manifest_reads_as_missing(self, store):
+        self.overwrite_manifest(store, "not json{{")
+        assert ExperimentCheckpoint(store(), "d").load() is None
+
+    def test_unknown_version_reads_as_missing(self, store):
+        self.overwrite_manifest(
+            store, json.dumps({"version": MANIFEST_VERSION + 1, "config": "d"})
         )
-        assert ExperimentCheckpoint(str(store), "d").load() is None
+        assert ExperimentCheckpoint(store(), "d").load() is None

@@ -13,11 +13,9 @@ from repro.resilience.faults import (
     FaultSpec,
     active_injector,
     fault_scope,
-    fault_site,
     install,
     install_from_env,
     maybe_fail,
-    truncate_bytes,
 )
 
 
@@ -31,8 +29,9 @@ class TestFaultSpec:
     def test_rejects_unknown_action(self):
         with pytest.raises(ValueError):
             FaultSpec(site="s", action="explode", nth=1)
-        with pytest.raises(ValueError):
-            FaultSpec(site="s", action="drop", nth=1)  # no site applies it
+        for retired in ("drop", "truncate"):  # no site applies them
+            with pytest.raises(ValueError):
+                FaultSpec(site="s", action=retired, nth=1)
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -42,12 +41,12 @@ class TestFaultSpec:
 
     def test_record_round_trip(self):
         spec = FaultSpec(
-            site="cache.shard_write",
-            action="truncate",
+            site="cache.save",
+            action="delay",
             nth=3,
             count=2,
-            truncate_bytes=8,
-            match="shards",
+            delay_seconds=0.5,
+            match="store.db",
         )
         assert FaultSpec.from_record(spec.to_record()) == spec
 
@@ -159,9 +158,7 @@ class TestInstallation:
         assert install_from_env() is None
 
     def test_no_injector_is_free_of_effects(self):
-        assert fault_site("anything") is None
-        assert truncate_bytes("anything") is None
-        maybe_fail("anything")  # no-op
+        assert maybe_fail("anything") is None  # no-op
 
 
 class TestActions:
@@ -173,25 +170,6 @@ class TestActions:
         assert excinfo.value.site == "s"
         assert isinstance(excinfo.value, OSError)
 
-    def test_truncate_bytes_returns_limit(self):
-        plan = FaultPlan(
-            faults=[
-                FaultSpec(site="w", action="truncate", nth=1, truncate_bytes=8)
-            ]
-        )
-        with fault_scope(plan, env=False):
-            assert truncate_bytes("w") == 8
-            assert truncate_bytes("w") is None  # fired once
-
-    def test_truncate_spec_returned_for_caller_action(self):
-        plan = FaultPlan(
-            faults=[FaultSpec(site="t", action="truncate", nth=1, truncate_bytes=4)]
-        )
-        with fault_scope(plan, env=False):
-            spec = fault_site("t")
-        assert spec is not None and spec.action == "truncate"
-        assert spec.truncate_bytes == 4
-
     def test_delay_sleeps_briefly(self):
         import time
 
@@ -202,7 +180,7 @@ class TestActions:
         )
         with fault_scope(plan, env=False):
             started = time.perf_counter()
-            fault_site("z")
+            maybe_fail("z")
             assert time.perf_counter() - started >= 0.009
 
 

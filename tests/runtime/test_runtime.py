@@ -1,5 +1,7 @@
 """Tests for the Runtime facade (cache-aware batching) and run keys."""
 
+import sqlite3
+
 import numpy as np
 import pytest
 
@@ -170,31 +172,54 @@ class TestMeasure:
 
 class TestPersistedRuntime:
     def test_create_loads_and_saves_cache(self, tmp_path):
-        path = str(tmp_path / "runs.json")
+        path = str(tmp_path / "runs.db")
         program, calls = counting_program()
         config = program.default_configuration()
 
-        runtime = Runtime.create(cache_path=path)
-        runtime.run(program, config, 1)
-        assert runtime.save_cache() == 1
+        with Runtime.create(cache_path=path) as runtime:
+            runtime.run(program, config, 1)
+            assert runtime.save_cache() == 1
 
         program2, calls2 = counting_program()
-        warm = Runtime.create(cache_path=path)
-        result = warm.run(program2, config, 1)
+        with Runtime.create(cache_path=path) as warm:
+            result = warm.run(program2, config, 1)
         assert calls2 == []  # served from disk, no execution
         assert result.time == program.run(config, 1).time
+
+    def test_one_entry_cache_executes_nothing_saved(self, tmp_path):
+        """A capped cache on a store stays complete: with room for one
+        entry it still answers every saved run without executing."""
+        path = str(tmp_path / "runs.db")
+        program, _ = counting_program()
+        configs = [program.default_configuration()]
+        with Runtime.create(cache_path=path) as runtime:
+            first = runtime.measure(program, configs, list(range(8)))
+            runtime.save_cache()
+        program2, calls2 = counting_program()
+        with Runtime.create(cache_path=path, max_entries=1) as tiny:
+            for _ in range(2):
+                again = tiny.measure(program2, configs, list(range(8)))
+                assert np.array_equal(again["times"], first["times"])
+        assert calls2 == []
+
+    def test_close_closes_the_store(self, tmp_path):
+        runtime = Runtime.create(cache_path=str(tmp_path / "runs.db"))
+        connection = runtime.cache._db
+        runtime.close()
+        with pytest.raises(sqlite3.ProgrammingError):
+            connection.execute("SELECT 1")
 
     def test_save_cache_without_cache_is_noop(self):
         assert Runtime(cache=None).save_cache() == 0
 
     def test_use_cache_false_wins_over_cache_path(self, tmp_path):
         """--no-cache must disable even a persisted cache file."""
-        path = str(tmp_path / "runs.json")
+        path = str(tmp_path / "runs.db")
         program, _ = counting_program()
         config = program.default_configuration()
-        seeded = Runtime.create(cache_path=path)
-        seeded.run(program, config, 1)
-        seeded.save_cache()
+        with Runtime.create(cache_path=path) as seeded:
+            seeded.run(program, config, 1)
+            seeded.save_cache()
 
         uncached = Runtime.create(use_cache=False, cache_path=path)
         assert uncached.cache is None

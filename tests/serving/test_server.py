@@ -375,6 +375,21 @@ class TestRestart:
         for field in ("landmark", "time", "accuracy", "total_time"):
             assert after[field] == before[field]
 
+    def test_stopped_server_starts_again(self, sort_training):
+        """One server object runs twice: ``stop()`` releases its execution
+        pool and ``start()`` builds a fresh one, so the second run still
+        executes an input it has not seen."""
+        deployed = sort_training["training"].deployed
+        server = SelectorServer()
+        server.publish("sort2", deployed)
+        with ServerThread(server):
+            with connect(server) as client:
+                assert client.run("sort2", protocol.index_input(4))["type"] == "result"
+        with ServerThread(server):
+            with connect(server) as client:
+                again = client.run("sort2", protocol.index_input(5))
+        assert again["type"] == "result", again
+        assert again["cache_hit"] is False
 
     def test_occupied_port_is_rejected(self):
         holder = SelectorServer()

@@ -90,3 +90,18 @@ class TestFlagsAndVariables:
         assert problems("REPRO_COORDINATOR=host:1") == [
             "doc.md:1: REPRO_COORDINATOR is read by no code"
         ]
+
+
+class TestChaosPresets:
+    def test_defined_presets_pass(self):
+        assert problems("repro chaos experiment sort2 --preset store-write-fail") == []
+        assert problems("repro chaos load sort2 --preset=serve-brownout") == []
+        assert problems("`--preset <name>` picks a plan") == []  # a placeholder
+
+    def test_undefined_preset_is_flagged(self):
+        assert problems("repro chaos experiment sort2 --preset shard-torn-write") == [
+            "doc.md:1: chaos preset shard-torn-write is not a key of PRESETS"
+        ]
+
+    def test_presets_are_read_from_the_chaos_module(self):
+        assert check_docs._chaos_presets() == {"store-write-fail", "serve-brownout"}

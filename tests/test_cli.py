@@ -56,16 +56,27 @@ class TestParser:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--batch-chunk", "0"],
-            ["--batch-chunk", "many"],
-            ["--executor", "thread", "--workers", "-1"],
-            ["--workers", "0"],
-            ["--executor", "distributed"],
+            ["train", "sort2", "--batch-chunk", "0"],
+            ["train", "sort2", "--batch-chunk", "many"],
+            ["train", "sort2", "--executor", "thread", "--workers", "-1"],
+            ["train", "sort2", "--workers", "0"],
+            ["train", "sort2", "--executor", "distributed"],
+            ["train", "sort1", "--inputs", "2"],
+            ["train", "sort1", "--clusters", "0"],
+            ["train", "sort1", "--generations", "0"],
+            ["profile", "sort1", "--top", "0"],
+            ["serve", "--max-pending", "0"],
+            ["serve", "--execution-workers", "0"],
+            ["chaos", "load", "--requests", "0"],
+            ["chaos", "load", "--unique-inputs", "0"],
+            ["chaos", "load", "--clients", "0"],
+            ["chaos", "experiment", "--replays", "0"],
+            ["chaos", "experiment", "--preset", "shard-torn-write"],
         ],
     )
     def test_invalid_values_exit_with_usage(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args(["train", "sort2", *argv])
+            build_parser().parse_args(argv)
         assert exit_info.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
