@@ -26,14 +26,6 @@ EPSILON = 1e-9
 Bins = List[List[float]]
 
 
-def _bin_levels(bins: Bins) -> np.ndarray:
-    return np.array([sum(b) for b in bins], dtype=float)
-
-
-def _place(bins: Bins, index: int, item: float) -> None:
-    bins[index].append(item)
-
-
 def next_fit(items: Sequence[float]) -> Bins:
     """Keep a single open bin; open a new one when the item does not fit."""
     bins: Bins = []

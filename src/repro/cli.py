@@ -14,6 +14,7 @@ plain text suitable for piping into a report.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import Callable, Optional, Sequence
@@ -50,13 +51,12 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         batch_chunk=args.batch_chunk,
         cache_max_entries=max_entries,
         stream_inputs=args.stream_inputs,
-        checkpoint=getattr(args, "checkpoint", False),
-        resume=getattr(args, "resume", False),
     )
 
 
-def _int_at_least(minimum: int) -> Callable[[str], int]:
-    """An argparse ``type`` accepting integers >= ``minimum``."""
+def _int_in_range(minimum: int, maximum: Optional[int] = None) -> Callable[[str], int]:
+    """An argparse ``type`` accepting integers >= ``minimum`` (and <=
+    ``maximum`` when given)."""
 
     def parse(text: str) -> int:
         try:
@@ -65,6 +65,8 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     return parse
@@ -73,7 +75,7 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
 def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
-        type=_int_at_least(1),
+        type=_int_in_range(1),
         default=_env_workers(),
         help="worker count for the thread/process executors (default: CPU count)",
     )
@@ -81,13 +83,13 @@ def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
 
 def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--inputs", type=_int_at_least(4), default=120, help="training+test inputs per benchmark"
+        "--inputs", type=_int_in_range(4), default=120, help="training+test inputs per benchmark"
     )
     parser.add_argument(
-        "--clusters", type=_int_at_least(1), default=10, help="number of Level-1 clusters (K1)"
+        "--clusters", type=_int_in_range(1), default=10, help="number of Level-1 clusters (K1)"
     )
     parser.add_argument(
-        "--generations", type=_int_at_least(1), default=6, help="autotuner generations per landmark"
+        "--generations", type=_int_in_range(1), default=6, help="autotuner generations per landmark"
     )
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument(
@@ -106,11 +108,12 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
         "--cache-path",
         default=None,
         help="SQLite database file to load/persist run measurements "
-        "across invocations",
+        "across invocations; saved at every chunk, so a killed run "
+        "resumes when run again",
     )
     parser.add_argument(
         "--batch-chunk",
-        type=_int_at_least(1),
+        type=_int_in_range(1),
         default=_env_batch_chunk(),
         help="stream measurement/task batches in chunks of at most this many "
         f"items (default: {DEFAULT_BATCH_CHUNK}; bounds peak memory; results "
@@ -131,19 +134,6 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
         help="feed the pipeline a lazy input source (--no-stream-inputs "
         "materializes the full list up front; results are bit-identical "
         "either way, and either spelling overrides REPRO_STREAM_INPUTS)",
-    )
-    parser.add_argument(
-        "--checkpoint",
-        action="store_true",
-        help="save a chunk-granular resume manifest with the runs in "
-        "--cache-path (see docs/resilience.md)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume a killed run from its --cache-path checkpoint manifest; "
-        "completed chunks replay as cache hits, producing bit-identical "
-        "results (implies --checkpoint)",
     )
     parser.add_argument(
         "--runtime-stats",
@@ -433,18 +423,25 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print("provide exactly one of --preset / --plan", file=sys.stderr)
         return 2
     if args.preset is not None:
-        plan = preset_plan(args.preset, seed=args.fault_seed)
+        plan = preset_plan(args.preset)
     else:
-        with open(args.plan, "r", encoding="utf-8") as handle:
-            plan = FaultPlan.from_json(handle.read())
+        try:
+            with open(args.plan, "r", encoding="utf-8") as handle:
+                plan = FaultPlan.from_json(handle.read())
+        except (OSError, ValueError) as error:
+            print(f"bad --plan file {args.plan!r}: {error}", file=sys.stderr)
+            return 2
 
     config = _experiment_config(args)
     reports = []
     if args.mode == "experiment":
         baseline_digest = None
         if not args.no_baseline:
+            # Without the replays' store: a baseline that filled it would
+            # answer every replay from it, so no replay would execute or save.
             print("# running fault-free baseline ...")
-            baseline_digest = experiment_digest(run_experiment(args.test, config=config))
+            baseline = dataclasses.replace(config, cache_path=None)
+            baseline_digest = experiment_digest(run_experiment(args.test, config=baseline))
         for replay in range(args.replays):
             print(f"# chaos replay {replay + 1}/{args.replays} (plan {plan.digest()}) ...")
             reports.append(
@@ -515,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument("test")
     profile.add_argument(
-        "--top", type=_int_at_least(1), default=30, help="number of functions to print"
+        "--top", type=_int_in_range(1), default=30, help="number of functions to print"
     )
     profile.add_argument(
         "--sort",
@@ -539,16 +536,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--tests", nargs="*", default=None, help="tests to serve (default: sort2)")
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
-    serve.add_argument("--port", type=int, default=7415, help="bind port (0 = ephemeral)")
+    serve.add_argument(
+        "--port", type=_int_in_range(0, 65535), default=7415, help="bind port (0 = ephemeral)"
+    )
     serve.add_argument(
         "--max-pending",
-        type=_int_at_least(1),
+        type=_int_in_range(1),
         default=64,
         help="admission cap on distinct in-flight executions (503 beyond it)",
     )
     serve.add_argument(
         "--execution-workers",
-        type=_int_at_least(1),
+        type=_int_in_range(1),
         default=1,
         help="thread-pool width for the program runs of cache misses",
     )
@@ -602,10 +601,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="named fault plan",
     )
     chaos.add_argument("--plan", default=None, help="JSON fault-plan file (alternative to --preset)")
-    chaos.add_argument("--fault-seed", type=int, default=0, help="fault plan seed")
     chaos.add_argument(
         "--replays",
-        type=_int_at_least(1),
+        type=_int_in_range(1),
         default=2,
         help="times to replay the plan; reports must agree bit-for-bit",
     )
@@ -616,13 +614,13 @@ def build_parser() -> argparse.ArgumentParser:
         "(drops the matches_baseline invariant)",
     )
     chaos.add_argument(
-        "--requests", type=_int_at_least(1), default=32, help="load mode: trace length"
+        "--requests", type=_int_in_range(1), default=32, help="load mode: trace length"
     )
     chaos.add_argument(
-        "--unique-inputs", type=_int_at_least(1), default=8, help="load mode: distinct inputs"
+        "--unique-inputs", type=_int_in_range(1), default=8, help="load mode: distinct inputs"
     )
     chaos.add_argument(
-        "--clients", type=_int_at_least(1), default=2, help="load mode: client connections"
+        "--clients", type=_int_in_range(1), default=2, help="load mode: client connections"
     )
     chaos.add_argument("--output", default=None, help="write the JSON report here")
     _add_scale_arguments(chaos)

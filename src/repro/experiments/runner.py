@@ -103,7 +103,8 @@ class ExperimentConfig:
     ``REPRO_EXECUTOR`` / ``REPRO_WORKERS`` environment variables;
     ``use_cache`` deduplicates identical runs within and across pipeline
     stages, and ``cache_path`` persists measurements to an SQLite database
-    file shared by later runs.
+    file shared by later runs.  The runtime saves that store at every chunk
+    boundary, so a killed run resumes by running it again.
     The executor carries program runs *and* the learning tasks built on the
     generalized task layer -- Level 2's candidate search and the
     autotuner's objective evaluations -- so a parallel executor accelerates
@@ -143,12 +144,6 @@ class ExperimentConfig:
     batch_chunk: Optional[int] = field(default_factory=_env_batch_chunk)
     cache_max_entries: Optional[int] = field(default_factory=_env_cache_max_entries)
     stream_inputs: bool = field(default_factory=_env_stream_inputs)
-    #: Save a chunk-granular resume manifest with the runs in the cache
-    #: store (requires ``cache_path``); see ``docs/resilience.md``.
-    checkpoint: bool = False
-    #: Adopt a prior interrupted run's manifest: completed chunks replay as
-    #: cache hits, producing bit-identical output.  Implies ``checkpoint``.
-    resume: bool = False
 
     def make_runtime(self) -> Runtime:
         """Build the measurement runtime these knobs describe."""
@@ -159,33 +154,6 @@ class ExperimentConfig:
             max_entries=self.cache_max_entries,
             cache_path=self.cache_path,
             batch_chunk=self.batch_chunk,
-        )
-
-    def checkpoint_digest(self, test_name: str) -> str:
-        """Digest of the settings that define this experiment's identity.
-
-        Two runs with equal digests produce bit-identical measurements, so
-        resuming across them is sound; anything that changes the workload
-        (test, sizes, seeds, tuner effort, chunking) changes the digest and
-        makes ``--resume`` refuse.  Executor/worker knobs are deliberately
-        excluded: they change *who* computes, never *what*.
-        """
-        from repro.resilience.checkpoint import config_digest
-
-        return config_digest(
-            {
-                "test": test_name,
-                "n_inputs": self.n_inputs,
-                "n_clusters": self.n_clusters,
-                "seed": self.seed,
-                "test_fraction": self.test_fraction,
-                "tuner_generations": self.tuner_generations,
-                "tuner_population": self.tuner_population,
-                "tuning_neighbors": self.tuning_neighbors,
-                "max_subsets": self.max_subsets,
-                "batch_chunk": self.batch_chunk,
-                "stream_inputs": self.stream_inputs,
-            }
         )
 
     @contextlib.contextmanager
@@ -352,16 +320,6 @@ def run_experiment(
     if config is None:
         config = ExperimentConfig()
     with config.runtime_scope(runtime) as active:
-        checkpoint = None
-        cache = active.cache
-        if (config.checkpoint or config.resume) and cache is not None and cache.persist_path:
-            from repro.resilience.checkpoint import ExperimentCheckpoint
-
-            checkpoint = ExperimentCheckpoint(cache, config.checkpoint_digest(test_name))
-            if config.resume:
-                checkpoint.resume()
-            active.checkpoint = checkpoint
-            checkpoint.set_phase("train")
         variant = get_benchmark(test_name)
         source = variant.benchmark.input_source(
             config.n_inputs, variant.variant, seed=config.seed
@@ -391,12 +349,7 @@ def run_experiment(
             runtime=active,
         )
         training = learner.fit(variant.benchmark.program, inputs, progress=progress)
-        if checkpoint is not None:
-            checkpoint.set_phase("evaluate")
         methods = evaluate_methods(training, runtime=active)
-        if checkpoint is not None:
-            checkpoint.finish()
-            active.checkpoint = None
         return ExperimentResult(
             test_name=test_name,
             training=training,

@@ -12,38 +12,33 @@ The modules here give the system one vocabulary for "things going wrong":
   rebuilds and the serving client.
 * :mod:`~repro.resilience.breaker` -- :class:`CircuitBreaker` guarding
   serving-side executions.
-* :mod:`~repro.resilience.checkpoint` -- crash-safe experiment resume via
-  a checkpoint manifest saved in one transaction with the runs it covers.
 * :mod:`~repro.resilience.chaos` -- the harness behind ``repro chaos``:
   runs an experiment or a loadgen trace under a fault plan and reports
   which system-level invariants held.
+
+A killed experiment needs nothing from this package to resume: a runtime
+with a store saves its runs at every chunk boundary, so running the same
+command again on the same ``--cache-path`` recalls them.
 """
 
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.checkpoint import ExperimentCheckpoint, config_digest
 from repro.resilience.faults import (
     FaultError,
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    active_injector,
     fault_scope,
-    install_from_env,
     maybe_fail,
 )
 from repro.resilience.retry import RetryError, RetryPolicy
 
 __all__ = [
     "CircuitBreaker",
-    "ExperimentCheckpoint",
-    "config_digest",
     "FaultError",
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
-    "active_injector",
     "fault_scope",
-    "install_from_env",
     "maybe_fail",
     "RetryError",
     "RetryPolicy",

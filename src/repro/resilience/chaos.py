@@ -54,7 +54,8 @@ from repro.resilience.faults import FaultPlan, FaultSpec, fault_scope
 PRESETS: Dict[str, Callable[[], List[FaultSpec]]] = {
     # Failed store writes: the first two cache saves raise, so their
     # entries must stay unsaved for a later save instead of crashing the
-    # run or being dropped.  Needs a cache path.
+    # run or being dropped.  Needs a cache path; the runtime saves at every
+    # chunk, so a later chunk's save writes what the failed ones kept.
     "store-write-fail": lambda: [
         FaultSpec(site="cache.save", action="raise", nth=1, count=2)
     ],
@@ -67,15 +68,16 @@ PRESETS: Dict[str, Callable[[], List[FaultSpec]]] = {
 }
 
 
-def preset_plan(name: str, seed: int = 0) -> FaultPlan:
-    """Build the named preset as a seeded :class:`FaultPlan`."""
+def preset_plan(name: str) -> FaultPlan:
+    """Build the named preset as a :class:`FaultPlan` (its ``nth`` triggers
+    draw no random numbers, so it needs no seed)."""
     try:
         faults = PRESETS[name]()
     except KeyError:
         raise KeyError(
             f"unknown chaos preset {name!r}; choose from {sorted(PRESETS)}"
         ) from None
-    return FaultPlan(faults=faults, seed=seed)
+    return FaultPlan(faults=faults)
 
 
 def experiment_digest(result: Any) -> str:

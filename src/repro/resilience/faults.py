@@ -15,18 +15,18 @@ Known sites (grep for the literals to find the instrumented code):
 ========================  ====================================================
 ``cache.save``            a run-cache save, before its transaction writes
 ``serve.execute``         the serving event loop about to answer a request
-``runtime.chunk``         a runtime chunk boundary (checkpoint/kill point)
+``runtime.chunk``         a runtime chunk boundary, after the chunk's runs
+                          are saved (the kill point of a crash test)
 ========================  ====================================================
 
 Actions: ``raise`` (raise :class:`FaultError`, an ``OSError``), ``delay``
 (sleep ``delay_seconds``), ``kill`` (SIGKILL the current process -- a
 crash, not an exception).
 
-Injectors travel into worker processes by environment variable: the chaos
-harness serializes the plan into ``REPRO_FAULT_PLAN``; spawned workers call
-:func:`install_from_env` at startup.  Within a process the active injector
-is the ContextVar one if set (test scoping), else the process-global one
-(covers pool threads, which do not inherit the submitting context).
+Every site runs in the process that activated the plan -- the runtime's
+parent process or the server's event-loop thread, never a pool worker --
+so :func:`fault_scope` installs the injector process-globally, where pool
+threads see it too.
 """
 
 from __future__ import annotations
@@ -38,14 +38,16 @@ import signal
 import threading
 import time
 from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
-#: Environment variable carrying a JSON-serialized plan into subprocesses.
-PLAN_ENV_VAR = "REPRO_FAULT_PLAN"
-
 _ACTIONS = ("raise", "delay", "kill")
+
+#: The JSON type of each field a fault record may carry.
+_RECORD_TYPES: Dict[str, Any] = dict(
+    site=str, action=str, nth=int, probability=(int, float), count=int,
+    delay_seconds=(int, float), match=str,
+)
 
 
 class FaultError(OSError):
@@ -67,11 +69,11 @@ class FaultSpec:
     Args:
         site: fault-site name (see module docstring).
         action: one of ``raise``/``delay``/``kill``.
-        nth: fire on the site's nth call (1-based) *in each process*.
-            Mutually exclusive with ``probability``.
+        nth: fire on the site's nth call (1-based).  Mutually exclusive
+            with ``probability``.
         probability: fire each call with this seeded probability.
-        count: maximum number of fires per process (``None`` = unlimited
-            for probability triggers; ``nth`` triggers always fire once).
+        count: maximum number of fires (``None`` = unlimited for
+            probability triggers; ``nth`` triggers always fire once).
         delay_seconds: sleep length for ``delay`` actions.
         match: only consider calls whose detail string (e.g. the store
             path of a cache save) contains this substring.
@@ -96,30 +98,25 @@ class FaultSpec:
             raise ValueError("probability must be in [0, 1]")
 
     def to_record(self) -> Dict[str, Any]:
-        record: Dict[str, Any] = {"site": self.site, "action": self.action}
-        if self.nth is not None:
-            record["nth"] = self.nth
-        if self.probability is not None:
-            record["probability"] = self.probability
-        if self.count is not None:
-            record["count"] = self.count
-        if self.action == "delay":
-            record["delay_seconds"] = self.delay_seconds
-        if self.match is not None:
-            record["match"] = self.match
+        """The fields that are set (``delay_seconds`` only for a delay)."""
+        record = {name: value for name, value in asdict(self).items() if value is not None}
+        if self.action != "delay":
+            del record["delay_seconds"]
         return record
 
     @classmethod
-    def from_record(cls, record: Dict[str, Any]) -> "FaultSpec":
-        return cls(
-            site=record["site"],
-            action=record.get("action", "raise"),
-            nth=record.get("nth"),
-            probability=record.get("probability"),
-            count=record.get("count"),
-            delay_seconds=float(record.get("delay_seconds", 0.05)),
-            match=record.get("match"),
-        )
+    def from_record(cls, record: Any) -> "FaultSpec":
+        """Invert :meth:`to_record`; a missing, unknown or mistyped field
+        raises ``ValueError`` naming it."""
+        if not isinstance(record, dict) or "site" not in record:
+            raise ValueError(f"fault {record!r} has no 'site' field")
+        for name, value in record.items():
+            kind = _RECORD_TYPES.get(name)
+            if kind is None:
+                raise ValueError(f"unknown fault field {name!r}")
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"fault field {name!r} has a bad value {value!r}")
+        return cls(**record)
 
 
 @dataclass(frozen=True)
@@ -137,11 +134,17 @@ class FaultPlan:
 
     @classmethod
     def from_json(cls, payload: str) -> "FaultPlan":
+        """Invert :meth:`to_json`; malformed JSON or a missing, unknown or
+        mistyped field raises ``ValueError`` naming it."""
         data = json.loads(payload)
-        return cls(
-            faults=[FaultSpec.from_record(record) for record in data.get("faults", [])],
-            seed=int(data.get("seed", 0)),
-        )
+        if not isinstance(data, dict) or set(data) - {"faults", "seed"}:
+            raise ValueError("a plan must be a JSON object with only 'faults' and 'seed'")
+        faults, seed = data.get("faults", []), data.get("seed", 0)
+        if not isinstance(faults, list):
+            raise ValueError(f"plan field 'faults' must be a list, got {faults!r}")
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"plan field 'seed' must be an integer, got {seed!r}")
+        return cls(faults=[FaultSpec.from_record(record) for record in faults], seed=seed)
 
     def digest(self) -> str:
         """Stable content digest of the plan (for invariant reports)."""
@@ -155,9 +158,8 @@ class FaultInjector:
 
     Thread-safe: per-site call counters and RNGs are guarded by a lock, so
     sites may be hit concurrently from pool threads.  Counters are
-    per-injector (i.e. per process when installed via environment), which
-    is what makes ``nth`` triggers deterministic for single-threaded sites
-    and *per worker* for worker-process sites.
+    per-injector, which is what makes ``nth`` triggers deterministic for
+    single-threaded sites.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -210,76 +212,30 @@ class FaultInjector:
             return {"calls": dict(self._calls), "fired": dict(self.fired)}
 
 
-#: Test-scoped override; takes precedence over the process-global injector.
-_context_injector: ContextVar[Optional[FaultInjector]] = ContextVar(
-    "repro_fault_injector", default=None
-)
-#: Process-global injector (set via env for workers, or by fault_scope).
+#: The injector of the active :func:`fault_scope`, or None.
 _process_injector: Optional[FaultInjector] = None
 
 
-def active_injector() -> Optional[FaultInjector]:
-    """The injector governing this call, or None when chaos is inactive."""
-    injector = _context_injector.get()
-    if injector is not None:
-        return injector
-    return _process_injector
-
-
-def install(injector: Optional[FaultInjector]) -> None:
-    """Set (or clear, with None) the process-global injector."""
-    global _process_injector
-    _process_injector = injector
-
-
-def install_from_env() -> Optional[FaultInjector]:
-    """Install the injector serialized in ``REPRO_FAULT_PLAN``, if any.
-
-    Called by worker-process entry points so chaos plans follow the run
-    across process boundaries (spawned workers inherit the environment).
-    """
-    payload = os.environ.get(PLAN_ENV_VAR)
-    if not payload:
-        return None
-    try:
-        plan = FaultPlan.from_json(payload)
-    except (ValueError, KeyError, TypeError):
-        return None
-    injector = FaultInjector(plan)
-    install(injector)
-    return injector
-
-
 @contextmanager
-def fault_scope(plan: FaultPlan, env: bool = True) -> Iterator[FaultInjector]:
+def fault_scope(plan: FaultPlan) -> Iterator[FaultInjector]:
     """Activate ``plan`` for the dynamic extent of a with-block.
 
-    Installs the injector both process-globally (so pool threads see it)
-    and, when ``env`` is true, in ``os.environ`` so worker processes
-    spawned inside the scope inherit it.  Restores prior state on exit.
+    Installs the injector process-globally (so pool threads see it) and
+    restores the prior one on exit.
     """
-    injector = FaultInjector(plan)
     global _process_injector
     previous = _process_injector
-    _process_injector = injector
-    saved_env = os.environ.get(PLAN_ENV_VAR)
-    if env:
-        os.environ[PLAN_ENV_VAR] = plan.to_json()
+    injector = _process_injector = FaultInjector(plan)
     try:
         yield injector
     finally:
         _process_injector = previous
-        if env:
-            if saved_env is None:
-                os.environ.pop(PLAN_ENV_VAR, None)
-            else:
-                os.environ[PLAN_ENV_VAR] = saved_env
 
 
 def maybe_fail(site: str, detail: Optional[str] = None) -> None:
     """Record one call at ``site`` and apply the action that fires, if any:
     raise :class:`FaultError`, sleep, or SIGKILL this process."""
-    injector = active_injector()
+    injector = _process_injector
     if injector is None:
         return
     spec = injector.check(site, detail)

@@ -47,7 +47,6 @@ _SCHEMA_VERSION = 1
 _SCHEMA = f"""
 BEGIN IMMEDIATE;
 CREATE TABLE IF NOT EXISTS runs (key BLOB PRIMARY KEY, record TEXT NOT NULL) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS manifest (id INTEGER PRIMARY KEY CHECK (id = 0), body TEXT NOT NULL);
 PRAGMA user_version = {_SCHEMA_VERSION};
 COMMIT;
 """
@@ -284,19 +283,22 @@ class RunCache:
         """
         self._open()
 
-    def save(self, manifest: Optional[Dict[str, Any]] = None) -> int:
+    def save(self) -> int:
         """Write the entries put since the last save; returns how many.
 
-        One transaction writes them together with ``manifest``, a JSON
-        object kept with the runs it describes (see :meth:`read_manifest`),
-        so a crash leaves all of it or none.  Outputs are not persisted.
-        A non-string key raises ``ValueError``.  A save the store refuses
-        (a database error, or the ``cache.save`` fault site) warns and
-        keeps the entries for the next save; a path holding no usable
-        store is never written.
+        One transaction writes them, so a crash leaves all of them or none.
+        With nothing unsaved it returns 0 at once: no fault site, no
+        transaction.  Outputs are not persisted.  A non-string key raises
+        ``ValueError``.  A save the store refuses (a database error, or the
+        ``cache.save`` fault site) warns and keeps the entries for the next
+        save; a path holding no usable store is never written.
         """
         import sqlite3
 
+        if self.persist_path is None:
+            raise ValueError("no persist path configured")
+        if not self._unsaved:
+            return 0
         db = self._open()
         if db is None:
             return 0
@@ -305,11 +307,6 @@ class RunCache:
             maybe_fail("cache.save", detail=self.persist_path)
             with db:
                 db.executemany("INSERT OR REPLACE INTO runs VALUES (?, ?)", rows)
-                if manifest is not None:
-                    db.execute(
-                        "INSERT OR REPLACE INTO manifest VALUES (0, ?)",
-                        (json.dumps(manifest),),
-                    )
         except (sqlite3.Error, OSError) as error:
             warnings.warn(
                 f"run cache save to {self.persist_path!r} failed ({error}); "
@@ -319,21 +316,6 @@ class RunCache:
             return 0
         self._unsaved.clear()
         return len(rows)
-
-    def read_manifest(self) -> Optional[Dict[str, Any]]:
-        """The manifest last saved with :meth:`save`, or None when there is
-        none, it is unreadable, or the path holds no usable store."""
-        import sqlite3
-
-        db = self._open()
-        if db is None:
-            return None
-        try:
-            row = db.execute("SELECT body FROM manifest").fetchone()
-            manifest = json.loads(row[0]) if row is not None else None
-        except (sqlite3.Error, ValueError):
-            return None
-        return manifest if isinstance(manifest, dict) else None
 
     def close(self) -> None:
         """Close the store's connection; a later :meth:`load` or

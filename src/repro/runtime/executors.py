@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.lang.config import Configuration
 from repro.lang.program import PetaBricksProgram, RunResult
-from repro.resilience.faults import install_from_env
 from repro.resilience.retry import RetryPolicy
 
 #: A single unit of work: run the program with this configuration on this input.
@@ -261,8 +260,6 @@ def _process_worker_init(
     global _WORKER_PROGRAM, _WORKER_SHARED
     _WORKER_PROGRAM = program
     _WORKER_SHARED = shared or {}
-    # Chaos plans follow the run into pool workers via the environment.
-    install_from_env()
 
 
 def _measure_tasks(program: PetaBricksProgram, tasks: Sequence[Task]) -> np.ndarray:

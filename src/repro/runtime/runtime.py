@@ -86,10 +86,6 @@ class Runtime:
             TaskCache(max_entries=self.TASK_CACHE_ENTRIES) if cache is not None else None
         )
         self.batch_chunk: int = batch_chunk
-        #: Optional :class:`~repro.resilience.checkpoint.ExperimentCheckpoint`
-        #: attached by the experiment runner; when set, every chunk boundary
-        #: saves the cache together with the resume manifest.
-        self.checkpoint: Optional[Any] = None
 
     @classmethod
     def create(
@@ -105,8 +101,8 @@ class Runtime:
 
         When ``cache_path`` is given, the store at that database file is
         attached immediately (a missing file becomes a new store; a path
-        holding anything else warns and runs cold); call :meth:`save_cache`
-        after a run to persist the updated cache.
+        holding anything else warns and runs cold); every chunk boundary
+        saves the runs it added, and :meth:`save_cache` saves the rest.
         ``use_cache=False`` disables caching outright -- including any
         persisted store -- so every measurement demonstrably re-executes.
         ``batch_chunk`` sizes the streaming chunks (see the class
@@ -252,15 +248,15 @@ class Runtime:
             self._chunk_completed()
 
     def _chunk_completed(self) -> None:
-        """Chunk-boundary hook: checkpoint progress, honor injected crashes.
+        """Chunk-boundary hook: save the chunk's runs, honor injected crashes.
 
-        The ``runtime.chunk`` fault site lives here so chaos plans can kill
-        (or stall) a run at a precise chunk boundary; with a checkpoint
-        attached, the chunk's runs and the resume manifest are saved
-        *before* the site fires -- the crash-then-resume test's contract.
+        With a store attached, the runs put since the last save are written
+        here, *before* the ``runtime.chunk`` fault site fires, so a run
+        killed at a chunk boundary keeps every completed chunk's runs and
+        resumes by running the same command again on the same store.
         """
-        if self.checkpoint is not None:
-            self.checkpoint.chunk_completed()
+        if self.cache is not None and self.cache.persist_path is not None:
+            self.cache.save()
         maybe_fail("runtime.chunk")
 
     def _dispatch_pairs(

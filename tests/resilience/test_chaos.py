@@ -1,13 +1,12 @@
-"""End-to-end chaos tests: replay determinism, degraded serving, kill+resume.
+"""End-to-end chaos tests: replay determinism, degraded serving, kill+rerun.
 
 These are the acceptance checks of the resilience work (see
 docs/resilience.md): a seeded fault plan replays bit-for-bit; a serving
 stack under execution failures degrades instead of dropping requests; a
-run SIGKILLed mid-measurement resumes to the bit-identical result an
-uninterrupted run produces.
+run SIGKILLed mid-measurement, run again on the same store, gives the
+bit-identical result an uninterrupted run produces.
 """
 
-import dataclasses
 import os
 import signal
 import sqlite3
@@ -25,9 +24,7 @@ from repro.resilience.chaos import (
     run_chaos_experiment,
     run_chaos_load,
 )
-from repro.resilience.checkpoint import ExperimentCheckpoint
-from repro.resilience.faults import PLAN_ENV_VAR, FaultPlan, FaultSpec
-from repro.runtime import RunCache
+from repro.resilience.faults import FaultPlan, FaultSpec
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -50,20 +47,20 @@ def clean_digest():
     return experiment_digest(run_experiment("sort1", config=tiny_config()))
 
 
-def saved_manifest(path):
-    """The checkpoint manifest in the store at ``path``, as a resumer reads it."""
-    cache = RunCache(persist_path=path)
+def stored_runs(path):
+    """How many runs the store at ``path`` holds."""
+    db = sqlite3.connect(path)
     try:
-        return ExperimentCheckpoint(cache, "unused").load()
+        return db.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
     finally:
-        cache.close()
+        db.close()
 
 
 class TestPresets:
     def test_all_presets_build_valid_plans(self):
         for name in PRESETS:
-            plan = preset_plan(name, seed=3)
-            assert plan.faults and plan.seed == 3
+            plan = preset_plan(name)
+            assert plan.faults
             assert FaultPlan.from_json(plan.to_json()) == plan
 
     def test_unknown_preset_raises(self):
@@ -81,9 +78,9 @@ class TestChaosExperiment:
         reports = []
         for replay in range(2):
             store = str(tmp_path / f"store-{replay}.db")
-            # A checkpointed run saves at every chunk, so the runs the two
-            # failed saves kept must reach the store through a later one.
-            config = tiny_config(cache_path=store, checkpoint=True, batch_chunk=64)
+            # The runtime saves at every chunk, so the runs the two failed
+            # saves kept must reach the store through a later one.
+            config = tiny_config(cache_path=store, batch_chunk=64)
             with pytest.warns(UserWarning, match="stay unsaved"):
                 reports.append(
                     run_chaos_experiment(
@@ -137,15 +134,36 @@ class TestChaosLoad:
             }
 
 
+def run_python(tmp_path, script, *args):
+    """Run ``script`` in a fresh interpreter that imports this checkout."""
+    env = dict(os.environ)
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    path = tmp_path / "script.py"
+    path.write_text(script)
+    return subprocess.run(
+        [sys.executable, str(path), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+
+
+def printed(proc, tag):
+    """The value a script printed after ``tag``."""
+    return [line.split()[1] for line in proc.stdout.splitlines() if line.startswith(tag)][0]
+
+
 RUNNER_SCRIPT = textwrap.dedent(
     """
+    import contextlib
     import sys
 
     from repro.experiments.runner import ExperimentConfig, run_experiment
     from repro.resilience.chaos import experiment_digest
-    from repro.resilience.faults import install_from_env
+    from repro.resilience.faults import FaultPlan, FaultSpec, fault_scope
 
-    install_from_env()
     mode, store = sys.argv[1], sys.argv[2]
     config = ExperimentConfig(
         n_inputs=24,
@@ -157,76 +175,80 @@ RUNNER_SCRIPT = textwrap.dedent(
         seed=0,
         batch_chunk=4,
         cache_path=None if mode == "clean" else store,
-        checkpoint=mode != "clean",
-        resume=mode == "resume",
+        executor="serial",  # a killed pool's orphaned workers would hold the pipes open
     )
-    result = run_experiment("sort1", config=config)
+    kill = FaultPlan(faults=[FaultSpec(site="runtime.chunk", action="kill", nth=6)])
+    with fault_scope(kill) if mode == "kill" else contextlib.nullcontext():
+        result = run_experiment("sort1", config=config)
     print("DIGEST", experiment_digest(result))
+    print("EXECUTED", result.runtime_stats["telemetry"]["counters"]["runs_executed"])
     """
 )
 
 
 class TestKillAndResume:
-    """SIGKILL mid-measurement, then --resume to a bit-identical result."""
-
-    def run_script(self, tmp_path, mode, store, env_extra=None):
-        env = dict(os.environ)
-        src = os.path.abspath(
-            os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        )
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")])
-        )
-        env.pop(PLAN_ENV_VAR, None)
-        if env_extra:
-            env.update(env_extra)
-        script = tmp_path / "runner.py"
-        script.write_text(RUNNER_SCRIPT)
-        return subprocess.run(
-            [sys.executable, str(script), mode, store],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=300,
-        )
+    """SIGKILL mid-measurement, then the same run again on the same store."""
 
     def test_sigkill_then_resume_is_bit_identical(self, tmp_path):
         store = str(tmp_path / "store.db")
-        kill_plan = FaultPlan(
-            faults=[FaultSpec(site="runtime.chunk", action="kill", nth=6)]
-        )
-
-        killed = self.run_script(
-            tmp_path, "checkpoint", store,
-            env_extra={PLAN_ENV_VAR: kill_plan.to_json()},
-        )
+        killed = run_python(tmp_path, RUNNER_SCRIPT, "kill", store)
         assert killed.returncode == -signal.SIGKILL, killed.stderr
-        manifest = saved_manifest(store)
-        assert manifest is not None
-        assert manifest["interrupted"] is True
-        # The kill fires *after* the chunk is durably recorded.
-        assert len(manifest["completed_chunks"]) == 6
+        # The sixth chunk boundary saved every run before the kill fired.
+        saved = stored_runs(store)
+        assert saved > 0
 
-        resumed = self.run_script(tmp_path, "resume", store)
-        assert resumed.returncode == 0, resumed.stderr
-        clean = self.run_script(tmp_path, "clean", str(tmp_path / "unused"))
+        rerun = run_python(tmp_path, RUNNER_SCRIPT, "rerun", store)
+        assert rerun.returncode == 0, rerun.stderr
+        clean = run_python(tmp_path, RUNNER_SCRIPT, "clean", store)
         assert clean.returncode == 0, clean.stderr
+        assert printed(rerun, "DIGEST") == printed(clean, "DIGEST")
+        # Every saved run is recalled; only the rest execute.
+        assert int(printed(rerun, "EXECUTED")) == int(printed(clean, "EXECUTED")) - saved
 
-        digest_of = lambda proc: [  # noqa: E731 - local shorthand
-            line for line in proc.stdout.splitlines() if line.startswith("DIGEST")
-        ][0]
-        assert digest_of(resumed) == digest_of(clean)
-        assert saved_manifest(store)["interrupted"] is False
 
-    def test_resume_with_other_config_refuses(self, tmp_path):
-        from repro.resilience.checkpoint import CheckpointMismatch
+TABLE1_SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    from repro.cli import main
+    from repro.resilience.faults import FaultPlan, FaultSpec, fault_scope
+
+    sys.stdout.reconfigure(line_buffering=True)  # a SIGKILL flushes nothing
+    kill = FaultPlan(faults=[FaultSpec(site="runtime.chunk", action="kill", nth=int(sys.argv[1]))])
+    with fault_scope(kill):
+        main(sys.argv[2:])
+    """
+)
+
+
+class TestTable1KillAndRerun:
+    def test_table1_killed_inside_its_second_test_reruns_to_the_clean_table(
+        self, tmp_path, capsys
+    ):
+        """The run the resume manifest refused: a multi-test ``table1`` on
+        one store, killed inside sort2 and run again, prints the table of an
+        uninterrupted run."""
+        from repro.cli import _experiment_config, build_parser, main
+
+        argv = ["table1", "--tests", "sort1", "sort2", "--inputs", "24", "--clusters", "3",
+                "--generations", "2", "--batch-chunk", "64", "--executor", "serial"]
+        config = _experiment_config(build_parser().parse_args(argv))
+        sort1 = run_experiment("sort1", config=config).runtime_stats["telemetry"]["counters"]
+
+        def table(output):
+            return [line for line in output.splitlines() if not line.startswith("#")]
 
         store = str(tmp_path / "store.db")
-        config = tiny_config(batch_chunk=4, cache_path=store, checkpoint=True)
-        run_experiment("sort1", config=config)
-        other = dataclasses.replace(config, seed=1, resume=True)
-        with pytest.raises(CheckpointMismatch):
-            run_experiment("sort1", config=other)
+        stored = argv + ["--cache-path", store]
+        killed = run_python(tmp_path, TABLE1_SCRIPT, str(sort1["chunks_dispatched"] + 2), *stored)
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        assert "running sort2" in killed.stdout
+        assert stored_runs(store) > sort1["runs_executed"]  # all of sort1, some of sort2
+        assert main(stored) == 0
+        rerun = capsys.readouterr().out
+        assert main(argv) == 0
+        clean = capsys.readouterr().out
+        assert table(rerun) == table(clean) and "max two-level speedup" in rerun
 
 
 class TestBadStoreAtCachePath:
@@ -255,7 +277,7 @@ class TestBadStoreAtCachePath:
             db.execute("PRAGMA user_version = 99")
             db.close()
         before = self.snapshot(path)
-        config = tiny_config(cache_path=str(path), checkpoint=True)
+        config = tiny_config(cache_path=str(path))
         with pytest.warns(UserWarning, match="not a usable store"):
             result = run_experiment("sort1", config=config)
         assert experiment_digest(result) == clean_digest

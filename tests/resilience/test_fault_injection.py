@@ -1,20 +1,15 @@
 """Tests for the deterministic fault-injection harness."""
 
 import json
-import os
 
 import pytest
 
 from repro.resilience.faults import (
-    PLAN_ENV_VAR,
     FaultError,
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    active_injector,
     fault_scope,
-    install,
-    install_from_env,
     maybe_fail,
 )
 
@@ -68,6 +63,28 @@ class TestFaultPlan:
         one = FaultPlan(faults=[FaultSpec(site="a", nth=1)])
         two = FaultPlan(faults=[FaultSpec(site="a", nth=2)])
         assert one.digest() != two.digest()
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ('{"faults": [{"action": "raise", "nth": 1}]}', "'site'"),
+            ('{"faults": [{"site": "s", "nth": 1, "when": 2}]}', "'when'"),
+            ('{"faults": [{"site": "s", "nth": "1"}]}', "'nth'"),
+            ('{"faults": [{"site": "s", "nth": true}]}', "'nth'"),
+            ('{"faults": [{"site": "s", "probability": "high"}]}', "'probability'"),
+            ('{"faults": [{"site": "s", "action": "explode", "nth": 1}]}', "action"),
+            ('{"faults": [{"site": "s"}]}', "nth/probability"),
+            ('{"faults": ["cache.save"]}', "'site'"),
+            ('{"faults": {"site": "s"}}', "'faults'"),
+            ('{"faults": [], "seed": "3"}', "'seed'"),
+            ('{"fault": []}', "'faults'"),
+            ("[]", "'faults'"),
+            ('{"faults": [', "Expecting value"),  # not JSON at all
+        ],
+    )
+    def test_from_json_names_the_bad_field(self, payload, field):
+        with pytest.raises(ValueError, match=field):
+            FaultPlan.from_json(payload)
 
 
 class TestInjector:
@@ -130,32 +147,12 @@ class TestInjector:
 
 class TestInstallation:
     def test_fault_scope_installs_and_clears(self):
-        plan = FaultPlan(faults=[FaultSpec(site="s", nth=1)])
-        assert active_injector() is None
-        with fault_scope(plan, env=False) as injector:
-            assert active_injector() is injector
-        assert active_injector() is None
-
-    def test_fault_scope_exports_env_for_subprocesses(self):
-        plan = FaultPlan(faults=[FaultSpec(site="s", nth=1)], seed=3)
-        with fault_scope(plan):
-            assert FaultPlan.from_json(os.environ[PLAN_ENV_VAR]) == plan
-        assert PLAN_ENV_VAR not in os.environ
-
-    def test_install_from_env(self, monkeypatch):
-        plan = FaultPlan(faults=[FaultSpec(site="s", nth=1)])
-        monkeypatch.setenv(PLAN_ENV_VAR, plan.to_json())
-        injector = install_from_env()
-        try:
-            assert injector is not None
+        plan = FaultPlan(faults=[FaultSpec(site="s", nth=1, count=2)])
+        with fault_scope(plan) as injector:
             with pytest.raises(FaultError):
                 maybe_fail("s")
-        finally:
-            install(None)
-
-    def test_install_from_env_without_plan_is_none(self, monkeypatch):
-        monkeypatch.delenv(PLAN_ENV_VAR, raising=False)
-        assert install_from_env() is None
+        maybe_fail("s")  # the spec could fire again, but its scope is over
+        assert injector.snapshot() == {"calls": {"s": 1}, "fired": {"s": 1}}
 
     def test_no_injector_is_free_of_effects(self):
         assert maybe_fail("anything") is None  # no-op
@@ -164,7 +161,7 @@ class TestInstallation:
 class TestActions:
     def test_maybe_fail_raises_fault_error(self):
         plan = FaultPlan(faults=[FaultSpec(site="s", nth=1)])
-        with fault_scope(plan, env=False):
+        with fault_scope(plan):
             with pytest.raises(FaultError) as excinfo:
                 maybe_fail("s")
         assert excinfo.value.site == "s"
@@ -178,7 +175,7 @@ class TestActions:
                 FaultSpec(site="z", action="delay", nth=1, delay_seconds=0.01)
             ]
         )
-        with fault_scope(plan, env=False):
+        with fault_scope(plan):
             started = time.perf_counter()
             maybe_fail("z")
             assert time.perf_counter() - started >= 0.009

@@ -240,6 +240,51 @@ class TestStore:
         assert cache.save() == 1
         assert set(stored_rows(path)) == {b"a", b"b"}
 
+    def test_save_with_nothing_unsaved_touches_nothing(self, tmp_path, store_cache):
+        """An empty save runs no statement, so it takes no write lock, and
+        never reaches the ``cache.save`` fault site."""
+        cache = store_cache(tmp_path / "cache.db")
+        cache.put("a", result(time=1.0), has_output=False)
+        assert cache.save() == 1
+        statements = []
+        cache._db.set_trace_callback(statements.append)
+        assert cache.save() == 0
+        assert statements == []  # no BEGIN IMMEDIATE ... COMMIT
+        plan = FaultPlan(faults=[FaultSpec(site="cache.save", action="raise", nth=1)])
+        with fault_scope(plan) as injector:
+            assert cache.save() == 0
+        assert injector.snapshot()["calls"] == {}
+
+    def test_store_with_the_retired_manifest_table_still_works(self, tmp_path, store_cache):
+        """A store written while the resume manifest existed -- ``runs``, a
+        one-row ``manifest`` table and ``user_version`` 1 -- answers its runs
+        as hits and takes saves, and its manifest row is left as it was."""
+        path = tmp_path / "cache.db"
+        db = sqlite3.connect(str(path))
+        db.executescript(
+            "CREATE TABLE runs (key BLOB PRIMARY KEY, record TEXT NOT NULL) WITHOUT ROWID;"
+            "CREATE TABLE manifest (id INTEGER PRIMARY KEY CHECK (id = 0), body TEXT NOT NULL);"
+            "PRAGMA user_version = 1;"
+        )
+        manifest = [(0, '{"version": 1, "config": "d", "interrupted": true}')]
+        with db:
+            db.execute("INSERT INTO runs VALUES (?, ?)", (b"old", '{"time": 2.5, "accuracy": 1.0}'))
+            db.executemany("INSERT INTO manifest VALUES (?, ?)", manifest)
+        db.close()
+        cache = store_cache(path)
+        cache.load()
+        assert cache.get("old").time == 2.5
+        assert cache.stats()["hits"] == 1
+        cache.put("new", result(time=4.0), has_output=False)
+        assert cache.save() == 1
+        assert set(stored_rows(path)) == {b"old", b"new"}
+        db = sqlite3.connect(str(path))
+        try:
+            assert db.execute("SELECT id, body FROM manifest").fetchall() == manifest
+            assert db.execute("PRAGMA user_version").fetchone() == (1,)
+        finally:
+            db.close()
+
     def test_save_merges_with_entries_evicted_from_memory(self, tmp_path, store_cache):
         path = tmp_path / "cache.db"
         cache = store_cache(path, max_entries=2)
@@ -414,7 +459,7 @@ class TestSaveFailures:
         cache = store_cache(path)
         cache.put("a", result(time=1.0), has_output=False)
         plan = FaultPlan(faults=[FaultSpec(site="cache.save", action="raise", nth=1)])
-        with fault_scope(plan, env=False) as injector:
+        with fault_scope(plan) as injector:
             with pytest.warns(UserWarning, match="injected fault"):
                 assert cache.save() == 0
             assert cache.save() == 1

@@ -202,6 +202,40 @@ class TestPersistedRuntime:
                 assert np.array_equal(again["times"], first["times"])
         assert calls2 == []
 
+    def test_each_chunk_is_saved_before_the_next_dispatches(self, tmp_path):
+        """A second cache on the store reads every earlier chunk's runs at
+        the moment the next chunk reaches the executor."""
+        path = str(tmp_path / "runs.db")
+        program, _ = counting_program()
+        config = program.default_configuration()
+        keys = [run_key(program, config, i) for i in range(9)]
+        stored_at_dispatch = []
+
+        class ReadingExecutor(SerialExecutor):
+            def run_batch(self, program, tasks):
+                reader = RunCache(persist_path=path)
+                try:
+                    reader.load()
+                    stored_at_dispatch.append(sum(reader.get(key) is not None for key in keys))
+                finally:
+                    reader.close()
+                return super().run_batch(program, tasks)
+
+        cache = RunCache(persist_path=path)
+        with Runtime(executor=ReadingExecutor(), cache=cache, batch_chunk=3) as runtime:
+            runtime.run_pairs(program, [(config, i) for i in range(9)])
+            assert stored_at_dispatch == [0, 3, 6]
+            assert runtime.save_cache() == 0  # the last chunk's boundary saved it
+
+    def test_runtime_without_a_store_saves_nothing(self, monkeypatch):
+        saves = []
+        monkeypatch.setattr(RunCache, "save", lambda cache: saves.append(cache))
+        program, _ = counting_program()
+        runtime = Runtime(cache=RunCache(), batch_chunk=2)
+        runtime.measure(program, [program.default_configuration()], list(range(5)))
+        assert runtime.telemetry.snapshot()["counters"]["chunks_dispatched"] == 3
+        assert saves == []
+
     def test_close_closes_the_store(self, tmp_path):
         runtime = Runtime.create(cache_path=str(tmp_path / "runs.db"))
         connection = runtime.cache._db

@@ -495,7 +495,7 @@ class TestEventLoopAnswers:
         server.publish("gated", deployed)
         # A spec that never fires still counts the site's calls.
         plan = FaultPlan([FaultSpec(site="serve.execute", probability=0.0)])
-        with fault_scope(plan, env=False) as injector:
+        with fault_scope(plan) as injector:
             with ServerThread(server):
                 with connect(server) as client:
                     answers = [

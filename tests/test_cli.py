@@ -67,6 +67,11 @@ class TestParser:
             ["profile", "sort1", "--top", "0"],
             ["serve", "--max-pending", "0"],
             ["serve", "--execution-workers", "0"],
+            ["serve", "--port", "70000"],
+            ["serve", "--port", "-1"],
+            ["train", "sort1", "--checkpoint"],
+            ["train", "sort1", "--resume"],
+            ["chaos", "experiment", "--preset", "store-write-fail", "--fault-seed", "1"],
             ["chaos", "load", "--requests", "0"],
             ["chaos", "load", "--unique-inputs", "0"],
             ["chaos", "load", "--clients", "0"],
@@ -124,3 +129,31 @@ class TestCommands:
         assert code == 0
         output = capsys.readouterr().out
         assert "svd" in output and "Dynamic Oracle" in output
+
+    def test_chaos_store_write_fail_replays_execute_and_save(self, tmp_path, capsys):
+        """The fault-free baseline runs without the replays' store, so the
+        first replay executes its runs and the failed saves hold some."""
+        argv = ["chaos", "experiment", "sort2", "--preset", "store-write-fail",
+                "--cache-path", str(tmp_path / "store.db"), "--inputs", "24",
+                "--clusters", "3", "--generations", "2", "--replays", "2"]
+        with pytest.warns(UserWarning, match=r" [1-9][0-9]* entries stay unsaved"):
+            assert main(argv) == 0
+        assert "all invariants held" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (None, "No such file"),
+            ("not json{", "Expecting value"),
+            ('{"faults": [{"action": "raise", "nth": 1}]}', "'site'"),
+        ],
+    )
+    def test_chaos_bad_plan_file_exits_2_with_one_line(self, tmp_path, capsys, content, reason):
+        path = tmp_path / "plan.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["chaos", "experiment", "sort1", "--plan", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing ran
+        assert captured.err.count("\n") == 1
+        assert str(path) in captured.err and reason in captured.err
