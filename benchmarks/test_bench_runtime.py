@@ -126,7 +126,7 @@ def test_warm_cache_speedup(benchmark):
     assert warm_seconds < cold_seconds
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+@pytest.mark.parametrize("executor", ["serial", "process"])
 def test_measurement_matrix_throughput(benchmark, executor):
     """Raw N x K measurement throughput per executor (no cache)."""
     variant = get_benchmark("sort1")

@@ -13,9 +13,8 @@ This file keeps that record honest on every run:
 * the experiment re-run here must reproduce the committed
   ``two_level_speedup`` for the active scale, bit for bit -- a wrong
   value means vectorization bought speed with a different answer;
-* serial, thread, and process executors must produce bit-identical
-  measurement matrices (the process run ships its leases' results as
-  float64 blocks);
+* serial and process executors must produce bit-identical measurement
+  matrices (the process run ships its leases' results as float64 blocks);
 * the wall time must stay within ``_TOLERANCE``x of the committed wall
   for the active scale -- generous enough for CI machine variation, far
   below the ~6.5x cliff a de-vectorization regression would cause.
@@ -90,10 +89,10 @@ def test_vectorized_experiment_wall_and_answer(benchmark):
 
 
 def test_executor_matrix_parity(benchmark):
-    """Serial, thread, and process matrices are bit-identical.
+    """Serial and process matrices are bit-identical.
 
-    All three take the one pair dispatch; the process run's leases answer
-    in float64 blocks.  All three must agree bitwise.
+    Both take the one pair dispatch; the process run's leases answer in
+    float64 blocks.  The two must agree bitwise.
     """
     variant = get_benchmark("sort1")
     program = variant.benchmark.program
@@ -114,7 +113,6 @@ def test_executor_matrix_parity(benchmark):
         return measured, fallback
 
     serial, _ = measure("serial")
-    threaded, _ = measure("thread")
     process, process_fallback = measure("process")
 
     runtime = Runtime.create(executor="serial", use_cache=False)
@@ -124,6 +122,5 @@ def test_executor_matrix_parity(benchmark):
     runtime.close()
 
     assert process_fallback is None
-    for other in (threaded, process):
-        np.testing.assert_array_equal(serial["times"], other["times"])
-        np.testing.assert_array_equal(serial["accuracies"], other["accuracies"])
+    np.testing.assert_array_equal(serial["times"], process["times"])
+    np.testing.assert_array_equal(serial["accuracies"], process["accuracies"])

@@ -31,7 +31,10 @@ code, fenced blocks included, so a deleted option cannot linger there:
   ``examples/`` (relative to the repository root) names a file or
   directory (a ``*`` in it must match one);
 * **every chaos preset exists** -- the ``NAME`` of ``--preset NAME`` is a
-  key of ``PRESETS`` in ``src/repro/resilience/chaos.py``.
+  key of ``PRESETS`` in ``src/repro/resilience/chaos.py``;
+* **every executor exists** -- each ``|``-separated ``NAME`` of
+  ``--executor NAME`` or ``REPRO_EXECUTOR=NAME`` is a key of ``EXECUTORS``
+  in ``src/repro/runtime/executors.py``.
 
 All of them read the source as text, without importing ``repro``.
 
@@ -69,6 +72,7 @@ _REPO_PATH = re.compile(
     r"(?<![\w./-])(?:src|tests|benchmarks|scripts|docs|perfbench|examples)/[\w./*-]*"
 )
 _PRESET = re.compile(r"--preset[ =]([\w-]+)")
+_EXECUTOR = re.compile(r"(?:--executor[ =]|REPRO_EXECUTOR=)([\w|-]+)")
 
 
 def _github_anchor(heading: str) -> str:
@@ -173,19 +177,30 @@ def _module_exists(reference: str) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _chaos_presets() -> frozenset:
-    """The keys of ``PRESETS`` in the chaos module (parsed, never executed)."""
-    path = os.path.join(_ROOT, "src", "repro", "resilience", "chaos.py")
+def _dict_keys(module: str, name: str) -> frozenset:
+    """The constant keys of the top-level dict ``name`` in ``module`` (a
+    path under ``src/repro``; parsed, never executed)."""
+    path = os.path.join(_ROOT, "src", "repro", module)
     with open(path, "r", encoding="utf-8") as handle:
         tree = ast.parse(handle.read(), path)
     for node in tree.body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            if any(isinstance(t, ast.Name) and t.id == "PRESETS" for t in targets):
+            if any(isinstance(t, ast.Name) and t.id == name for t in targets):
                 return frozenset(
                     key.value for key in node.value.keys if isinstance(key, ast.Constant)
                 )
     return frozenset()
+
+
+def _chaos_presets() -> frozenset:
+    """The keys of ``PRESETS`` in the chaos module."""
+    return _dict_keys(os.path.join("resilience", "chaos.py"), "PRESETS")
+
+
+def _executor_names() -> frozenset:
+    """The keys of ``EXECUTORS`` in the executors module."""
+    return _dict_keys(os.path.join("runtime", "executors.py"), "EXECUTORS")
 
 
 def _is_user_doc(path: str) -> bool:
@@ -194,8 +209,8 @@ def _is_user_doc(path: str) -> bool:
 
 
 def check_code_references(path: str, lines: List[str]) -> List[str]:
-    """Flags, environment variables, modules, paths and chaos presets the
-    doc names but the repository lacks."""
+    """Flags, environment variables, modules, paths, chaos presets and
+    executors the doc names but the repository lacks."""
     problems: List[str] = []
     flags, env_vars = _defined_flags(), _read_env_vars()
     for lineno, line in enumerate(lines, start=1):
@@ -217,6 +232,10 @@ def check_code_references(path: str, lines: List[str]) -> List[str]:
         for name in _PRESET.findall(line):
             if name not in _chaos_presets():
                 problems.append(f"{path}:{lineno}: chaos preset {name} is not a key of PRESETS")
+        for names in _EXECUTOR.findall(line):
+            for name in names.split("|"):
+                if name not in _executor_names():
+                    problems.append(f"{path}:{lineno}: executor {name} is not a key of EXECUTORS")
     return problems
 
 

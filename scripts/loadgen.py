@@ -24,6 +24,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
+from repro.cli import _int_in_range
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.serving import ServingConfig, run_load
 
@@ -31,26 +32,32 @@ from repro.serving import ServingConfig, run_load
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--test", default="sort2", help="benchmark test to train and serve")
-    parser.add_argument("--requests", type=int, default=64, help="total requests in the trace")
     parser.add_argument(
-        "--unique-inputs", type=int, default=8,
+        "--requests", type=_int_in_range(1), default=64, help="total requests in the trace"
+    )
+    parser.add_argument(
+        "--unique-inputs", type=_int_in_range(1), default=8,
         help="distinct input indices in the trace (the rest are duplicates)",
     )
-    parser.add_argument("--clients", type=int, default=4, help="concurrent client connections")
+    parser.add_argument(
+        "--clients", type=_int_in_range(1), default=4, help="concurrent client connections"
+    )
     parser.add_argument("--seed", type=int, default=0, help="training and trace seed")
     parser.add_argument(
         "--input-seed", type=int, default=999,
         help="population seed of the served inputs (distinct from training's)",
     )
-    parser.add_argument("--inputs", type=int, default=60, help="training inputs")
-    parser.add_argument("--clusters", type=int, default=6, help="Level-1 clusters")
-    parser.add_argument("--generations", type=int, default=3, help="autotuner generations")
+    parser.add_argument("--inputs", type=_int_in_range(4), default=60, help="training inputs")
+    parser.add_argument("--clusters", type=_int_in_range(1), default=6, help="Level-1 clusters")
     parser.add_argument(
-        "--max-pending", type=int, default=64,
+        "--generations", type=_int_in_range(1), default=3, help="autotuner generations"
+    )
+    parser.add_argument(
+        "--max-pending", type=_int_in_range(1), default=64,
         help="admission cap on distinct in-flight executions",
     )
     parser.add_argument(
-        "--execution-workers", type=int, default=1,
+        "--execution-workers", type=_int_in_range(1), default=1,
         help="server-side execution thread-pool width",
     )
     parser.add_argument("--output", default=None, help="also write the metrics JSON here")

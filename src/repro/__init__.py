@@ -15,10 +15,10 @@ The package is organized as:
 * :mod:`repro.core` -- the paper's contribution: the two-level input-aware
   learning framework, its classifier zoo, the comparison baselines, and the
   Section 4.3 theoretical model.
-* :mod:`repro.runtime` -- the shared measurement runtime: serial /
-  thread-pool / process-pool executors, a content-keyed run cache, and
-  telemetry.  All program runs (autotuning, Level-1 measurement, baselines,
-  deployment) go through it.
+* :mod:`repro.runtime` -- the shared measurement runtime: serial and
+  process-pool executors, a content-keyed run cache, and telemetry.  All
+  program runs (autotuning, Level-1 measurement, baselines, deployment) go
+  through it.
 * :mod:`repro.experiments` -- drivers that regenerate Table 1 and Figures
   6, 7, and 8.
 

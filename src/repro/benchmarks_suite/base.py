@@ -17,7 +17,7 @@ generation must be a pure function of its arguments *per index*: input
 ``i`` of ``input_source(n, variant, seed)`` depends only on (variant,
 seed, i), never on inputs 0..i-1.  Those properties are what let the
 measurement runtime cache runs by content key, fan batches out over
-thread/process pools, and stream 50k-input experiments chunk by chunk --
+a process pool, and stream 50k-input experiments chunk by chunk --
 the input list itself included -- with bit-identical results.
 ``generate_inputs`` is the materialized (O(N) list) view of the same
 source.

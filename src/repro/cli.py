@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from typing import Callable, Optional, Sequence
 
@@ -28,6 +27,7 @@ from repro.experiments.runner import (
     ExperimentConfig,
     _env_batch_chunk,
     _env_cache_max_entries,
+    _env_executor,
     _env_stream_inputs,
     _env_workers,
     run_experiment,
@@ -77,7 +77,7 @@ def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=_int_in_range(1),
         default=_env_workers(),
-        help="worker count for the thread/process executors (default: CPU count)",
+        help="worker count for the process executor (default: CPU count)",
     )
 
 
@@ -95,7 +95,7 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--executor",
         choices=sorted(EXECUTORS),
-        default=os.environ.get("REPRO_EXECUTOR", "serial"),
+        default=_env_executor(),
         help="run strategy for program measurements (default: serial, bit-identical)",
     )
     _add_workers_argument(parser)
@@ -572,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     adapt.add_argument(
         "--executor",
         choices=sorted(EXECUTORS),
-        default=os.environ.get("REPRO_EXECUTOR", "serial"),
+        default=_env_executor(),
         help="measurement executor (the report is bit-identical across them)",
     )
     _add_workers_argument(adapt)

@@ -26,10 +26,9 @@ and scored by a module-level task function, and the batch fans out over
 whatever executor the runtime carries.  Determinism is preserved by
 construction -- candidates are enumerated, reassembled, and compared in
 *enumeration order* (a deterministic key independent of completion order),
-so the serial path, the thread pool, and the process pool all select the
-identical production classifier with identical scores.  Per-candidate cache
-keys (dataset digest + split + spec) let a warm runtime skip retraining
-entirely.
+so the serial path and the process pool select the identical production
+classifier with identical scores.  Per-candidate cache keys (dataset
+digest + split + spec) let a warm runtime skip retraining entirely.
 
 Every tree of one search is grown on the same rows, and most of their
 per-feature split scans repeat scans another tree already made.  The batch
@@ -75,8 +74,8 @@ _DATASET_REF = SharedRef(_DATASET_TOKEN)
 
 #: Registry token of the batch's split memo.  Shipped the way the dataset
 #: is, it reaches each pool worker once per pool (empty), and each worker
-#: fills its own copy across all of its leases; serial and thread batches
-#: share the one dict.  Task cache keys leave it out: it changes no result.
+#: fills its own copy across all of its leases; a serial batch fills the one
+#: dict.  Task cache keys leave it out: it changes no result.
 _SPLIT_MEMO_TOKEN = "level2.split_memo"
 _SPLIT_MEMO_REF = SharedRef(_SPLIT_MEMO_TOKEN)
 
@@ -494,7 +493,7 @@ def run_level2(
     telemetry) and is memoized per candidate, so a warm runtime skips
     retraining.  Results are assembled in enumeration order whatever the
     executor, which makes the selected production classifier and all its
-    scores identical across serial, thread, and process execution.
+    scores identical across serial and process execution.
 
     Args:
         dataset: the Level-1 performance dataset.

@@ -32,11 +32,24 @@ from repro.core.inputs import ObservedInputSource
 from repro.core.level1 import Level1Config
 from repro.core.level2 import Level2Config
 from repro.core.pipeline import InputAwareLearning, TrainingResult
-from repro.runtime import RunCache, Runtime, default_runtime
+from repro.runtime import EXECUTORS, RunCache, Runtime, default_runtime
 
 
 def _env_executor() -> str:
-    return os.environ.get("REPRO_EXECUTOR", "serial")
+    """``REPRO_EXECUTOR`` when it names an executor, else ``"serial"``.
+
+    An unknown name warns and runs serially instead of failing after the
+    command line parsed.  Shared by ``ExperimentConfig`` and the CLI.
+    """
+    value = os.environ.get("REPRO_EXECUTOR", "").strip().lower()
+    if not value:
+        return "serial"
+    if value not in EXECUTORS:
+        warnings.warn(
+            f"ignoring REPRO_EXECUTOR={value!r}: not one of {sorted(EXECUTORS)}"
+        )
+        return "serial"
+    return value
 
 
 def _env_int(
@@ -98,8 +111,8 @@ class ExperimentConfig:
     to approach the paper's scale (50-60k inputs, 100 landmarks).
 
     Execution knobs (see ``repro.runtime``): ``executor`` picks the run
-    strategy (``serial`` -- the bit-identical default -- ``thread`` or
-    ``process``), ``workers`` sizes its pool, both overridable via the
+    strategy (``serial`` -- the bit-identical default -- or ``process``),
+    ``workers`` sizes its pool, both overridable via the
     ``REPRO_EXECUTOR`` / ``REPRO_WORKERS`` environment variables;
     ``use_cache`` deduplicates identical runs within and across pipeline
     stages, and ``cache_path`` persists measurements to an SQLite database

@@ -88,10 +88,11 @@ class CostCounter:
 # drivers install a counter for the duration of a run via ``scoped_counter``.
 #
 # The counter lives in a ContextVar rather than a module global so that
-# concurrent runs (the thread-pool executor in ``repro.runtime``) each see
-# their own counter: a worker thread starts with no counter installed and
-# ``program.run`` scopes a fresh one for exactly its own run.  Within a
-# single thread the behaviour is identical to the old module global.
+# concurrent runs (the serving layer runs ``program.run`` on up to
+# ``execution_workers`` threads) each see their own counter: a worker
+# thread starts with no counter installed and ``program.run`` scopes a
+# fresh one for exactly its own run.  Within a single thread the behaviour
+# is identical to a module global.
 _current: contextvars.ContextVar[Optional[CostCounter]] = contextvars.ContextVar(
     "repro_cost_counter", default=None
 )

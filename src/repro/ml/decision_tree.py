@@ -313,8 +313,6 @@ class DecisionTreeClassifier:
         The running best is replaced only on strict improvement, so the
         first feature (and, within it, the first threshold) wins ties.
         Scans come from the fit's memo when any fit already made them.
-        Threads may share the memo without a lock: entries are only ever
-        added, and every fit that computes a key stores the same answer.
         """
         parent_impurity = self._node_impurity(parent_counts)
         memo = self._fit_memo

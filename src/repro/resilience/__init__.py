@@ -1,4 +1,4 @@
-"""Deterministic resilience toolkit: fault injection, retries, breakers.
+"""Deterministic resilience toolkit: fault injection, breakers, chaos.
 
 The modules here give the system one vocabulary for "things going wrong":
 
@@ -7,9 +7,6 @@ The modules here give the system one vocabulary for "things going wrong":
   ``serve.execute``, ...); a chaos run activates a :class:`FaultPlan` that
   fires raise/delay/kill actions at chosen calls, bit-for-bit
   reproducibly.
-* :mod:`~repro.resilience.retry` -- :class:`RetryPolicy`, the single
-  retry/backoff implementation shared by the process executor's pool
-  rebuilds and the serving client.
 * :mod:`~repro.resilience.breaker` -- :class:`CircuitBreaker` guarding
   serving-side executions.
 * :mod:`~repro.resilience.chaos` -- the harness behind ``repro chaos``:
@@ -18,7 +15,10 @@ The modules here give the system one vocabulary for "things going wrong":
 
 A killed experiment needs nothing from this package to resume: a runtime
 with a store saves its runs at every chunk boundary, so running the same
-command again on the same ``--cache-path`` recalls them.
+command again on the same ``--cache-path`` recalls them.  Nor do the
+system's two retries, each written where it happens: the process executor
+resubmits a batch once on a rebuilt pool, and the serving client retries
+a refused connect with backoff.
 """
 
 from repro.resilience.breaker import CircuitBreaker
@@ -30,7 +30,6 @@ from repro.resilience.faults import (
     fault_scope,
     maybe_fail,
 )
-from repro.resilience.retry import RetryError, RetryPolicy
 
 __all__ = [
     "CircuitBreaker",
@@ -40,6 +39,4 @@ __all__ = [
     "FaultSpec",
     "fault_scope",
     "maybe_fail",
-    "RetryError",
-    "RetryPolicy",
 ]

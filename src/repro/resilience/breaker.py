@@ -4,9 +4,9 @@ Standard three-state breaker.  *Closed* passes executions through and
 counts consecutive failures; at ``failure_threshold`` it *opens* and
 :meth:`CircuitBreaker.allow` answers False -- the server stops attempting
 executions and serves degraded responses instead.  After
-``recovery_timeout`` seconds the breaker goes *half-open*: it admits a
-bounded number of trial executions; one success closes it, one failure
-re-opens it (and restarts the recovery clock).
+``recovery_timeout`` seconds the breaker goes *half-open*: it admits one
+trial execution at a time; a success closes it, a failure re-opens it (and
+restarts the recovery clock).
 
 Thread-safe (the serving layer happens to call it from its event-loop
 thread only).  The clock is injectable so tests drive state transitions
@@ -31,22 +31,18 @@ class CircuitBreaker:
         self,
         failure_threshold: int = 5,
         recovery_timeout: float = 30.0,
-        half_open_max: int = 1,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
-        if half_open_max < 1:
-            raise ValueError("half_open_max must be >= 1")
         self.failure_threshold = failure_threshold
         self.recovery_timeout = recovery_timeout
-        self.half_open_max = half_open_max
         self._clock = clock
         self._lock = threading.Lock()
         self._state = self.CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        self._half_open_inflight = 0
+        self._trial_inflight = False
         self.opened_total = 0
 
     @property
@@ -61,25 +57,22 @@ class CircuitBreaker:
             and self._clock() - self._opened_at >= self.recovery_timeout
         ):
             self._state = self.HALF_OPEN
-            self._half_open_inflight = 0
+            self._trial_inflight = False
         return self._state
 
     def allow(self) -> bool:
         """May the caller attempt an execution right now?
 
-        In half-open state this *admits* the caller as a trial: at most
-        ``half_open_max`` concurrent trials run until one reports an
-        outcome.
+        In half-open state this *admits* the caller as the one trial; later
+        callers are refused until that trial reports an outcome.
         """
         with self._lock:
             state = self._effective_state()
             if state == self.CLOSED:
                 return True
-            if state == self.OPEN:
+            if state == self.OPEN or self._trial_inflight:
                 return False
-            if self._half_open_inflight >= self.half_open_max:
-                return False
-            self._half_open_inflight += 1
+            self._trial_inflight = True
             return True
 
     def record_success(self) -> None:
@@ -88,7 +81,6 @@ class CircuitBreaker:
             self._consecutive_failures = 0
             if state == self.HALF_OPEN:
                 self._state = self.CLOSED
-                self._half_open_inflight = 0
 
     def record_failure(self) -> None:
         with self._lock:
@@ -100,7 +92,6 @@ class CircuitBreaker:
             ):
                 self._state = self.OPEN
                 self._opened_at = self._clock()
-                self._half_open_inflight = 0
                 self.opened_total += 1
 
     def snapshot(self) -> Dict[str, object]:

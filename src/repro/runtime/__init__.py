@@ -12,7 +12,6 @@ from repro.runtime.executors import (
     ProcessExecutor,
     SerialExecutor,
     SharedRef,
-    ThreadExecutor,
     get_executor,
 )
 from repro.runtime.keys import (
@@ -41,7 +40,6 @@ __all__ = [
     "TaskCache",
     "TaskSpec",
     "Telemetry",
-    "ThreadExecutor",
     "config_key",
     "content_key",
     "default_runtime",

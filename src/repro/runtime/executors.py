@@ -4,14 +4,10 @@ An executor takes a program and a batch of ``(configuration, input)`` tasks
 and returns one :class:`~repro.lang.program.RunResult` per task, in task
 order.  Because every run in this reproduction is a pure function of its
 task (deterministic cost model, per-run seeded RNGs, per-run cost counters
-held in context variables), the three strategies are interchangeable:
+held in context variables), the two strategies are interchangeable:
 
 * :class:`SerialExecutor` -- the default; runs tasks in a plain loop and is
   the bit-identical reference behaviour.
-* :class:`ThreadExecutor` -- a thread pool.  Correct under the thread-local
-  cost accounting in :mod:`repro.lang.cost`; mostly useful when run
-  functions release the GIL (NumPy-heavy benchmarks) and as a concurrency
-  shake-out of the runtime.
 * :class:`ProcessExecutor` -- a process pool for genuine parallelism.  The
   program is shipped to workers once per pool (not per task), tasks travel
   in leases of several, and a measurement lease answers with one pickled
@@ -23,13 +19,13 @@ held in context variables), the three strategies are interchangeable:
 from __future__ import annotations
 
 import concurrent.futures
-# The ``process`` submodule is lazily loaded by the package's __getattr__;
-# import it eagerly so ``BrokenProcessPool`` is reachable before any pool
-# has been built (retryable tuples are evaluated ahead of pool creation).
-import concurrent.futures.process
 import math
 import os
 import pickle
+import threading
+import time
+from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -37,7 +33,6 @@ import numpy as np
 
 from repro.lang.config import Configuration
 from repro.lang.program import PetaBricksProgram, RunResult
-from repro.resilience.retry import RetryPolicy
 
 #: A single unit of work: run the program with this configuration on this input.
 Task = Tuple[Configuration, Any]
@@ -185,62 +180,6 @@ class SerialExecutor(BaseExecutor):
         return [_invoke_call(call) for call in calls]
 
 
-class ThreadExecutor(BaseExecutor):
-    """Run tasks on a shared thread pool.
-
-    Args:
-        workers: pool size; defaults to the CPU count.
-    """
-
-    name = "thread"
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        self.workers = workers or _default_workers()
-        self._pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
-
-    def _ensure_pool(self) -> concurrent.futures.ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-runtime"
-            )
-        return self._pool
-
-    def run_batch(
-        self, program: PetaBricksProgram, tasks: Sequence[Task]
-    ) -> List[RunResult]:
-        if len(tasks) <= 1:
-            return SerialExecutor().run_batch(program, tasks)
-        pool = self._ensure_pool()
-        futures = [
-            pool.submit(program.run, config, program_input)
-            for config, program_input in tasks
-        ]
-        return [future.result() for future in futures]
-
-    def run_calls(
-        self,
-        calls: Sequence[CallTask],
-        shared: Optional[Dict[str, Any]] = None,
-    ) -> List[Any]:
-        # Threads share the parent's memory, so refs resolve locally (no
-        # registry hand-off) before the calls are submitted.
-        if shared:
-            calls = [_substitute_shared(call, shared) for call in calls]
-        if len(calls) <= 1:
-            return SerialExecutor().run_calls(calls)
-        pool = self._ensure_pool()
-        futures = [pool.submit(_invoke_call, call) for call in calls]
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __repr__(self) -> str:
-        return f"ThreadExecutor(workers={self.workers})"
-
-
 # -- process-pool plumbing ----------------------------------------------
 #
 # The worker receives the program and the shared-argument registry once via
@@ -254,12 +193,27 @@ _WORKER_PROGRAM: Optional[PetaBricksProgram] = None
 _WORKER_SHARED: Dict[str, Any] = {}
 
 
+def _exit_when_orphaned(parent_pid: int) -> None:
+    """End this pool worker once the process that started it is gone.
+
+    A parent killed by a signal never shuts its pool down, and its workers
+    would idle on forever, reparented, holding whatever the parent shared
+    with them (its stdout pipe, say).  Reparenting changes ``getppid()``.
+    """
+    while os.getppid() == parent_pid:
+        time.sleep(0.5)
+    os._exit(1)
+
+
 def _process_worker_init(
     program: Optional[PetaBricksProgram], shared: Optional[Dict[str, Any]] = None
 ) -> None:
     global _WORKER_PROGRAM, _WORKER_SHARED
     _WORKER_PROGRAM = program
     _WORKER_SHARED = shared or {}
+    threading.Thread(
+        target=_exit_when_orphaned, args=(os.getppid(),), daemon=True
+    ).start()
 
 
 def _measure_tasks(program: PetaBricksProgram, tasks: Sequence[Task]) -> np.ndarray:
@@ -297,11 +251,12 @@ class ProcessExecutor(BaseExecutor):
     Attributes:
         fallback_reason: set to a short description the first time a batch
             had to run serially because the program or its tasks could not
-            be pickled (or the pool broke); None while the pool is healthy.
-        retry_policy: the :class:`~repro.resilience.retry.RetryPolicy`
-            governing broken-pool resubmission -- one rebuild-and-retry by
-            default, matching the historical behaviour.
-        retry_counters: ``retry_*`` telemetry incremented by the policy.
+            be pickled, or the first time the pool broke; None while the
+            pool is healthy.
+        retry_counters: ``retry_attempts`` (pool submissions),
+            ``retry_retries`` (resubmissions after a break),
+            ``retry_recoveries`` (resubmissions that succeeded) and
+            ``retry_giveups`` (batches that broke twice and ran serially).
 
     Both surface through :meth:`stats` as ``executor_fallback`` and
     ``retries`` once set.
@@ -312,22 +267,13 @@ class ProcessExecutor(BaseExecutor):
     def __init__(self, workers: Optional[int] = None) -> None:
         self.workers = workers or _default_workers()
         self.fallback_reason: Optional[str] = None
-        self.retry_policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
-        self.retry_counters: Dict[str, int] = {}
+        self.retry_counters: Counter[str] = Counter()
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
         self._pool_program: Optional[PetaBricksProgram] = None
         #: Shared-argument registry the live pool's workers were initialized
         #: with.  Holding the real objects (not just ids) keeps them alive,
         #: so identity comparisons against new batches stay meaningful.
         self._pool_shared: Dict[str, Any] = {}
-
-    def _on_pool_break(self, error: BaseException, _attempt: int) -> None:
-        """Retry hook: a broken pool is torn down so the resubmission
-        rebuilds it (re-registering the program/shared-argument
-        initializer) -- one dead worker costs a respawn, not every later
-        batch."""
-        self.fallback_reason = f"process pool broke: {error}"
-        self._shutdown_pool()
 
     def _pool_holding(
         self,
@@ -381,21 +327,14 @@ class ProcessExecutor(BaseExecutor):
         (and of a program the pool does not hold yet) sends an unshippable
         batch -- a closure, say -- to ``serial`` before anything is
         submitted; batches are homogeneous in practice, so the probe
-        decides.  A broken pool is rebuilt and the batch resubmitted under
-        :attr:`retry_policy` (runs and calls are pure, so re-execution is
-        sound); a pool that stays broken also ends on ``serial``.
+        decides.  A broken pool is torn down and the batch resubmitted
+        once on a rebuilt pool, whose initializer re-registers the program
+        and shared arguments (runs and calls are pure, so re-execution is
+        sound); a second break also ends on ``serial``.
         """
         size = _call_chunksize(len(items), self.workers)
         leases = [items[start : start + size] for start in range(0, len(items), size)]
-        submitted = False
-
-        def attempt() -> List[Any]:
-            nonlocal submitted
-            submitted = False
-            answers = self._pool_holding(program, shared).map(fn, leases)
-            submitted = True
-            return list(answers)
-
+        counters = self.retry_counters
         try:
             pickle.dumps(items[0])
             if program is not None and program is not self._pool_program:
@@ -403,25 +342,38 @@ class ProcessExecutor(BaseExecutor):
         except Exception as error:
             reason = f"batch not picklable: {type(error).__name__}"
         else:
-            try:
-                return self.retry_policy.run(
-                    attempt,
-                    retryable=(concurrent.futures.process.BrokenProcessPool,),
-                    before_retry=self._on_pool_break,
-                    counters=self.retry_counters,
-                )
-            except (pickle.PicklingError, TypeError, AttributeError) as error:
-                # Submission is eager (workers spawn there and, under a
-                # spawn start method, pickle their initializer), so an
-                # error before it completes is transport.  Once results
-                # flow, only a genuine PicklingError is: a task's own
-                # TypeError must propagate, not trigger a serial re-run.
-                if submitted and not isinstance(error, pickle.PicklingError):
-                    raise
-                reason = f"batch not picklable: {type(error).__name__}"
-            except concurrent.futures.process.BrokenProcessPool as error:
-                self._shutdown_pool()
-                reason = f"process pool broke: {error}"
+            for attempt in (1, 2):
+                counters["retry_attempts"] += 1
+                submitted = False
+                try:
+                    answers = self._pool_holding(program, shared).map(fn, leases)
+                    submitted = True
+                    answers = list(answers)
+                except (pickle.PicklingError, TypeError, AttributeError) as error:
+                    # Submission is eager (workers spawn there and, under a
+                    # spawn start method, pickle their initializer), so an
+                    # error before it completes is transport.  Once results
+                    # flow, only a genuine PicklingError is: a task's own
+                    # TypeError must propagate, not trigger a serial re-run.
+                    if submitted and not isinstance(error, pickle.PicklingError):
+                        raise
+                    reason = f"batch not picklable: {type(error).__name__}"
+                    break
+                except BrokenProcessPool as error:
+                    # Tear the dead pool down so the resubmission rebuilds
+                    # it: one dead worker costs a respawn, not every later
+                    # batch.
+                    self._shutdown_pool()
+                    reason = f"process pool broke: {error}"
+                    if attempt == 2:
+                        counters["retry_giveups"] += 1
+                        break
+                    counters["retry_retries"] += 1
+                    self.fallback_reason = reason
+                    continue
+                if attempt == 2:
+                    counters["retry_recoveries"] += 1
+                return answers
         self.fallback_reason = reason
         return [serial(lease) for lease in leases]
 
@@ -501,7 +453,6 @@ class ProcessExecutor(BaseExecutor):
 #: Registered executor strategies, keyed by flag value.
 EXECUTORS = {
     "serial": SerialExecutor,
-    "thread": ThreadExecutor,
     "process": ProcessExecutor,
 }
 
@@ -509,8 +460,8 @@ EXECUTORS = {
 def get_executor(spec: str = "serial", workers: Optional[int] = None) -> BaseExecutor:
     """Build an executor from a flag value.
 
-    Accepts ``"serial"``, ``"thread"`` or ``"process"``; ``workers`` sizes
-    the pool (ignored by ``serial``).
+    Accepts ``"serial"`` or ``"process"``; ``workers`` sizes the pool
+    (ignored by ``serial``).
     """
     name = spec.strip().lower() or "serial"
     if name not in EXECUTORS:

@@ -14,15 +14,10 @@ the honest way to exercise the server's per-connection fan-out.
 from __future__ import annotations
 
 import socket
+import time
 from typing import Any, Dict, Optional, Tuple
 
-from repro.resilience.retry import RetryPolicy
 from repro.serving import protocol
-
-#: Connect retry: a client racing server startup (or a restarting server
-#: rebinding its fixed port) backs off briefly instead of failing on the
-#: first ConnectionRefusedError.
-CONNECT_POLICY = RetryPolicy(max_attempts=5, base_delay=0.1, max_delay=1.0)
 
 
 class ServingClient:
@@ -33,17 +28,23 @@ class ServingClient:
         with ServingClient(host, port) as client:
             response = client.run("sort2", protocol.index_input(3))
 
-    Connection establishment retries under :data:`CONNECT_POLICY`; once
-    connected, transport errors surface to the caller (the load generator
-    reconnects, tests fail loudly).
+    A client racing server startup (or a restarting server rebinding its
+    fixed port) makes up to five connect attempts, sleeping 0.1, 0.2, 0.4
+    and 0.8 s between them, before a refused or timed-out connect raises.
+    Once connected, transport errors surface to the caller (the load
+    generator reconnects, tests fail loudly).
     """
 
     def __init__(self, host: str, port: int, timeout: float = 60.0) -> None:
         self.address: Tuple[str, int] = (host, int(port))
-        self._sock = CONNECT_POLICY.run(
-            lambda: socket.create_connection(self.address, timeout=timeout),
-            retryable=(ConnectionRefusedError, TimeoutError),
-        )
+        for delay in (0.1, 0.2, 0.4, 0.8, None):
+            try:
+                self._sock = socket.create_connection(self.address, timeout=timeout)
+                break
+            except (ConnectionRefusedError, TimeoutError):
+                if delay is None:
+                    raise
+                time.sleep(delay)
         self._reader = self._sock.makefile("rb")
         self._next_id = 0
 

@@ -4,7 +4,7 @@ The scripted ``sort-shift`` scenario must, deterministically: stay quiet
 through the steady phase, trip the monitor after the mixture shift,
 retrain and hot-swap a validated model, and strictly reduce the shifted
 tail's selector regret versus the frozen (no-adaptation) baseline -- with
-the whole replay bit-identical across the serial and thread executors.
+the whole replay bit-identical across the serial and process executors.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from repro.adaptation import (
 )
 from repro.adaptation.scenarios import SORT_FAMILIES
 from repro.runtime import RunCache, Runtime
-from repro.runtime.executors import SerialExecutor, ThreadExecutor
+from repro.runtime.executors import ProcessExecutor, SerialExecutor
 
 
 class TestMixtureInputSource:
@@ -170,14 +170,15 @@ class TestSortShiftReplay:
 
 
 class TestReplayDeterminism:
-    def test_serial_and_thread_replays_are_bit_identical(self, small_replay):
-        runtime = Runtime(executor=ThreadExecutor(workers=4), cache=RunCache())
+    def test_serial_and_process_replays_are_bit_identical(self, small_replay):
+        runtime = Runtime(executor=ProcessExecutor(workers=2), cache=RunCache())
         try:
-            threaded = replay_scenario(sort_drift_scenario("small", seed=0), runtime)
+            pooled = replay_scenario(sort_drift_scenario("small", seed=0), runtime)
+            assert "executor_fallback" not in runtime.stats()
         finally:
             runtime.close()
-        assert threaded.digest() == small_replay.digest()
-        assert threaded.to_json() == small_replay.to_json()
+        assert pooled.digest() == small_replay.digest()
+        assert pooled.to_json() == small_replay.to_json()
 
     def test_repeat_serial_replay_is_bit_identical(self, small_replay):
         runtime = Runtime(executor=SerialExecutor(), cache=RunCache())

@@ -14,8 +14,8 @@ from repro.adaptation import FeedbackLog
 from repro.benchmarks_suite import get_benchmark
 from repro.serving import SelectorServer, ServerThread, ServingClient, protocol
 
-# Everything here touches real sockets; connect races retry inside
-# ServingClient's RetryPolicy (see repro.resilience.retry).
+# Everything here touches real sockets; a refused connect is retried by
+# ServingClient's connect loop (see repro.serving.client).
 
 @pytest.fixture()
 def feedback_server(sort_training):

@@ -64,8 +64,7 @@ def binpacking_training():
 
 
 # The serving suites bind real TCP sockets (always on OS-assigned
-# ephemeral ports -- never fixed numbers).  They used to lean
-# on a whole-test rerun hook (``socket_retry``) to absorb transient
-# connect races; those races are now retried where they happen, inside
-# ``repro.resilience.retry.RetryPolicy``-backed connect paths and
-# ``wait_for`` polls, so a test failure always means a real bug.
+# ephemeral ports -- never fixed numbers).  No test is rerun on failure:
+# a refused connect is retried where it happens, in ``ServingClient``'s
+# connect loop, and tests poll for server state with bounded waits, so a
+# test failure always means a real bug.

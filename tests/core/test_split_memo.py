@@ -7,12 +7,11 @@ compares trees node for node (their ``_flat()`` arrays) against the tree
 the same fit grows with a fresh memo.
 
 :func:`test_search_trees_match_lone_fits` runs on the runtime
-``ExperimentConfig`` builds, so ``REPRO_EXECUTOR=thread`` (or ``process``)
-runs the search on that executor.
+``ExperimentConfig`` builds, so ``REPRO_EXECUTOR=process`` runs the search
+on the process pool.
 """
 
 import pickle
-import sys
 
 import numpy as np
 import pytest
@@ -30,7 +29,6 @@ from repro.core.level2 import (
 )
 from repro.experiments.runner import ExperimentConfig
 from repro.ml.decision_tree import DecisionTreeClassifier
-from repro.runtime import Runtime
 
 CONFIG = Level2Config(max_subsets=64)
 
@@ -167,21 +165,3 @@ def test_fitted_classifier_pickles_alike_with_and_without_memo(search):
     assert pickle.dumps(with_memo) == pickle.dumps(without)
     assert not any(value is memo for value in vars(with_memo._tree).values())
 
-
-def test_thread_search_under_fast_switching_matches_serial(search):
-    """Four threads filling one memo, preempted every few bytecodes."""
-    dataset, train_rows, test_rows = search
-    serial = run_level2(dataset, train_rows, test_rows, config=CONFIG)
-    interval = sys.getswitchinterval()
-    runtime = Runtime.create(executor="thread", workers=4, use_cache=False)
-    try:
-        sys.setswitchinterval(1e-5)
-        threaded = run_level2(dataset, train_rows, test_rows, config=CONFIG, runtime=runtime)
-    finally:
-        sys.setswitchinterval(interval)
-        runtime.close()
-    assert threaded.production.classifier.name == serial.production.classifier.name
-    assert [e.performance_cost for e in threaded.evaluations] == [
-        e.performance_cost for e in serial.evaluations
-    ]
-    _assert_same_trees(threaded.classifiers, serial.classifiers)

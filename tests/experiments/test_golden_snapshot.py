@@ -75,7 +75,7 @@ def golden() -> dict:
     return json.loads(SNAPSHOT_PATH.read_text())
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread"])
+@pytest.mark.parametrize("executor", ["serial", "process"])
 def test_pipeline_output_matches_snapshot(golden, executor):
     result = run_experiment("sort1", golden_config(executor))
     assert result.runtime_stats["executor"] == executor

@@ -118,6 +118,18 @@ class TestMemoryKnobDefaults:
             config = ExperimentConfig()
         assert config.workers is None
 
+    @pytest.mark.parametrize("value", ["bogus", "thread"])
+    def test_env_executor_unknown_warns_and_runs_serially(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_EXECUTOR", value)
+        with pytest.warns(UserWarning, match="REPRO_EXECUTOR"):
+            config = ExperimentConfig()
+        assert config.executor == "serial"
+        runtime = config.make_runtime()
+        try:
+            assert runtime.stats()["executor"] == "serial"
+        finally:
+            runtime.close()
+
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_env_batch_chunk_malformed_warns_and_defaults(self, monkeypatch, value):
         from repro.runtime.runtime import DEFAULT_BATCH_CHUNK

@@ -1,8 +1,12 @@
 """Tests for the work-unit cost accounting."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
+from repro.lang.config import ConfigurationSpace, IntegerParameter
 from repro.lang.cost import CostCounter, charge, current_counter, scoped_counter
+from repro.lang.program import PetaBricksProgram
 
 
 class TestCostCounter:
@@ -97,3 +101,20 @@ class TestScopedCounter:
             with scoped_counter():
                 raise RuntimeError("boom")
         assert current_counter() is None
+
+    def test_cost_accounting_isolated_per_run(self):
+        """Concurrent runs must not leak charges into each other's counters."""
+        space = ConfigurationSpace([IntegerParameter("units", 1, 1000)])
+
+        def run(config, _input):
+            charge(float(config["units"]))
+            return config["units"]
+
+        program = PetaBricksProgram("charger", space, run)
+        configs = [
+            program.default_configuration().with_updates(units=units)
+            for units in range(1, 201)
+        ]
+        with ThreadPoolExecutor(8) as pool:
+            results = list(pool.map(lambda config: program.run(config, None), configs))
+        assert [r.time for r in results] == [float(u) for u in range(1, 201)]

@@ -16,13 +16,10 @@ class FakeClock:
         self.now += seconds
 
 
-def make(threshold=3, recovery=10.0, half_open_max=1):
+def make(threshold=3, recovery=10.0):
     clock = FakeClock()
     breaker = CircuitBreaker(
-        failure_threshold=threshold,
-        recovery_timeout=recovery,
-        half_open_max=half_open_max,
-        clock=clock,
+        failure_threshold=threshold, recovery_timeout=recovery, clock=clock
     )
     return breaker, clock
 
@@ -36,10 +33,6 @@ class TestValidation:
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
             CircuitBreaker(failure_threshold=0)
-
-    def test_rejects_bad_half_open_max(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(half_open_max=0)
 
 
 class TestClosed:
@@ -76,12 +69,15 @@ class TestRecovery:
         assert breaker.allow()
 
     def test_half_open_admits_bounded_trials(self):
-        breaker, clock = make(half_open_max=2)
+        breaker, clock = make()
         trip(breaker)
         clock.advance(11.0)
+        assert breaker.allow()  # the one trial
+        clock.advance(100.0)
+        assert not breaker.allow()  # no second trial while it runs
+        assert breaker.state == CircuitBreaker.HALF_OPEN
+        breaker.record_success()
         assert breaker.allow()
-        assert breaker.allow()
-        assert not breaker.allow()  # third concurrent trial rejected
 
     def test_trial_success_closes(self):
         breaker, clock = make()

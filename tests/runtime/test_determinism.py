@@ -5,9 +5,8 @@ produce *identical* per-input times and speedups whichever executor carries
 the program runs.  This holds because (a) every run is a pure function of
 (program, configuration, input) -- deterministic cost model, per-run seeded
 RNGs -- and (b) everything stochastic in the pipeline itself (clustering,
-autotuning, splits) draws from explicitly seeded RNGs on the coordinating
-thread, never from worker threads/processes (the seeded-RNG threading
-audit).
+autotuning, splits) draws from explicitly seeded RNGs in the coordinating
+process, never in pool workers (the seeded-RNG audit).
 """
 
 import random
@@ -45,7 +44,7 @@ def serial_result():
 
 
 class TestCrossExecutorDeterminism:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_identical_times_and_speedups(self, serial_result, executor):
         result = run_experiment("sort1", tiny_config(executor))
         assert result.runtime_stats["executor"] == executor
@@ -61,7 +60,7 @@ class TestCrossExecutorDeterminism:
             )
             assert result.satisfaction(method) == serial_result.satisfaction(method)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_identical_landmarks_and_dataset(self, serial_result, executor):
         result = run_experiment("sort1", tiny_config(executor))
         assert result.training.landmarks == serial_result.training.landmarks
@@ -182,16 +181,13 @@ class TestDeploymentDeterminism:
         probe = [float(rng.randint(0, 100)) for _ in range(40)]
         probe_input = np.array(probe)
         baseline = deployed.run(probe_input)
-        for executor in ("thread", "process"):
-            runtime = Runtime.create(executor=executor, workers=2)
-            deployed.runtime = runtime
-            try:
-                outcome = deployed.run(probe_input)
-                assert outcome.result.time == baseline.result.time
-                assert outcome.total_time == baseline.total_time
-                np.testing.assert_array_equal(
-                    outcome.result.output, baseline.result.output
-                )
-            finally:
-                deployed.runtime = None
-                runtime.close()
+        runtime = Runtime.create(executor="process", workers=2)
+        deployed.runtime = runtime
+        try:
+            outcome = deployed.run(probe_input)
+            assert outcome.result.time == baseline.result.time
+            assert outcome.total_time == baseline.total_time
+            np.testing.assert_array_equal(outcome.result.output, baseline.result.output)
+        finally:
+            deployed.runtime = None
+            runtime.close()

@@ -1,7 +1,11 @@
-"""Tests for the serial / thread-pool / process-pool executors."""
+"""Tests for the serial and process-pool executors."""
 
+import contextlib
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -15,7 +19,6 @@ from repro.runtime import (
     ProcessExecutor,
     SerialExecutor,
     SharedRef,
-    ThreadExecutor,
     get_executor,
 )
 from repro.runtime.executors import _call_chunksize
@@ -52,48 +55,13 @@ class TestSerialExecutor:
         assert SerialExecutor().run_batch(program, []) == []
 
 
-@pytest.mark.parametrize("name", ["serial", "thread", "process"])
+@pytest.mark.parametrize("name", ["serial", "process"])
 def test_empty_batches_start_no_pool(sort_setup, name):
     program, _ = sort_setup
     with get_executor(name, workers=2) as executor:
         assert executor.run_batch(program, []) == []
         assert executor.run_calls([]) == []
         assert getattr(executor, "_pool", None) is None
-
-
-class TestThreadExecutor:
-    def test_matches_serial(self, sort_setup):
-        program, tasks = sort_setup
-        expected = reference_results(program, tasks)
-        with ThreadExecutor(workers=4) as executor:
-            results = executor.run_batch(program, tasks)
-        assert [r.time for r in results] == [r.time for r in expected]
-        assert [r.accuracy for r in results] == [r.accuracy for r in expected]
-
-    def test_cost_accounting_isolated_per_run(self, sort_setup):
-        """Concurrent runs must not leak charges into each other's counters."""
-        space = ConfigurationSpace([IntegerParameter("units", 1, 1000)])
-
-        def run(config, _input):
-            charge(float(config["units"]))
-            return config["units"]
-
-        program = PetaBricksProgram("charger", space, run)
-        tasks = [
-            (program.default_configuration().with_updates(units=units), None)
-            for units in range(1, 201)
-        ]
-        with ThreadExecutor(workers=8) as executor:
-            results = executor.run_batch(program, tasks)
-        assert [r.time for r in results] == [float(u) for u in range(1, 201)]
-
-    def test_single_task_runs_inline(self, sort_setup):
-        program, tasks = sort_setup
-        executor = ThreadExecutor(workers=2)
-        results = executor.run_batch(program, tasks[:1])
-        assert len(results) == 1
-        assert executor._pool is None  # no pool spun up for one task
-        executor.close()
 
 
 class TestProcessExecutor:
@@ -272,6 +240,63 @@ class TestProcessPoolRecovery:
         assert stats["retries"]["retry_giveups"] == 1
 
 
+ORPHAN_SCRIPT = textwrap.dedent(
+    """
+    import os, signal, sys
+    from repro.runtime import ProcessExecutor
+
+    executor = ProcessExecutor(workers=2)
+    executor.run_calls([(abs, (-value,), {}) for value in range(8)])
+    with open(sys.argv[1], "w") as handle:
+        handle.write(" ".join(str(pid) for pid in executor._pool._processes))
+    os.kill(os.getpid(), signal.SIGKILL)
+    """
+)
+
+
+def _exited(pid):
+    """True once ``pid`` has exited; a zombie nobody has reaped yet counts."""
+    try:
+        os.kill(pid, 0)
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except (ProcessLookupError, FileNotFoundError):
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc/<pid>/stat")
+class TestOrphanedWorkers:
+    def test_workers_exit_when_their_parent_is_killed(self, tmp_path):
+        """A SIGKILLed parent cannot shut its pool down; the workers must
+        notice on their own instead of idling on, reparented."""
+        script, pid_file = tmp_path / "script.py", tmp_path / "pids"
+        script.write_text(ORPHAN_SCRIPT)
+        env = dict(os.environ)
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        # No pipes: an orphan holding one open would block the wait below.
+        proc = subprocess.run(
+            [sys.executable, str(script), str(pid_file)],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == -signal.SIGKILL
+        pids = [int(pid) for pid in pid_file.read_text().split()]
+        assert len(pids) == 2
+        try:
+            deadline = time.monotonic() + 10
+            while not all(map(_exited, pids)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert [pid for pid in pids if not _exited(pid)] == []
+        finally:
+            for pid in pids:
+                with contextlib.suppress(ProcessLookupError):
+                    if not _exited(pid):
+                        os.kill(pid, signal.SIGKILL)
+
+
 class TestSharedArgs:
     """SharedRef arguments resolve identically on every executor."""
 
@@ -285,11 +310,6 @@ class TestSharedArgs:
     def test_serial_resolves_refs(self):
         shared = {"payload": self.PAYLOAD}
         assert SerialExecutor().run_calls(self.CALLS, shared=shared) == self.EXPECTED
-
-    def test_thread_resolves_refs(self):
-        shared = {"payload": self.PAYLOAD}
-        with ThreadExecutor(workers=2) as executor:
-            assert executor.run_calls(self.CALLS, shared=shared) == self.EXPECTED
 
     def test_process_resolves_refs_via_pool_registry(self):
         shared = {"payload": self.PAYLOAD}
@@ -391,10 +411,9 @@ class TestCallChunksize:
 class TestGetExecutor:
     def test_names(self):
         assert isinstance(get_executor("serial"), SerialExecutor)
-        assert isinstance(get_executor("thread"), ThreadExecutor)
         assert isinstance(get_executor("process"), ProcessExecutor)
 
-    @pytest.mark.parametrize("name", ["thread", "process"])
+    @pytest.mark.parametrize("name", ["process"])
     def test_unstarted_pool_executor_is_inert(self, name):
         executor = get_executor(name, workers=1)
         assert executor.workers == 1
@@ -403,13 +422,14 @@ class TestGetExecutor:
         executor.close()
 
     def test_workers_argument(self):
-        assert get_executor("thread", workers=3).workers == 3
         assert get_executor("process", workers=5).workers == 5
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             get_executor("quantum")
         with pytest.raises(ValueError):
-            get_executor("thread:4")  # worker counts go in ``workers``
+            get_executor("process:4")  # worker counts go in ``workers``
         with pytest.raises(ValueError):
             get_executor("distributed")
+        with pytest.raises(ValueError):
+            get_executor("thread")

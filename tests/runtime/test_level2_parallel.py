@@ -32,7 +32,7 @@ def serial_result(dataset):
 
 
 class TestCrossExecutorLevel2:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_identical_selection_and_scores(self, dataset, serial_result, executor):
         runtime = Runtime.create(executor=executor, workers=2)
         try:
@@ -97,7 +97,7 @@ class TestWarmRunsSkipRetraining:
 
 
 class TestSelectionTaskLayer:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_cross_validation_deterministic_across_executors(self, dataset, executor):
         from repro.core.classifiers import MaxAprioriClassifier
 
@@ -186,7 +186,7 @@ class TestAutotunerBatchedObjective:
         )
         return tuner.tune(program, inputs[:2])
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_tuning_identical_across_executors(self, executor):
         baseline = self._tune(None)
         runtime = Runtime.create(executor=executor, workers=2)

@@ -18,7 +18,7 @@ from repro.benchmarks_suite import get_benchmark
 from repro.lang.config import ConfigurationSpace, IntegerParameter
 from repro.lang.cost import charge
 from repro.lang.program import PetaBricksProgram
-from repro.runtime import ProcessExecutor, Runtime, SerialExecutor, ThreadExecutor
+from repro.runtime import ProcessExecutor, Runtime, SerialExecutor
 from repro.runtime import runtime as runtime_module
 from repro.runtime.cache import RunCache
 
@@ -161,7 +161,6 @@ def executors():
     """One executor per strategy, shared by the table (spawning is slow)."""
     pool = {
         "serial": SerialExecutor(),
-        "thread": ThreadExecutor(workers=2),
         "process": ProcessExecutor(workers=2),
     }
     yield pool
@@ -191,7 +190,7 @@ def table_setup(sort_setup):
     ids=["default", "chunk5", "default5"],
 )
 @pytest.mark.parametrize("cache_state", ["off", "cold", "half-warm"])
-@pytest.mark.parametrize("executor_name", ["serial", "thread", "process"])
+@pytest.mark.parametrize("executor_name", ["serial", "process"])
 def test_measure_matches_serial_everywhere(
     executors, table_setup, monkeypatch, executor_name, cache_state, batch_chunk,
     default_chunk,

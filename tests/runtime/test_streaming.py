@@ -45,7 +45,7 @@ def unchunked_result():
 
 
 class TestExperimentStreamingDeterminism:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_chunked_run_is_bit_identical(self, unchunked_result, executor):
         """batch_chunk=7 (deliberately not dividing anything evenly)."""
         result = run_experiment("sort1", tiny_config(executor, batch_chunk=7))
@@ -89,7 +89,7 @@ class TestStreamedInputDeterminism:
     and the LRU cache cap.
     """
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_streamed_run_is_bit_identical(self, unchunked_result, executor):
         result = run_experiment(
             "sort1", tiny_config(executor, stream_inputs=True, batch_chunk=7)
@@ -196,7 +196,7 @@ class TestStreamedInputDeterminism:
 
 
 class TestLevel2StreamingDeterminism:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_chunked_search_selects_identical_production(self, executor):
         dataset = synthetic_level2_dataset(n=40, seed=3)
         rows = np.arange(40)

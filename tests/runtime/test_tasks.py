@@ -19,6 +19,10 @@ def make_array(n):
     return np.arange(n)
 
 
+def boom():
+    raise RuntimeError("task failed")
+
+
 class TestTaskSpec:
     def test_call_applies_args_and_kwargs(self):
         assert TaskSpec(fn=combine, args=(3,), kwargs={"y": 4}).call() == 7
@@ -59,7 +63,7 @@ class TestTaskCache:
 
 
 class TestRunTasks:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_results_in_submission_order(self, executor):
         runtime = Runtime.create(executor=executor, workers=2, use_cache=False)
         specs = [TaskSpec(fn=double, args=(i,)) for i in range(10)]
@@ -121,19 +125,17 @@ class TestRunTasks:
 
 
 class TestExecutorRunCalls:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_empty_batch(self, executor):
         ex = get_executor(executor, workers=2)
         assert ex.run_calls([]) == []
         ex.close()
 
     def test_exceptions_propagate(self):
-        def boom():
-            raise RuntimeError("task failed")
-
-        ex = get_executor("thread", workers=2)
+        ex = get_executor("process", workers=2)
         with pytest.raises(RuntimeError, match="task failed"):
             ex.run_calls([(boom, (), {}), (boom, (), {})])
+        assert ex.fallback_reason is None
         ex.close()
 
 

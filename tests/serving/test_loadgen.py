@@ -1,12 +1,16 @@
 """Tests for the serving load generator (trace shape + measured metrics)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.serving import build_trace, run_load
 from repro.serving.server import ServingConfig
 
-# Everything here touches real sockets; connect races retry inside
-# ServingClient's RetryPolicy (see repro.resilience.retry).
+# Everything here touches real sockets; a refused connect is retried by
+# ServingClient's connect loop (see repro.serving.client).
 
 class TestBuildTrace:
     def test_covers_every_unique_index(self):
@@ -51,3 +55,27 @@ class TestRunLoad:
         assert metrics["throughput_rps"] > 0.0
         assert metrics["selection_p99_ms"] >= metrics["selection_p50_ms"] >= 0.0
         assert metrics["request_p99_ms"] >= metrics["request_p50_ms"] > 0.0
+
+
+class TestLoadgenScript:
+    def test_bad_integer_exits_with_usage_before_training(self):
+        """A bad value used to surface as a traceback after training."""
+        root = os.path.join(os.path.dirname(__file__), "..", "..")
+        env = dict(os.environ)
+        src = os.path.abspath(os.path.join(root, "src"))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [
+                sys.executable,
+                os.path.join(root, "scripts", "loadgen.py"),
+                *("--clients", "0", "--inputs", "24", "--clusters", "3"),
+                *("--generations", "2"),
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage:")
+        assert "argument --clients: must be >= 1" in proc.stderr.splitlines()[-1]

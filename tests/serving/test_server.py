@@ -30,25 +30,16 @@ from repro.serving import (
 )
 
 from repro.resilience.faults import FaultPlan, FaultSpec, fault_scope
-from repro.resilience.retry import RetryError, RetryPolicy
-
-#: Test-wait policy: same backoff machinery as production retries (flat
-#: 5 ms polls, deadline-bounded) instead of a hand-rolled sleep loop.
-WAIT_POLICY = RetryPolicy(
-    max_attempts=2000, base_delay=0.005, multiplier=1.0, max_delay=0.005, jitter=0.0
-)
 
 
 def wait_until(predicate, timeout=10.0):
-    """Poll a predicate until true (or the timeout runs out)."""
-    import dataclasses
-
-    try:
-        return bool(
-            dataclasses.replace(WAIT_POLICY, deadline=timeout).wait_for(predicate)
-        )
-    except RetryError:
-        return False
+    """Poll a predicate every 5 ms until true (or the timeout runs out)."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.005)
+    return True
 
 
 class _ZeroClassifier:

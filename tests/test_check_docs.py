@@ -105,3 +105,21 @@ class TestChaosPresets:
 
     def test_presets_are_read_from_the_chaos_module(self):
         assert check_docs._chaos_presets() == {"store-write-fail", "serve-brownout"}
+
+
+class TestExecutorNames:
+    def test_defined_executors_pass(self):
+        assert problems("repro train sort1 --executor process --workers 2") == []
+        assert problems("`--executor serial|process`, or REPRO_EXECUTOR=serial") == []
+        assert problems("`--executor <name>` picks one; see `--executor`/`--workers`") == []
+
+    def test_undefined_executor_is_flagged(self):
+        assert problems("--executor serial|thread|process") == [
+            "doc.md:1: executor thread is not a key of EXECUTORS"
+        ]
+        assert problems("REPRO_EXECUTOR=thread REPRO_WORKERS=2 pytest") == [
+            "doc.md:1: executor thread is not a key of EXECUTORS"
+        ]
+
+    def test_executors_are_read_from_the_executors_module(self):
+        assert check_docs._executor_names() == {"serial", "process"}

@@ -58,7 +58,7 @@ class TestParser:
         [
             ["train", "sort2", "--batch-chunk", "0"],
             ["train", "sort2", "--batch-chunk", "many"],
-            ["train", "sort2", "--executor", "thread", "--workers", "-1"],
+            ["train", "sort2", "--executor", "process", "--workers", "-1"],
             ["train", "sort2", "--workers", "0"],
             ["train", "sort2", "--executor", "distributed"],
             ["train", "sort1", "--inputs", "2"],
@@ -77,6 +77,12 @@ class TestParser:
             ["chaos", "load", "--clients", "0"],
             ["chaos", "experiment", "--replays", "0"],
             ["chaos", "experiment", "--preset", "shard-torn-write"],
+            ["train", "sort1", "--executor", "thread"],
+            ["table1", "--executor", "thread"],
+            ["profile", "sort1", "--executor", "thread"],
+            ["serve", "--executor", "thread"],
+            ["chaos", "load", "--executor", "thread"],
+            ["adapt-replay", "--executor", "thread"],
         ],
     )
     def test_invalid_values_exit_with_usage(self, argv, capsys):
@@ -84,6 +90,17 @@ class TestParser:
             build_parser().parse_args(argv)
         assert exit_info.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["bogus", "thread"])
+    def test_unknown_env_executor_warns_and_runs_serially(self, monkeypatch, value):
+        """An unknown REPRO_EXECUTOR used to pass argparse as the default
+        and then end the run in a ValueError traceback."""
+        monkeypatch.setenv("REPRO_EXECUTOR", value)
+        with pytest.warns(UserWarning, match="REPRO_EXECUTOR"):
+            parser = build_parser()
+        args = parser.parse_args(["train", "sort2"])
+        assert _experiment_config(args).executor == "serial"
+        assert parser.parse_args(["adapt-replay"]).executor == "serial"
 
     def test_stream_inputs_flag_overrides_env_opt_out(self, monkeypatch):
         """REPRO_STREAM_INPUTS=0 sets the default off, and --stream-inputs
