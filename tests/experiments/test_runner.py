@@ -1,5 +1,7 @@
 """Tests for the shared experiment runner."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,23 @@ class TestMemoryKnobDefaults:
             assert runtime.stats()["executor"] == "serial"
         finally:
             runtime.close()
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("serial", "serial"), ("process", "process"), (" Process ", "process"), ("", "serial")],
+        ids=["serial", "process", "case-and-blanks", "empty"],
+    )
+    def test_env_executor_known_names_pass_silently(self, monkeypatch, value, expected):
+        monkeypatch.setenv("REPRO_EXECUTOR", value)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            config = ExperimentConfig()
+        assert config.executor == expected
+        assert [w for w in caught if "REPRO_EXECUTOR" in str(w.message)] == []
+
+    def test_env_executor_unset_is_serial(self, monkeypatch):
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        assert ExperimentConfig().executor == "serial"
 
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_env_batch_chunk_malformed_warns_and_defaults(self, monkeypatch, value):

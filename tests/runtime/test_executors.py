@@ -7,6 +7,8 @@ import subprocess
 import sys
 import textwrap
 import time
+from concurrent.futures.process import BrokenProcessPool
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from repro.runtime import (
     SharedRef,
     get_executor,
 )
+from repro.runtime import executors
 from repro.runtime.executors import _call_chunksize
 
 
@@ -240,6 +243,104 @@ class TestProcessPoolRecovery:
         assert stats["retries"]["retry_giveups"] == 1
 
 
+class _FlakyPool:
+    """Stands in for a process pool: the submissions numbered in ``breaks``
+    raise ``BrokenProcessPool``, the others map their leases in-process."""
+
+    def __init__(self, breaks):
+        self.breaks = set(breaks)
+        self.submissions = 0
+
+    def map(self, fn, leases):
+        self.submissions += 1
+        if self.submissions in self.breaks:
+            raise BrokenProcessPool("a worker died")
+        return map(fn, leases)
+
+
+class TestInlineRetry:
+    """The pool's one retry, written in ``_lease_map`` with no real pool:
+    a break tears the pool down and resubmits the batch once; a second
+    break runs it serially.  The counters keep the names perfbench and
+    ``Runtime.stats()`` read."""
+
+    CALLS = [(abs, (-value,), {}) for value in range(7)]
+    EXPECTED = list(range(7))
+
+    def _executor(self, monkeypatch, breaks=()):
+        executor = ProcessExecutor(workers=2)
+        pool = _FlakyPool(breaks)
+        teardowns = []
+        monkeypatch.setattr(executor, "_pool_holding", lambda program, shared: pool)
+        # Record which submission each teardown followed.
+        monkeypatch.setattr(
+            executor, "_shutdown_pool", lambda: teardowns.append(pool.submissions)
+        )
+        return executor, pool, teardowns
+
+    def test_healthy_batch_is_one_attempt(self, monkeypatch):
+        executor, pool, teardowns = self._executor(monkeypatch)
+        assert executor.run_calls(self.CALLS) == self.EXPECTED
+        assert pool.submissions == 1
+        assert teardowns == []
+        assert executor.stats() == {"retries": {"retry_attempts": 1}}
+
+    def test_one_break_is_torn_down_and_resubmitted_once(self, monkeypatch):
+        executor, pool, teardowns = self._executor(monkeypatch, breaks={1})
+        assert executor.run_calls(self.CALLS) == self.EXPECTED
+        assert pool.submissions == 2
+        assert teardowns == [1]  # the broken pool went before the resubmission
+        assert executor.stats()["retries"] == {
+            "retry_attempts": 2,
+            "retry_retries": 1,
+            "retry_recoveries": 1,
+        }
+
+    def test_second_break_ends_on_serial(self, monkeypatch):
+        executor, pool, teardowns = self._executor(monkeypatch, breaks={1, 2})
+        assert executor.run_calls(self.CALLS) == self.EXPECTED
+        assert pool.submissions == 2  # no third submission
+        assert teardowns == [1, 2]  # nor a broken pool kept for later batches
+        stats = executor.stats()
+        assert stats["executor_fallback"] == "process pool broke: a worker died"
+        assert stats["retries"] == {
+            "retry_attempts": 2,
+            "retry_retries": 1,
+            "retry_giveups": 1,
+        }
+
+    def test_counters_accumulate_across_batches(self, monkeypatch):
+        executor, pool, _ = self._executor(monkeypatch, breaks={1, 4, 5})
+        for _ in range(3):
+            assert executor.run_calls(self.CALLS) == self.EXPECTED
+        assert pool.submissions == 5
+        assert executor.stats()["retries"] == {
+            "retry_attempts": 5,
+            "retry_retries": 2,
+            "retry_recoveries": 1,
+            "retry_giveups": 1,
+        }
+
+    def test_task_error_on_resubmission_propagates(self, monkeypatch):
+        """A task's own error after a break is the caller's error: it is
+        raised, not read as transport and re-run serially."""
+        executor, pool, _ = self._executor(monkeypatch, breaks={1})
+        calls = [(_reject_negative, (None, value), {}) for value in (1.0, -1.0)]
+        with pytest.raises(TypeError, match="negative input"):
+            executor.run_calls(calls)
+        assert pool.submissions == 2
+        assert "retry_giveups" not in executor.stats()["retries"]
+
+    def test_unpicklable_batch_submits_nothing(self):
+        calls = [(lambda value: value + 1, (value,), {}) for value in range(3)]
+        with ProcessExecutor(workers=2) as executor:
+            assert executor.run_calls(calls) == [1, 2, 3]
+            assert executor._pool is None  # the probe decided before any pool
+            stats = executor.stats()
+        assert stats["executor_fallback"].startswith("batch not picklable")
+        assert "retries" not in stats
+
+
 ORPHAN_SCRIPT = textwrap.dedent(
     """
     import os, signal, sys
@@ -295,6 +396,41 @@ class TestOrphanedWorkers:
                 with contextlib.suppress(ProcessLookupError):
                     if not _exited(pid):
                         os.kill(pid, signal.SIGKILL)
+
+
+class TestOrphanWatchdog:
+    """The watchdog thread each pool worker starts, run in this process
+    against stand-ins for ``os``, ``time`` and ``threading``."""
+
+    def test_exits_once_the_parent_changes(self, monkeypatch):
+        parents, sleeps, exits = iter([100, 100, 1]), [], []
+        monkeypatch.setattr(
+            executors,
+            "os",
+            SimpleNamespace(getppid=lambda: next(parents), _exit=exits.append),
+        )
+        monkeypatch.setattr(executors, "time", SimpleNamespace(sleep=sleeps.append))
+        executors._exit_when_orphaned(100)
+        assert sleeps == [0.5, 0.5]  # polled until reparented
+        assert exits == [1]
+
+    def test_worker_init_starts_a_daemon_watchdog(self, monkeypatch):
+        started = []
+
+        class Thread:
+            def __init__(self, target, args, daemon):
+                self.spec = (target, args, daemon)
+
+            def start(self):
+                started.append(self.spec)
+
+        monkeypatch.setattr(executors, "threading", SimpleNamespace(Thread=Thread))
+        monkeypatch.setattr(executors, "_WORKER_PROGRAM", None)
+        monkeypatch.setattr(executors, "_WORKER_SHARED", {})
+        shared = {"payload": [1, 2]}
+        executors._process_worker_init(None, shared)
+        assert executors._WORKER_SHARED is shared
+        assert started == [(executors._exit_when_orphaned, (os.getppid(),), True)]
 
 
 class TestSharedArgs:

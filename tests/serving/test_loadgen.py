@@ -1,5 +1,6 @@
 """Tests for the serving load generator (trace shape + measured metrics)."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -79,3 +80,36 @@ class TestLoadgenScript:
         assert proc.returncode == 2
         assert proc.stderr.startswith("usage:")
         assert "argument --clients: must be >= 1" in proc.stderr.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--requests", "0"),
+            ("--unique-inputs", "0"),
+            ("--clients", "-1"),
+            ("--inputs", "3"),
+            ("--clusters", "0"),
+            ("--generations", "0"),
+            ("--max-pending", "0"),
+            ("--execution-workers", "0"),
+            ("--requests", "many"),
+        ],
+    )
+    def test_each_integer_option_is_checked_at_parse_time(
+        self, monkeypatch, capsys, flag, value
+    ):
+        path = os.path.join(os.path.dirname(__file__), "..", "..", "scripts", "loadgen.py")
+        spec = importlib.util.spec_from_file_location("loadgen_script", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+
+        def train(*_args, **_kwargs):
+            raise AssertionError("trained before the command line was checked")
+
+        monkeypatch.setattr(script, "run_experiment", train)
+        with pytest.raises(SystemExit) as exit_info:
+            script.main([flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {flag}:" in err

@@ -102,6 +102,15 @@ class TestParser:
         assert _experiment_config(args).executor == "serial"
         assert parser.parse_args(["adapt-replay"]).executor == "serial"
 
+    def test_known_env_executor_is_the_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTOR", "process")
+        parser = build_parser()
+        assert parser.parse_args(["train", "sort2"]).executor == "process"
+        assert parser.parse_args(["adapt-replay"]).executor == "process"
+        # The flag still overrides the environment.
+        args = parser.parse_args(["train", "sort2", "--executor", "serial"])
+        assert _experiment_config(args).executor == "serial"
+
     def test_stream_inputs_flag_overrides_env_opt_out(self, monkeypatch):
         """REPRO_STREAM_INPUTS=0 sets the default off, and --stream-inputs
         must still be able to turn streaming back on."""
