@@ -3,7 +3,7 @@
 Records the serial-vs-parallel ``level2.train`` baseline for the
 generalized task runtime: the same feature-subset x classifier-zoo search
 on a stock-suite (``sort1``) dataset, carried serially and by a 4-worker
-process pool, plus the warm-task-cache rerun.
+process pool.
 
 On hosts with >= 4 cores the parallel search must be at least 2x faster
 than the serial one; on smaller hosts the numbers are recorded without the
@@ -124,35 +124,3 @@ def test_level2_train_speedup_at_4_workers(benchmark, sort1_dataset):
         assert speedup >= 2.0, (
             f"level2.train speedup at {WORKERS} workers regressed to {speedup:.2f}x"
         )
-
-
-def test_level2_warm_task_cache_skips_retraining(benchmark, sort1_dataset):
-    """A warm runtime answers the whole search from the task cache."""
-    dataset, train_rows, test_rows = sort1_dataset
-    config = _level2_config()
-    runtime = Runtime.create(executor="serial")
-
-    cold_start = time.perf_counter()
-    cold = run_level2(dataset, train_rows, test_rows, config=config, runtime=runtime)
-    cold_seconds = time.perf_counter() - cold_start
-    executed_cold = runtime.telemetry.tasks_executed
-
-    warm_start = time.perf_counter()
-    warm = benchmark.pedantic(
-        run_level2,
-        args=(dataset, train_rows, test_rows),
-        kwargs={"config": config, "runtime": runtime},
-        rounds=1,
-        iterations=1,
-    )
-    warm_seconds = time.perf_counter() - warm_start
-    runtime.close()
-
-    print(
-        f"\n[level2.cache] cold={cold_seconds:.3f}s warm={warm_seconds:.3f}s "
-        f"speedup={cold_seconds / max(warm_seconds, 1e-9):.1f}x"
-    )
-    # The warm search retrains nothing and must be decisively faster.
-    assert runtime.telemetry.tasks_executed == executed_cold
-    assert warm.production.classifier.name == cold.production.classifier.name
-    assert warm_seconds < cold_seconds

@@ -14,7 +14,7 @@ to the logged window that exhibits the drift:
    old-vs-new validation below an apples-to-apples comparison;
 3. measure every union landmark on every window input
    (:func:`~repro.core.level1.measure_performance` -- this is the step
-   that rides :meth:`Runtime.run_tasks`, so it streams, caches, and fans
+   that rides :meth:`Runtime.measure`, so it streams, caches, and fans
    out over whatever executor the runtime has);
 4. retrain the Level-2 classifier zoo on the window dataset and select a
    production classifier (:func:`~repro.core.level2.run_level2`);

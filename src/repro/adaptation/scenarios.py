@@ -43,7 +43,7 @@ from repro.benchmarks_suite.sort import generators as sort_generators
 from repro.core.inputs import InputSource, per_index_rng
 from repro.core.level1 import Level1Config, measure_performance
 from repro.core.level2 import Level2Config
-from repro.core.pipeline import InputAwareLearning
+from repro.core.pipeline import InputAwareLearning, TrainingResult
 from repro.runtime import Runtime, default_runtime
 from repro.serving.registry import ModelRegistry
 
@@ -390,7 +390,7 @@ class ReplayReport:
 
 def _train_initial_model(
     scenario: DriftScenario, runtime: Optional[Runtime]
-):
+) -> TrainingResult:
     variant = get_benchmark(scenario.test)
     program = variant.benchmark.program
     inputs = scenario.training_source().materialized()
@@ -409,16 +409,18 @@ def _train_initial_model(
         seed=scenario.seed,
         runtime=runtime,
     )
-    return program, learner.fit(program, inputs)
+    return learner.fit(program, inputs)
 
 
 def _serve_stream(
     scenario: DriftScenario,
     runtime: Optional[Runtime],
+    training: TrainingResult,
     adapt: bool,
 ) -> ServePass:
-    """Serve the scenario stream once; with ``adapt`` the loop is live."""
-    program, training = _train_initial_model(scenario, runtime)
+    """Serve the scenario stream once from the initial model ``training``
+    made; with ``adapt`` the loop is live."""
+    program = training.deployed.program
     registry = ModelRegistry()
     registry.publish(scenario.test, training.deployed)
     monitor = DriftMonitor(
@@ -527,22 +529,25 @@ def replay_scenario(
 ) -> ReplayReport:
     """Run the full before/after experiment and score the regret.
 
-    Two serving passes -- adaptation live, then frozen on the initial
-    model -- share one runtime, so the frozen pass recalls from the cache
-    every run the adaptive pass already took.  Both are scored against the
-    best fixed landmark in hindsight, drawn from the adaptive pass's
-    *final* landmark set (a superset of the initial one after a swap, so
-    the hindsight baseline is at least as strong as any model that
-    served); regret is served cost minus that fixed selector's cost.
+    The initial model is trained once.  Two serving passes start from it
+    -- adaptation live, then frozen on it -- and share one runtime, so the
+    frozen pass recalls from the cache every run the adaptive pass already
+    took.  Both are scored against the best fixed landmark in hindsight,
+    drawn from the adaptive pass's *final* landmark set (a superset of the
+    initial one after a swap, so the hindsight baseline is at least as
+    strong as any model that served); regret is served cost minus that
+    fixed selector's cost.
     """
     runtime = runtime if runtime is not None else default_runtime()
     variant = get_benchmark(scenario.test)
     program = variant.benchmark.program
 
+    with runtime.telemetry.phase("adapt.replay.train"):
+        training = _train_initial_model(scenario, runtime)
     with runtime.telemetry.phase("adapt.replay.adapted"):
-        adapted = _serve_stream(scenario, runtime, adapt=True)
+        adapted = _serve_stream(scenario, runtime, training, adapt=True)
     with runtime.telemetry.phase("adapt.replay.frozen"):
-        frozen = _serve_stream(scenario, runtime, adapt=False)
+        frozen = _serve_stream(scenario, runtime, training, adapt=False)
 
     stream = scenario.serving_source()
     hindsight_landmarks = adapted.registry.get(scenario.test).deployed.landmarks

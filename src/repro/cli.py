@@ -115,8 +115,8 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
         "--batch-chunk",
         type=_int_in_range(1),
         default=_env_batch_chunk(),
-        help="stream measurement/task batches in chunks of at most this many "
-        f"items (default: {DEFAULT_BATCH_CHUNK}; bounds peak memory; results "
+        help="stream measurement batches in chunks of at most this many "
+        f"runs (default: {DEFAULT_BATCH_CHUNK}; bounds peak memory; results "
         "are bit-identical)",
     )
     parser.add_argument(
@@ -166,8 +166,7 @@ def _print_runtime_stats(args: argparse.Namespace, stats: dict) -> None:
     if counters.get("tasks_requested"):
         print(
             f"  tasks: {counters.get('tasks_requested', 0)} requested, "
-            f"{counters.get('tasks_executed', 0)} executed, "
-            f"{counters.get('task_cache_hits', 0)} cache hits"
+            f"{counters.get('tasks_executed', 0)} executed"
         )
     if counters.get("chunks_dispatched"):
         print(f"  streaming: {counters['chunks_dispatched']} chunk(s) dispatched")
@@ -403,9 +402,14 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     Replays the same seeded plan ``--replays`` times and verifies the
     invariant reports agree bit-for-bit (the chaos determinism claim);
-    exits non-zero when any invariant fails or any replay diverges.
+    exits non-zero when any invariant fails or any replay diverges.  In
+    experiment mode, ``--cache-path`` gives each replay a fresh store of
+    that file name in a temporary directory, so every replay executes and
+    saves its runs; the file at the path itself is never opened.
     """
     import json
+    import os
+    import tempfile
 
     from repro.resilience.chaos import (
         PRESETS,
@@ -442,13 +446,22 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             print("# running fault-free baseline ...")
             baseline = dataclasses.replace(config, cache_path=None)
             baseline_digest = experiment_digest(run_experiment(args.test, config=baseline))
-        for replay in range(args.replays):
-            print(f"# chaos replay {replay + 1}/{args.replays} (plan {plan.digest()}) ...")
-            reports.append(
-                run_chaos_experiment(
-                    args.test, plan, config=config, baseline_digest=baseline_digest
+        with tempfile.TemporaryDirectory(prefix="repro-chaos-") as stores:
+            for replay in range(args.replays):
+                print(f"# chaos replay {replay + 1}/{args.replays} (plan {plan.digest()}) ...")
+                replay_config = config
+                if config.cache_path:
+                    # A store an earlier replay filled would answer every run,
+                    # and this replay would never reach the store's faults.
+                    name = f"replay{replay + 1}-{os.path.basename(config.cache_path)}"
+                    replay_config = dataclasses.replace(
+                        config, cache_path=os.path.join(stores, name)
+                    )
+                reports.append(
+                    run_chaos_experiment(
+                        args.test, plan, config=replay_config, baseline_digest=baseline_digest
+                    )
                 )
-            )
     else:
         print("# training fault-free model ...")
         deployed = run_experiment(args.test, config=config).training.deployed
@@ -589,6 +602,9 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="run an experiment or serving load under an injected fault plan "
         "(see docs/resilience.md)",
+        description="In experiment mode, --cache-path gives each replay a "
+        "fresh store of that file name in a temporary directory; the file at "
+        "the path is never opened.",
     )
     chaos.add_argument("mode", choices=["experiment", "load"], help="what to run under faults")
     chaos.add_argument("test", nargs="?", default="sort2", help="benchmark test (default: sort2)")

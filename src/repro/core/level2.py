@@ -19,16 +19,15 @@ Steps (Section 3.2):
 4. **Production-classifier selection** -- every candidate is scored on the
    test rows with the efficacy objective of :mod:`repro.core.selection`.
 
-The candidate search (steps 3-4) is expressed as a batch of content-keyed
-tasks over the measurement runtime (:meth:`repro.runtime.Runtime.run_tasks`):
-each candidate is described by a picklable :class:`CandidateSpec`, fitted
-and scored by a module-level task function, and the batch fans out over
+The candidate search (steps 3-4) is expressed as one batch of tasks over
+the measurement runtime (:meth:`repro.runtime.Runtime.run_tasks`): each
+candidate is described by a picklable :class:`CandidateSpec`, fitted and
+scored by a module-level task function, and the batch fans out over
 whatever executor the runtime carries.  Determinism is preserved by
 construction -- candidates are enumerated, reassembled, and compared in
 *enumeration order* (a deterministic key independent of completion order),
 so the serial path and the process pool select the identical production
-classifier with identical scores.  Per-candidate cache keys (dataset
-digest + split + spec) let a warm runtime skip retraining entirely.
+classifier with identical scores.
 
 Every tree of one search is grown on the same rows, and most of their
 per-feature split scans repeat scans another tree already made.  The batch
@@ -62,7 +61,7 @@ from repro.core.selection import (
     select_production_classifier,
 )
 from repro.ml.decision_tree import SplitMemo
-from repro.runtime import Runtime, SharedRef, TaskSpec, content_key, default_runtime
+from repro.runtime import Runtime, SharedRef, default_runtime
 
 #: Registry token under which candidate batches ship the dataset to workers.
 #: The dataset is by far the largest task argument (O(N x M) features plus the
@@ -75,7 +74,7 @@ _DATASET_REF = SharedRef(_DATASET_TOKEN)
 #: Registry token of the batch's split memo.  Shipped the way the dataset
 #: is, it reaches each pool worker once per pool (empty), and each worker
 #: fills its own copy across all of its leases; a serial batch fills the one
-#: dict.  Task cache keys leave it out: it changes no result.
+#: dict.  It changes no result, only how often a split scan is computed.
 _SPLIT_MEMO_TOKEN = "level2.split_memo"
 _SPLIT_MEMO_REF = SharedRef(_SPLIT_MEMO_TOKEN)
 
@@ -260,8 +259,8 @@ class CandidateSpec:
     """Picklable description of one candidate classifier.
 
     The unit of work of the Level-2 search: a spec plus its cost matrix is
-    everything a worker needs to instantiate, fit, and score a candidate,
-    and everything the task cache needs to key the result.
+    everything a worker needs, beside the shared dataset, to instantiate,
+    fit, and score a candidate.
 
     Attributes:
         family: ``"max_apriori"``, ``"subset_tree"``, ``"all_features"``,
@@ -399,27 +398,10 @@ def fit_and_evaluate_candidate(
     """Task function: fit one candidate and score it on the test rows.
 
     Fitting and scoring live in one task so a candidate round-trips to a
-    worker once and one cache entry covers both.
+    worker once.
     """
     classifier = fit_candidate(spec, cost_matrix, dataset, labels, train_rows, split_memo)
     return classifier, evaluate_classifier(classifier, dataset, test_rows)
-
-
-def _search_fingerprint(
-    dataset: PerformanceDataset, labels: np.ndarray, config: Level2Config
-) -> str:
-    """Digest of everything all candidates share (dataset content + knobs)."""
-    return content_key(
-        "level2",
-        dataset.feature_names,
-        dataset.features,
-        dataset.extraction_costs,
-        dataset.times,
-        dataset.accuracies,
-        dataset.requirement,
-        labels,
-        config,
-    )
 
 
 def _run_candidates(
@@ -434,25 +416,15 @@ def _run_candidates(
 ) -> Tuple[List[Tuple[CandidateSpec, Optional[np.ndarray]]], List]:
     """Run ``fn(spec, matrix, dataset, labels, *rows, split_memo)`` per candidate.
 
-    One task per candidate of :func:`enumerate_candidates`, keyed by (search
-    fingerprint, ``rows``, ``fn``, spec, matrix).  The dataset and a fresh
-    split memo ride the batch's shared registry.  Returns the candidates
-    and the task results, both in enumeration order.
+    One task per candidate of :func:`enumerate_candidates`.  The dataset
+    and a fresh split memo ride the batch's shared registry.  Returns the
+    candidates and the task results, both in enumeration order.
     """
     candidates = enumerate_candidates(dataset, labels, cost_matrix, config)
-    fingerprint = content_key(_search_fingerprint(dataset, labels, config), *rows)
     args = (_DATASET_REF, labels) + rows + (_SPLIT_MEMO_REF,)
-    tasks = [
-        TaskSpec(
-            fn=fn,
-            args=(spec, matrix) + args,
-            key=content_key(fn.__name__, fingerprint, spec, matrix),
-            label=spec.name,
-        )
-        for spec, matrix in candidates
-    ]
+    calls = [(fn, (spec, matrix) + args, {}) for spec, matrix in candidates]
     shared = {_DATASET_TOKEN: dataset.without_inputs(), _SPLIT_MEMO_TOKEN: {}}
-    return candidates, active.run_tasks(tasks, phase=phase, shared=shared)
+    return candidates, active.run_tasks(calls, phase=phase, shared=shared)
 
 
 def train_classifier_zoo(
@@ -490,8 +462,7 @@ def run_level2(
 
     The candidate search -- one fit-and-score task per classifier -- fans
     out over the runtime's executor (``phase level2.candidates`` in the
-    telemetry) and is memoized per candidate, so a warm runtime skips
-    retraining.  Results are assembled in enumeration order whatever the
+    telemetry).  Results are assembled in enumeration order whatever the
     executor, which makes the selected production classifier and all its
     scores identical across serial and process execution.
 
@@ -557,9 +528,6 @@ def run_level2(
             n_splits=config.cv_folds,
             seed=config.seed,
             runtime=active,
-            key_prefix=content_key(
-                "level2.cv", _search_fingerprint(dataset, labels, config), spec, matrix
-            ),
         )
         production_cv_costs = [fold.performance_cost for fold in folds]
 

@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.classifiers import CandidateClassifier
 from repro.core.dataset import PerformanceDataset
 from repro.ml.crossval import StratifiedKFold
-from repro.runtime import Runtime, SharedRef, TaskSpec, content_key, default_runtime
+from repro.runtime import Runtime, SharedRef, default_runtime
 
 #: Registry token under which fold batches ship the dataset to workers once
 #: per pool (see :class:`repro.runtime.SharedRef`).
@@ -118,7 +118,6 @@ def cross_validate_classifier(
     n_splits: int = 10,
     seed: Optional[int] = 0,
     runtime: Optional[Runtime] = None,
-    key_prefix: Optional[str] = None,
 ) -> List[ClassifierEvaluation]:
     """Cross-validated efficacy of one candidate, one fold per task.
 
@@ -141,11 +140,6 @@ def cross_validate_classifier(
         n_splits: fold count (clamped to the available row count).
         seed: fold-assignment seed.
         runtime: measurement runtime; defaults to the shared serial one.
-        key_prefix: content key identifying (dataset, labels, candidate) --
-            everything the fold results depend on besides the fold rows.
-            When given, fold tasks are memoized so a warm runtime skips
-            refitting them (like the Level-2 candidate search); when
-            ``None`` every call re-executes.
     """
     active = runtime if runtime is not None else default_runtime()
     rows = np.asarray(rows, dtype=int)
@@ -160,27 +154,16 @@ def cross_validate_classifier(
     # own -- e.g. the ``functools.partial`` run_level2 passes -- which then
     # re-pickles with each fold chunk.  Folds are few, so that residual
     # cost is noise next to the candidate search's registry win.
-    tasks = [
-        TaskSpec(
-            fn=_fit_and_evaluate_fold,
-            args=(
-                classifier_factory,
-                _CV_DATASET_REF,
-                labels,
-                rows[fold_train],
-                rows[fold_test],
-            ),
-            key=(
-                content_key(key_prefix, rows[fold_train], rows[fold_test])
-                if key_prefix is not None
-                else None
-            ),
-            label=f"cv-fold:{fold_index}",
+    calls = [
+        (
+            _fit_and_evaluate_fold,
+            (classifier_factory, _CV_DATASET_REF, labels, rows[fold_train], rows[fold_test]),
+            {},
         )
-        for fold_index, (fold_train, fold_test) in enumerate(splitter.split(labels[rows]))
+        for fold_train, fold_test in splitter.split(labels[rows])
     ]
     return active.run_tasks(
-        tasks, phase="selection.crossval", shared={_CV_DATASET_TOKEN: dataset.without_inputs()}
+        calls, phase="selection.crossval", shared={_CV_DATASET_TOKEN: dataset.without_inputs()}
     )
 
 

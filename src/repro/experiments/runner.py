@@ -118,17 +118,17 @@ class ExperimentConfig:
     stages, and ``cache_path`` persists measurements to an SQLite database
     file shared by later runs.  The runtime saves that store at every chunk
     boundary, so a killed run resumes by running it again.
-    The executor carries program runs *and* the learning tasks built on the
-    generalized task layer -- Level 2's candidate search and the
-    autotuner's objective evaluations -- so a parallel executor accelerates
-    training end to end, with results identical to serial by construction.
+    The executor carries every program run -- the autotuner's objective
+    evaluations among them -- *and* Level 2's candidate search, one task
+    per candidate, so a parallel executor accelerates training end to end,
+    with results identical to serial by construction.
 
     ``batch_chunk`` (``--batch-chunk`` / ``REPRO_BATCH_CHUNK``; None means
     :data:`repro.runtime.runtime.DEFAULT_BATCH_CHUNK`) sizes the streaming
-    measurement batches: the N x K1 matrix and the Level-2 task batches are
-    dispatched in chunks of at most this many items, bounding peak memory
-    by O(chunk) on the way to the paper's 50-60k-input regime.  Results are
-    bit-identical whatever the chunk size and the executor.
+    measurement batches: the N x K1 matrix and every other batch of runs
+    is dispatched in chunks of at most this many runs, bounding peak
+    memory by O(chunk) on the way to the paper's 50-60k-input regime.
+    Results are bit-identical whatever the chunk size and the executor.
 
     The remaining two memory knobs complete that story end to end.
     ``stream_inputs`` (on by default; ``--no-stream-inputs`` /

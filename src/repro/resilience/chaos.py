@@ -23,17 +23,20 @@ Report shape::
       "mode": "experiment" | "load",
       "test": "sort2",
       "compared": {"plan": <plan digest>, "invariants": {...bools...},
-                   "result_digest": ...},
+                   "result_digest": ..., "fired": {site: count}},
       "digest": <sha256 of "compared">,
       "diagnostics": {...}
     }
 
 ``compared`` holds only deterministic facts -- the plan digest, invariant
-booleans, and content digests -- so two replays of the same plan must
-produce byte-identical ``compared`` sections (and therefore the same
-report ``digest``).  Everything timing- or scheduling-dependent (fault
-fire counts per process, retry counters, latencies) lives under
-``diagnostics``, which is informative but never compared.
+booleans, content digests and, for an experiment, the per-site fire
+counts -- so two replays of the same plan must produce byte-identical
+``compared`` sections (and therefore the same report ``digest``).  An
+experiment's sites all run in its one process, in the order its work
+does, so a replay that fires a different set of faults diverges.
+Everything timing- or scheduling-dependent (a load's fire counts, call
+counts, retry counters, latencies) lives under ``diagnostics``, which is
+informative but never compared.
 """
 
 from __future__ import annotations
@@ -141,6 +144,9 @@ def run_chaos_experiment(
     * ``matches_baseline`` -- its :func:`experiment_digest` equals the
       fault-free run's (omitted when no ``baseline_digest`` is given).
 
+    The per-site fire counts are compared too: a replay that never reaches
+    a fault it should meet diverges even where its results agree.
+
     Args:
         test: benchmark test name.
         plan: the fault plan to install for the run's duration.
@@ -179,7 +185,10 @@ def run_chaos_experiment(
         plan,
         invariants,
         diagnostics,
-        extra_compared={"result_digest": result_digest},
+        extra_compared={
+            "result_digest": result_digest,
+            "fired": diagnostics["faults"]["fired"],
+        },
     )
 
 

@@ -16,15 +16,13 @@ from repro.runtime.executors import (
 )
 from repro.runtime.keys import (
     config_key,
-    content_key,
     input_key,
     join_run_key,
     program_fingerprint,
+    program_key,
     run_key,
-    run_key_prefix,
 )
 from repro.runtime.runtime import Runtime, default_runtime
-from repro.runtime.tasks import TaskCache, TaskSpec
 from repro.runtime.telemetry import PhaseStats, Telemetry
 
 __all__ = [
@@ -37,16 +35,13 @@ __all__ = [
     "Runtime",
     "SerialExecutor",
     "SharedRef",
-    "TaskCache",
-    "TaskSpec",
     "Telemetry",
     "config_key",
-    "content_key",
     "default_runtime",
     "get_executor",
     "input_key",
     "join_run_key",
     "program_fingerprint",
+    "program_key",
     "run_key",
-    "run_key_prefix",
 ]

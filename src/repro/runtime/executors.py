@@ -249,10 +249,10 @@ class ProcessExecutor(BaseExecutor):
         workers: pool size; defaults to the CPU count.
 
     Attributes:
-        fallback_reason: set to a short description the first time a batch
-            had to run serially because the program or its tasks could not
-            be pickled, or the first time the pool broke; None while the
-            pool is healthy.
+        fallback_reason: why the latest batch that ended on serial did so:
+            the program or its tasks could not be pickled, or the pool broke
+            again on the resubmission.  None while every batch has run on
+            the pool, including batches that recovered from one break.
         retry_counters: ``retry_attempts`` (pool submissions),
             ``retry_retries`` (resubmissions after a break),
             ``retry_recoveries`` (resubmissions that succeeded) and
@@ -369,7 +369,6 @@ class ProcessExecutor(BaseExecutor):
                         counters["retry_giveups"] += 1
                         break
                     counters["retry_retries"] += 1
-                    self.fallback_reason = reason
                     continue
                 if attempt == 2:
                     counters["retry_recoveries"] += 1

@@ -15,7 +15,7 @@ A cached program run is identified by three components:
 Keys are hex digests, so they survive a JSON round-trip unchanged and the
 on-disk cache written by one process is readable by another.  How the three
 components join into one run key is this module's business: callers use
-:func:`run_key`, or :func:`run_key_prefix` and :func:`join_run_key` when
+:func:`run_key`, or :func:`program_key` and :func:`join_run_key` when
 they already hold the digests.
 """
 
@@ -90,19 +90,6 @@ def _digest_of(*values: Any) -> str:
     return digest.hexdigest()
 
 
-def content_key(*values: Any) -> str:
-    """Canonical digest of arbitrary structured values.
-
-    The generic entry point for content-keying tasks (see
-    :mod:`repro.runtime.tasks`): feed every value that determines a task's
-    result -- a phase tag, dataset arrays, parameter dataclasses -- and use
-    the digest as the :attr:`~repro.runtime.tasks.TaskSpec.key`.  Values are
-    hashed with the same canonical encoding as configuration and input keys,
-    so numpy arrays, dataclasses, and nested containers are all stable.
-    """
-    return _digest_of(*values)
-
-
 def _callable_id(func: Any) -> str:
     """A stable module-qualified identifier for a function-like object."""
     return f"{getattr(func, '__module__', '?')}.{getattr(func, '__qualname__', repr(func))}"
@@ -138,23 +125,23 @@ def input_key(program_input: Any) -> str:
     return _digest_of(program_input)[:16]
 
 
-def run_key_prefix(program: PetaBricksProgram) -> str:
+def program_key(program: PetaBricksProgram) -> str:
     """The part of a run key shared by every run of ``program``."""
     return f"{program.name}:{program_fingerprint(program)}"
 
 
-def join_run_key(prefix: str, config_digest: str, input_digest: str) -> str:
-    """A run key from its :func:`run_key_prefix` and the two content digests.
+def join_run_key(program_digest: str, config_digest: str, input_digest: str) -> str:
+    """A run key from its :func:`program_key` and the two content digests.
 
     For callers that already hold the digests -- a batch that hashes each
     distinct configuration and input once, a server that keyed the input
     for coalescing -- so that nothing is hashed twice.
     """
-    return f"{prefix}:{config_digest}:{input_digest}"
+    return f"{program_digest}:{config_digest}:{input_digest}"
 
 
 def run_key(program: PetaBricksProgram, config: Configuration, program_input: Any) -> str:
     """The full cache key of one (program, configuration, input) run."""
     return join_run_key(
-        run_key_prefix(program), config_key(config), input_key(program_input)
+        program_key(program), config_key(config), input_key(program_input)
     )

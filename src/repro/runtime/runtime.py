@@ -27,8 +27,7 @@ from repro.lang.program import PetaBricksProgram, RunResult
 from repro.resilience.faults import maybe_fail
 from repro.runtime.cache import RunCache
 from repro.runtime.executors import BaseExecutor, CallTask, SerialExecutor, Task, get_executor
-from repro.runtime.keys import config_key, input_key, join_run_key, run_key, run_key_prefix
-from repro.runtime.tasks import TaskCache, TaskSpec, is_missing
+from repro.runtime.keys import config_key, input_key, join_run_key, program_key, run_key
 from repro.runtime.telemetry import Telemetry
 
 #: Chunk size when none is given.  It keeps every dispatch of the default
@@ -52,22 +51,15 @@ class Runtime:
     Args:
         executor: execution strategy; defaults to :class:`SerialExecutor`.
         cache: run cache; ``None`` disables caching entirely (every request
-            executes), which is the bit-identical legacy behaviour.  A
-            caching runtime also memoizes keyed tasks in a
-            :class:`TaskCache` (see :meth:`run_tasks`).
+            executes), which is the bit-identical legacy behaviour.
         batch_chunk: streaming chunk size; ``None`` means
             :data:`DEFAULT_BATCH_CHUNK`.  :meth:`run_pairs` /
-            :meth:`run_tasks` / :meth:`measure` process batches in chunks of
-            at most this many items, bounding peak memory by O(chunk)
-            instead of O(batch) while producing bit-identical results
-            (chunks preserve enumeration order, and chunk-local cache fills
-            stand in for whole-batch deduplication).
+            :meth:`measure` process batches in chunks of at most this many
+            runs, bounding peak memory by O(chunk) instead of O(batch)
+            while producing bit-identical results (chunks preserve
+            enumeration order, and chunk-local cache fills stand in for
+            whole-batch deduplication).
     """
-
-    #: Default entry cap for the auto-created task cache; task results
-    #: (trained classifiers, fold evaluations) are larger than run
-    #: measurements, so the cap is much smaller than the run cache's.
-    TASK_CACHE_ENTRIES = 8_192
 
     def __init__(
         self,
@@ -82,9 +74,6 @@ class Runtime:
         self.executor = executor if executor is not None else SerialExecutor()
         self.cache = cache
         self.telemetry = Telemetry()
-        self.task_cache = (
-            TaskCache(max_entries=self.TASK_CACHE_ENTRIES) if cache is not None else None
-        )
         self.batch_chunk: int = batch_chunk
 
     @classmethod
@@ -304,7 +293,7 @@ class Runtime:
         config/input digests are memoized by object identity instead of
         re-hashing full array content N*K times.
         """
-        prefix = run_key_prefix(program)
+        program_digest = program_key(program)
         config_digests: Dict[int, str] = {}
         input_digests: Dict[int, str] = {}
         keys: List[str] = []
@@ -315,97 +304,43 @@ class Runtime:
             ik = input_digests.get(id(program_input))
             if ik is None:
                 ik = input_digests.setdefault(id(program_input), input_key(program_input))
-            keys.append(join_run_key(prefix, ck, ik))
+            keys.append(join_run_key(program_digest, ck, ik))
         return keys
 
     # -- generalized tasks ----------------------------------------------
 
     def run_tasks(
         self,
-        specs: Sequence[TaskSpec],
+        calls: Sequence[CallTask],
         phase: Optional[str] = None,
         shared: Optional[Dict[str, Any]] = None,
     ) -> List[Any]:
-        """Execute a batch of arbitrary content-keyed tasks, in order.
+        """Execute a batch of ``(fn, args, kwargs)`` calls, in order.
 
-        The generalized counterpart of :meth:`run_pairs`: keyed tasks are
-        recalled from the task cache, identical keys within a dispatch
-        execute once, and the remaining work fans out over the executor.
+        The generalized counterpart of :meth:`run_pairs`: the whole batch
+        goes to the executor's ``run_calls`` once, and every call executes.
         Results always come back in submission order, so callers see the
         exact sequence the equivalent serial loop would have produced --
         this is what keeps parallel searches (e.g. Level 2's classifier
         zoo) deterministic: candidates are compared in enumeration order,
-        a key independent of completion order.  A batch larger than
-        :attr:`batch_chunk` is dispatched chunk by chunk; duplicate keys
-        across chunks are answered by the task-cache entries earlier chunks
-        filled, so results do not depend on the chunk size.
+        a key independent of completion order.
 
         Args:
-            specs: the tasks.  Tasks must be pure functions of their
-                arguments; specs with ``key=None`` always execute.
+            calls: the tasks.  Each must be a pure function of its
+                arguments; under the process executor an unpicklable batch
+                runs serially.
             phase: optional telemetry phase name timing this batch.
             shared: mapping of :class:`repro.runtime.SharedRef` tokens to
                 the large objects the task arguments reference; shipped to
                 process-pool workers once per pool instead of being
-                re-pickled with every chunk.
+                re-pickled with every lease.
         """
         scope = self.telemetry.phase(phase) if phase else contextlib.nullcontext()
         with scope:
-            chunk = self.batch_chunk
-            if len(specs) <= chunk:
-                return self._run_tasks(specs, shared)
-            results: List[Any] = []
-            for start in range(0, len(specs), chunk):
-                self.telemetry.count("chunks_dispatched")
-                results.extend(self._run_tasks(specs[start : start + chunk], shared))
-                self._chunk_completed()
+            self.telemetry.count("tasks_requested", len(calls))
+            results = self.executor.run_calls(calls, shared=shared)
+            self.telemetry.count("tasks_executed", len(calls))
             return results
-
-    def _run_tasks(
-        self, specs: Sequence[TaskSpec], shared: Optional[Dict[str, Any]] = None
-    ) -> List[Any]:
-        self.telemetry.count("tasks_requested", len(specs))
-        if self.task_cache is None:
-            calls: List[CallTask] = [(s.fn, s.args, s.kwargs) for s in specs]
-            self.telemetry.count("tasks_executed", len(specs))
-            return self.executor.run_calls(calls, shared=shared)
-
-        results: List[Any] = [None] * len(specs)
-        #: key -> slot of the first miss with that key (for in-batch dedup).
-        pending: Dict[str, int] = {}
-        #: slots whose result is copied from another slot after execution.
-        aliases: List[tuple] = []
-        miss_calls: List[CallTask] = []
-        miss_slots: List[int] = []
-        for slot, spec in enumerate(specs):
-            if spec.key is None:
-                miss_calls.append((spec.fn, spec.args, spec.kwargs))
-                miss_slots.append(slot)
-                continue
-            cached = self.task_cache.get(spec.key)
-            if not is_missing(cached):
-                self.telemetry.count("task_cache_hits")
-                results[slot] = cached
-                continue
-            first = pending.get(spec.key)
-            if first is not None:
-                self.telemetry.count("task_cache_hits")
-                aliases.append((slot, first))
-                continue
-            pending[spec.key] = slot
-            miss_calls.append((spec.fn, spec.args, spec.kwargs))
-            miss_slots.append(slot)
-
-        if miss_calls:
-            executed = self.executor.run_calls(miss_calls, shared=shared)
-            self.telemetry.count("tasks_executed", len(miss_calls))
-            for slot, value in zip(miss_slots, executed):
-                results[slot] = value
-        for key, slot in pending.items():
-            self.task_cache.put(key, results[slot])
-        for slot, first in aliases:
-            results[slot] = results[first]
-        return results
 
     def measure(
         self,
@@ -466,8 +401,6 @@ class Runtime:
         }
         if self.cache is not None:
             info["cache"] = self.cache.stats()
-        if self.task_cache is not None:
-            info["task_cache"] = self.task_cache.stats()
         return info
 
     def close(self) -> None:

@@ -168,18 +168,13 @@ class Telemetry:
 
     @property
     def tasks_requested(self) -> int:
-        """Generalized tasks asked of the runtime (hits + executions)."""
+        """Generalized tasks asked of the runtime."""
         return self.counters.get("tasks_requested", 0)
 
     @property
     def tasks_executed(self) -> int:
-        """Generalized tasks that actually executed (task-cache misses)."""
+        """Generalized tasks that executed (every requested one)."""
         return self.counters.get("tasks_executed", 0)
-
-    @property
-    def task_cache_hits(self) -> int:
-        """Generalized tasks served from the task cache."""
-        return self.counters.get("task_cache_hits", 0)
 
     def hit_rate(self) -> float:
         """Fraction of requested runs served from cache (0.0 when idle)."""

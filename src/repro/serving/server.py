@@ -48,6 +48,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
@@ -64,13 +65,11 @@ from repro.runtime import (
     RunCache,
     Runtime,
     SerialExecutor,
-    TaskCache,
     config_key,
     input_key,
     join_run_key,
-    run_key_prefix,
+    program_key,
 )
-from repro.runtime.tasks import is_missing
 from repro.serving import protocol
 from repro.serving.protocol import (
     SERVING_PROTOCOL_VERSION,
@@ -153,14 +152,18 @@ class _SelectionMemo:
 
     def __init__(self, entry: ModelEntry, cache: Optional[RunCache]) -> None:
         self.entry = entry
-        self._key_prefix = run_key_prefix(entry.deployed.program)
-        self._selections = TaskCache(cache.max_entries) if cache is not None else None
+        self._program_key = program_key(entry.deployed.program)
+        self._selections: Optional["OrderedDict[str, _Selection]"] = (
+            OrderedDict() if cache is not None else None
+        )
+        self._max_entries = cache.max_entries if cache is not None else None
 
     def select(self, digest: str, program_input: Any) -> _Selection:
         """The entry's selection for the input whose ``input_key`` is ``digest``."""
         if self._selections is not None:
             known = self._selections.get(digest)
-            if not is_missing(known):
+            if known is not None:
+                self._selections.move_to_end(digest)
                 return known
         deployed = self.entry.deployed
         configuration, index, cost = deployed.select_configuration(program_input)
@@ -169,10 +172,12 @@ class _SelectionMemo:
             configuration=configuration,
             landmark_index=index,
             feature_cost=cost,
-            run_key=join_run_key(self._key_prefix, config_key(configuration), digest),
+            run_key=join_run_key(self._program_key, config_key(configuration), digest),
         )
         if self._selections is not None:
-            self._selections.put(digest, selection)
+            self._selections[digest] = selection
+            if self._max_entries is not None and len(self._selections) > self._max_entries:
+                self._selections.popitem(last=False)
         return selection
 
 
@@ -583,7 +588,7 @@ class SelectorServer:
                 landmark_index=-1,
                 feature_cost=0.0,
                 run_key=join_run_key(
-                    run_key_prefix(program), config_key(configuration), digest
+                    program_key(program), config_key(configuration), digest
                 ),
             )
         memo = self._selections.get(entry.test)

@@ -19,6 +19,7 @@ from repro.adaptation import (
     sort_drift_scenario,
 )
 from repro.adaptation.scenarios import SORT_FAMILIES
+from repro.core.pipeline import InputAwareLearning
 from repro.runtime import RunCache, Runtime
 from repro.runtime.executors import ProcessExecutor, SerialExecutor
 
@@ -167,6 +168,37 @@ class TestSortShiftReplay:
         assert payload["adapted"]["served_cost_total"] == pytest.approx(
             sum(payload["adapted"]["served_costs"])
         )
+
+
+class TestReplayTraining:
+    def test_initial_model_is_trained_once_per_replay(self, small_replay, monkeypatch):
+        """Both serving passes start from one trained model; the frozen pass
+        does not train it again."""
+        fits = []
+        fit = InputAwareLearning.fit
+
+        def counting_fit(self, *args, **kwargs):
+            fits.append(args[0].name)
+            return fit(self, *args, **kwargs)
+
+        monkeypatch.setattr(InputAwareLearning, "fit", counting_fit)
+        runtime = Runtime(executor=SerialExecutor(), cache=RunCache())
+        try:
+            report = replay_scenario(sort_drift_scenario("small", seed=0), runtime)
+        finally:
+            runtime.close()
+        assert fits == ["sort"]
+        assert report.digest() == small_replay.digest()
+
+    def test_training_is_timed_apart_from_both_passes(self):
+        runtime = Runtime(executor=SerialExecutor(), cache=RunCache())
+        try:
+            replay_scenario(sort_drift_scenario("small", seed=0), runtime)
+        finally:
+            runtime.close()
+        phases = runtime.telemetry.phases
+        for name in ("adapt.replay.train", "adapt.replay.adapted", "adapt.replay.frozen"):
+            assert phases[name].calls == 1
 
 
 class TestReplayDeterminism:

@@ -101,6 +101,27 @@ class TestChaosExperiment:
             assert report["compared"]["result_digest"] == clean_digest
             assert report["diagnostics"]["faults"]["fired"] == {"cache.save": 2}
 
+    def test_replay_on_a_filled_store_meets_no_fault_and_diverges(
+        self, tmp_path, clean_digest
+    ):
+        """A replay answered from the runs an earlier one saved never reaches
+        ``cache.save``: its results agree, but its report must not."""
+        plan = preset_plan("store-write-fail")
+        config = tiny_config(cache_path=str(tmp_path / "store.db"), batch_chunk=64)
+        with pytest.warns(UserWarning, match="stay unsaved"):
+            fresh = run_chaos_experiment(
+                "sort1", plan, config=config, baseline_digest=clean_digest
+            )
+        filled = run_chaos_experiment(
+            "sort1", plan, config=config, baseline_digest=clean_digest
+        )
+        assert fresh["compared"]["fired"] == {"cache.save": 2}
+        assert filled["compared"]["fired"] == {}
+        assert filled["compared"]["fired"] == filled["diagnostics"]["faults"]["fired"]
+        assert filled["compared"]["result_digest"] == fresh["compared"]["result_digest"]
+        assert filled["compared"]["invariants"] == fresh["compared"]["invariants"]
+        assert filled["digest"] != fresh["digest"]
+
     def test_failed_run_reports_completed_false(self, tmp_path):
         """A plan the runtime cannot absorb yields a failed-invariant report,
         not an exception out of the harness."""
@@ -175,7 +196,6 @@ RUNNER_SCRIPT = textwrap.dedent(
         seed=0,
         batch_chunk=4,
         cache_path=None if mode == "clean" else store,
-        executor="serial",  # a killed pool's orphaned workers would hold the pipes open
     )
     kill = FaultPlan(faults=[FaultSpec(site="runtime.chunk", action="kill", nth=6)])
     with fault_scope(kill) if mode == "kill" else contextlib.nullcontext():
@@ -231,7 +251,7 @@ class TestTable1KillAndRerun:
         from repro.cli import _experiment_config, build_parser, main
 
         argv = ["table1", "--tests", "sort1", "sort2", "--inputs", "24", "--clusters", "3",
-                "--generations", "2", "--batch-chunk", "64", "--executor", "serial"]
+                "--generations", "2", "--batch-chunk", "64"]
         config = _experiment_config(build_parser().parse_args(argv))
         sort1 = run_experiment("sort1", config=config).runtime_stats["telemetry"]["counters"]
 

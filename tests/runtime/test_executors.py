@@ -198,10 +198,10 @@ class TestProcessPoolRecovery:
             assert executor._pool is not broken_pool
             follow_up = executor.run_batch(program, tasks[:3])
             assert [r.time for r in follow_up] == [r.time for r in expected[:3]]
-            # The break and its retry surface through Runtime.stats().
+            # The retry surfaces through Runtime.stats(); the recovered
+            # break ran every lease on the pool, so it is no fallback.
             stats = executor.stats()
-            assert set(stats) == {"executor_fallback", "retries"}
-            assert stats["executor_fallback"].startswith("process pool broke")
+            assert set(stats) == {"retries"}
             assert stats["retries"]["retry_retries"] == 1
 
     def test_run_calls_rebuild_reregisters_shared_initializer(self):
@@ -226,7 +226,7 @@ class TestProcessPoolRecovery:
         with ProcessExecutor(workers=2) as executor:
             assert executor.run_calls(calls) == [0, 2, 4, 6, 8]
             stats = executor.stats()
-            assert stats["executor_fallback"].startswith("process pool broke")
+            assert "executor_fallback" not in stats
             assert stats["retries"]["retry_retries"] == 1
             assert stats["retries"]["retry_recoveries"] == 1
             # The rebuilt pool serves the next batch.
@@ -290,11 +290,14 @@ class TestInlineRetry:
         assert executor.run_calls(self.CALLS) == self.EXPECTED
         assert pool.submissions == 2
         assert teardowns == [1]  # the broken pool went before the resubmission
-        assert executor.stats()["retries"] == {
+        stats = executor.stats()
+        assert stats["retries"] == {
             "retry_attempts": 2,
             "retry_retries": 1,
             "retry_recoveries": 1,
         }
+        # Every lease ran on the pool in the end: no serial fallback.
+        assert "executor_fallback" not in stats
 
     def test_second_break_ends_on_serial(self, monkeypatch):
         executor, pool, teardowns = self._executor(monkeypatch, breaks={1, 2})
@@ -306,6 +309,22 @@ class TestInlineRetry:
         assert stats["retries"] == {
             "retry_attempts": 2,
             "retry_retries": 1,
+            "retry_giveups": 1,
+        }
+
+    def test_recovered_break_keeps_an_earlier_fallback(self, monkeypatch):
+        """The reason names the latest batch that ended on serial; a later
+        batch that recovers from its break neither sets nor clears it."""
+        executor, pool, _ = self._executor(monkeypatch, breaks={1, 2, 3})
+        assert executor.run_calls(self.CALLS) == self.EXPECTED  # ends on serial
+        assert executor.run_calls(self.CALLS) == self.EXPECTED  # recovers
+        assert pool.submissions == 4
+        stats = executor.stats()
+        assert stats["executor_fallback"] == "process pool broke: a worker died"
+        assert stats["retries"] == {
+            "retry_attempts": 4,
+            "retry_retries": 2,
+            "retry_recoveries": 1,
             "retry_giveups": 1,
         }
 

@@ -73,27 +73,26 @@ class TestCrossExecutorLevel2:
         ]
 
 
-class TestWarmRunsSkipRetraining:
-    def test_second_search_is_all_task_cache_hits(self, dataset):
+class TestRepeatedSearch:
+    def test_second_search_refits_every_candidate_and_agrees(self, dataset, serial_result):
+        """A runtime keeps no task results: a second identical search on it
+        fits every candidate again and selects what the first did."""
         runtime = Runtime.create(executor="serial")
         config = Level2Config(max_subsets=12)
-        first = run_level2(dataset, range(48), range(48, 96), config=config, runtime=runtime)
-        executed_after_first = runtime.telemetry.tasks_executed
-        assert executed_after_first == len(first.classifiers)
-        second = run_level2(dataset, range(48), range(48, 96), config=config, runtime=runtime)
-        assert runtime.telemetry.tasks_executed == executed_after_first
-        assert runtime.telemetry.task_cache_hits >= len(second.classifiers)
-        assert second.production.performance_cost == first.production.performance_cost
-        runtime.close()
-
-    def test_changed_split_retrains(self, dataset):
-        runtime = Runtime.create(executor="serial")
-        config = Level2Config(max_subsets=12)
-        run_level2(dataset, range(48), range(48, 96), config=config, runtime=runtime)
-        executed = runtime.telemetry.tasks_executed
-        run_level2(dataset, range(40), range(40, 96), config=config, runtime=runtime)
-        assert runtime.telemetry.tasks_executed > executed
-        runtime.close()
+        try:
+            first = run_level2(dataset, range(48), range(48, 96), config=config, runtime=runtime)
+            executed_after_first = runtime.telemetry.tasks_executed
+            second = run_level2(dataset, range(48), range(48, 96), config=config, runtime=runtime)
+        finally:
+            runtime.close()
+        assert executed_after_first == len(serial_result.classifiers)
+        assert runtime.telemetry.tasks_executed == 2 * executed_after_first
+        assert runtime.telemetry.tasks_requested == runtime.telemetry.tasks_executed
+        for result in (first, second):
+            assert result.production.classifier.name == serial_result.production.classifier.name
+            assert [e.performance_cost for e in result.evaluations] == [
+                e.performance_cost for e in serial_result.evaluations
+            ]
 
 
 class TestSelectionTaskLayer:
@@ -116,6 +115,24 @@ class TestSelectionTaskLayer:
         )
         assert costs == [fold.performance_cost for fold in serial_folds]
 
+    def test_each_call_executes_one_task_per_fold(self, dataset):
+        from repro.core.classifiers import MaxAprioriClassifier
+
+        labels = dataset.labels()
+        runtime = Runtime.create(executor="serial")
+        try:
+            first = cross_validate_classifier(
+                MaxAprioriClassifier, dataset, labels, range(48), n_splits=4, runtime=runtime
+            )
+            assert runtime.telemetry.tasks_executed == 4
+            second = cross_validate_classifier(
+                MaxAprioriClassifier, dataset, labels, range(48), n_splits=4, runtime=runtime
+            )
+        finally:
+            runtime.close()
+        assert runtime.telemetry.tasks_executed == 8
+        assert [f.performance_cost for f in second] == [f.performance_cost for f in first]
+
     def test_cv_folds_config_populates_result(self, dataset):
         result = run_level2(
             dataset,
@@ -126,18 +143,6 @@ class TestSelectionTaskLayer:
         assert result.production_cv_costs is not None
         assert len(result.production_cv_costs) == 3
         assert all(np.isfinite(cost) for cost in result.production_cv_costs)
-
-    def test_cv_folds_cached_on_warm_runtime(self, dataset):
-        """Keyed fold tasks make the CV phase warm-rerun-free like the
-        candidate search."""
-        runtime = Runtime.create(executor="serial")
-        config = Level2Config(max_subsets=8, cv_folds=3)
-        first = run_level2(dataset, range(48), range(48, 96), config=config, runtime=runtime)
-        executed = runtime.telemetry.tasks_executed
-        second = run_level2(dataset, range(48), range(48, 96), config=config, runtime=runtime)
-        assert runtime.telemetry.tasks_executed == executed
-        assert second.production_cv_costs == first.production_cv_costs
-        runtime.close()
 
     def test_cv_folds_parallelize_under_process_executor(self, dataset):
         """The production-CV factory is picklable, so cv_folds combined with
@@ -211,8 +216,8 @@ class TestAutotunerBatchedObjective:
         runtime.close()
 
     def test_objective_runs_stay_in_run_cache(self):
-        """Tuning measurements share the persistable run cache (not only the
-        in-memory task cache), preserving warm-start across processes."""
+        """Tuning measurements go through the persistable run cache,
+        preserving warm-start across processes."""
         runtime = Runtime.create(executor="serial")
         self._tune(runtime)
         assert runtime.telemetry.runs_executed > 0

@@ -15,7 +15,9 @@ from repro.runtime import (
     SerialExecutor,
     config_key,
     input_key,
+    join_run_key,
     program_fingerprint,
+    program_key,
     run_key,
 )
 
@@ -167,7 +169,7 @@ class TestMeasure:
         stats = runtime.stats()
         assert stats["telemetry"]["hit_rate"] == pytest.approx(0.5)
         # The serial executor adds no keys of its own.
-        assert set(stats) == {"executor", "telemetry", "cache", "task_cache"}
+        assert set(stats) == {"executor", "telemetry", "cache"}
 
 
 class TestPersistedRuntime:
@@ -271,6 +273,16 @@ class TestKeys:
         a = np.array([3.0, 1.0, 2.0])
         b = np.array([3.0, 1.0, 2.0])
         assert run_key(program, config, a) == run_key(program, config, b)
+
+    def test_run_key_joins_program_config_and_input_keys(self):
+        """Callers that hold the three digests build the same key."""
+        program, _ = counting_program()
+        config = program.default_configuration()
+        digest = program_key(program)
+        assert digest == f"counted:{program_fingerprint(program)}"
+        assert join_run_key(digest, config_key(config), input_key(3)) == run_key(
+            program, config, 3
+        )
 
     def test_different_input_different_key(self):
         assert input_key(np.array([1.0, 2.0])) != input_key(np.array([2.0, 1.0]))

@@ -198,6 +198,8 @@ class TestStreamedInputDeterminism:
 class TestLevel2StreamingDeterminism:
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_chunked_search_selects_identical_production(self, executor):
+        """A small ``batch_chunk`` leaves the search as it is: task batches
+        go to the executor whole, so it selects what the default does."""
         dataset = synthetic_level2_dataset(n=40, seed=3)
         rows = np.arange(40)
         train_rows, test_rows = rows[:28], rows[28:]

@@ -1,10 +1,14 @@
-"""Unit tests for the generalized task layer (TaskSpec/TaskCache/run_tasks)."""
+"""Unit tests for the generalized task layer (``Runtime.run_tasks``).
+
+A task is the executor's ``(fn, args, kwargs)`` call tuple; the runtime
+hands a whole batch to ``executor.run_calls`` once.
+"""
 
 import numpy as np
 import pytest
 
-from repro.runtime import Runtime, TaskCache, TaskSpec, content_key, get_executor
-from repro.runtime.tasks import is_missing
+from repro.resilience.faults import FaultPlan, FaultSpec, fault_scope
+from repro.runtime import Runtime, SerialExecutor, SharedRef, get_executor
 
 
 def double(x):
@@ -23,92 +27,94 @@ def boom():
     raise RuntimeError("task failed")
 
 
-class TestTaskSpec:
-    def test_call_applies_args_and_kwargs(self):
-        assert TaskSpec(fn=combine, args=(3,), kwargs={"y": 4}).call() == 7
-
-    def test_defaults(self):
-        spec = TaskSpec(fn=double, args=(1,))
-        assert spec.key is None
-        assert spec.label == ""
+def scaled_total(values, factor):
+    return float(sum(values)) * factor
 
 
-class TestTaskCache:
-    def test_round_trip_and_stats(self):
-        cache = TaskCache()
-        assert is_missing(cache.get("a"))
-        cache.put("a", 123)
-        assert cache.get("a") == 123
-        assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1, "evictions": 0}
+class RecordingExecutor(SerialExecutor):
+    """A serial executor that records the size of every batch it is given."""
 
-    def test_none_is_a_legitimate_value(self):
-        cache = TaskCache()
-        cache.put("a", None)
-        value = cache.get("a")
-        assert value is None
-        assert not is_missing(value)
+    def __init__(self):
+        super().__init__()
+        self.batches = []
 
-    def test_lru_eviction(self):
-        cache = TaskCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # refresh a; b becomes LRU
-        cache.put("c", 3)
-        assert "a" in cache and "c" in cache and "b" not in cache
-        assert cache.evictions == 1
-
-    def test_invalid_cap_rejected(self):
-        with pytest.raises(ValueError):
-            TaskCache(max_entries=0)
+    def run_calls(self, calls, shared=None):
+        self.batches.append(len(calls))
+        return super().run_calls(calls, shared=shared)
 
 
 class TestRunTasks:
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_results_in_submission_order(self, executor):
         runtime = Runtime.create(executor=executor, workers=2, use_cache=False)
-        specs = [TaskSpec(fn=double, args=(i,)) for i in range(10)]
-        assert runtime.run_tasks(specs) == [2 * i for i in range(10)]
+        calls = [(combine, (i,), {"y": 100 * i}) for i in range(10)]
+        assert runtime.run_tasks(calls) == [101 * i for i in range(10)]
         runtime.close()
 
-    def test_keyed_tasks_deduplicate_within_batch(self):
+    def test_repeated_calls_all_execute(self):
+        """A caching runtime keeps no task results: every call of a batch
+        executes, repeats included, and so does a repeated batch."""
         runtime = Runtime.create(executor="serial")
-        specs = [TaskSpec(fn=double, args=(7,), key="k") for _ in range(5)]
-        assert runtime.run_tasks(specs) == [14] * 5
-        assert runtime.telemetry.tasks_executed == 1
-        assert runtime.telemetry.task_cache_hits == 4
+        calls = [(double, (7,), {})] * 5
+        assert runtime.run_tasks(calls) == [14] * 5
+        assert runtime.run_tasks(calls) == [14] * 5
+        assert runtime.telemetry.tasks_requested == 10
+        assert runtime.telemetry.tasks_executed == 10
 
-    def test_keyed_tasks_hit_cache_across_batches(self):
+    def test_whole_batch_goes_to_the_executor_once(self):
+        """A batch longer than ``batch_chunk`` is not cut into chunks."""
+        executor = RecordingExecutor()
+        runtime = Runtime(executor=executor, batch_chunk=2)
+        assert runtime.run_tasks([(double, (i,), {}) for i in range(7)]) == [
+            2 * i for i in range(7)
+        ]
+        assert executor.batches == [7]
+        assert "chunks_dispatched" not in runtime.telemetry.counters
+
+    def test_task_batch_meets_no_chunk_boundary(self, tmp_path, monkeypatch):
+        """Only measurement chunks save the store and reach the
+        ``runtime.chunk`` fault site; a task batch does neither."""
+        runtime = Runtime.create(cache_path=str(tmp_path / "runs.db"), batch_chunk=2)
+        saves = []
+        monkeypatch.setattr(runtime.cache, "save", lambda: saves.append(1))
+        plan = FaultPlan([FaultSpec(site="runtime.chunk", action="raise", nth=1)])
+        try:
+            with fault_scope(plan) as injector:
+                results = runtime.run_tasks([(double, (i,), {}) for i in range(7)])
+        finally:
+            runtime.close()
+        assert results == [2 * i for i in range(7)]
+        assert saves == []
+        assert "runtime.chunk" not in injector.snapshot()["calls"]
+
+    def test_failing_batch_raises_and_counts_no_executions(self):
         runtime = Runtime.create(executor="serial")
-        spec = TaskSpec(fn=double, args=(7,), key="k")
-        runtime.run_tasks([spec])
-        runtime.run_tasks([spec])
+        with pytest.raises(RuntimeError, match="task failed"):
+            runtime.run_tasks([(double, (1,), {}), (boom, (), {})], phase="unit.fail")
         assert runtime.telemetry.tasks_requested == 2
-        assert runtime.telemetry.tasks_executed == 1
-        assert runtime.stats()["task_cache"]["entries"] == 1
+        assert runtime.telemetry.tasks_executed == 0
+        # The failed batch's time still lands in its phase.
+        assert runtime.telemetry.phases["unit.fail"].calls == 1
 
-    def test_unkeyed_tasks_always_execute(self):
-        runtime = Runtime.create(executor="serial")
-        spec = TaskSpec(fn=double, args=(7,))
-        runtime.run_tasks([spec])
-        runtime.run_tasks([spec])
-        assert runtime.telemetry.tasks_executed == 2
-
-    def test_cache_disabled_runtime_has_no_task_cache(self):
-        runtime = Runtime.create(executor="serial", use_cache=False)
-        assert runtime.task_cache is None
-        spec = TaskSpec(fn=double, args=(7,), key="k")
-        runtime.run_tasks([spec])
-        runtime.run_tasks([spec])
-        assert runtime.telemetry.tasks_executed == 2
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_shared_objects_resolve_in_every_task(self, executor):
+        runtime = Runtime.create(executor=executor, workers=2, use_cache=False)
+        calls = [(scaled_total, (SharedRef("values"), float(f)), {}) for f in (1, 2, 3)]
+        try:
+            results = runtime.run_tasks(calls, shared={"values": list(range(10))})
+            assert "executor_fallback" not in runtime.stats()
+        finally:
+            runtime.close()
+        assert results == [45.0, 90.0, 135.0]
 
     def test_phase_is_timed(self):
         runtime = Runtime.create(executor="serial")
-        runtime.run_tasks([TaskSpec(fn=double, args=(1,))], phase="unit.phase")
+        runtime.run_tasks([(double, (1,), {})], phase="unit.phase")
         assert runtime.telemetry.phases["unit.phase"].calls == 1
 
     def test_numpy_results_survive_process_round_trip(self):
         runtime = Runtime.create(executor="process", workers=2, use_cache=False)
-        results = runtime.run_tasks([TaskSpec(fn=make_array, args=(4,))] * 3)
+        results = runtime.run_tasks([(make_array, (4,), {})] * 3)
         for result in results:
             np.testing.assert_array_equal(result, np.arange(4))
         runtime.close()
@@ -116,7 +122,7 @@ class TestRunTasks:
     def test_process_falls_back_serially_on_unpicklable_task(self):
         runtime = Runtime.create(executor="process", workers=2, use_cache=False)
         closure = lambda: 41 + 1  # noqa: E731 - deliberately unpicklable
-        assert runtime.run_tasks([TaskSpec(fn=closure), TaskSpec(fn=closure)]) == [42, 42]
+        assert runtime.run_tasks([(closure, (), {}), (closure, (), {})]) == [42, 42]
         stats = runtime.stats()
         assert "not picklable" in stats["executor_fallback"]
         # The probe failed before any submission, so no retry was counted.
@@ -137,12 +143,3 @@ class TestExecutorRunCalls:
             ex.run_calls([(boom, (), {}), (boom, (), {})])
         assert ex.fallback_reason is None
         ex.close()
-
-
-class TestContentKey:
-    def test_stable_across_calls(self):
-        assert content_key("a", 1, np.arange(3)) == content_key("a", 1, np.arange(3))
-
-    def test_distinguishes_values(self):
-        assert content_key("a", 1) != content_key("a", 2)
-        assert content_key(np.arange(3)) != content_key(np.arange(4))

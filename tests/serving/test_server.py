@@ -30,6 +30,7 @@ from repro.serving import (
 )
 
 from repro.resilience.faults import FaultPlan, FaultSpec, fault_scope
+from repro.runtime import RunCache, Runtime
 
 
 def wait_until(predicate, timeout=10.0):
@@ -478,6 +479,74 @@ class TestEventLoopAnswers:
         assert swapped["model_version"] == 2 and swapped["cache_hit"] is True
         assert classifier.calls == {1: 2, 2: 1}
         assert server.telemetry.counters["selector_labels_clamped"] == 3
+
+    def test_selection_memo_is_bounded_by_the_run_cache(self):
+        """The memo keeps no more selections than the run cache keeps runs:
+        with room for two, the first of three inputs is classified again."""
+        program, gate = gated_program("bounded")
+        gate.set()
+        classifier = _CountingClassifier()
+        deployed = DeployedProgram(
+            program, [program.default_configuration()], classifier
+        )
+        runtime = Runtime(cache=RunCache(max_entries=2))
+        server = SelectorServer(runtime=runtime)
+        server.publish("bounded", deployed)
+        try:
+            with ServerThread(server):
+                with connect(server) as client:
+                    for value in (1, 2, 3, 1):
+                        response = client.run("bounded", protocol.pickle_input(value))
+                        assert response["type"] == "result"
+        finally:
+            runtime.close()
+        assert classifier.calls == {1: 2, 2: 1, 3: 1}
+
+    def test_selection_memo_evicts_the_least_recently_used(self):
+        """A recalled selection counts as used: with room for two, input 1
+        asked again before input 3 arrives outlives input 2."""
+        program, gate = gated_program("recency")
+        gate.set()
+        classifier = _CountingClassifier()
+        deployed = DeployedProgram(
+            program, [program.default_configuration()], classifier
+        )
+        runtime = Runtime(cache=RunCache(max_entries=2))
+        server = SelectorServer(runtime=runtime)
+        server.publish("recency", deployed)
+        try:
+            with ServerThread(server):
+                with connect(server) as client:
+                    for value in (1, 2, 1, 3, 1):
+                        response = client.run("recency", protocol.pickle_input(value))
+                        assert response["type"] == "result"
+        finally:
+            runtime.close()
+        assert classifier.calls == {1: 1, 2: 1, 3: 1}
+
+    def test_runtime_without_a_run_cache_keeps_no_selections(self):
+        """With no run cache nothing is recalled, so every request
+        classifies its input afresh."""
+        program, gate = gated_program("uncached")
+        gate.set()
+        classifier = _CountingClassifier()
+        deployed = DeployedProgram(
+            program, [program.default_configuration()], classifier
+        )
+        runtime = Runtime(cache=None)
+        server = SelectorServer(runtime=runtime)
+        server.publish("uncached", deployed)
+        try:
+            with ServerThread(server):
+                with connect(server) as client:
+                    answers = [
+                        client.run("uncached", protocol.pickle_input(value))
+                        for value in (1, 1, 2)
+                    ]
+        finally:
+            runtime.close()
+        assert [a["cache_hit"] for a in answers] == [False, False, False]
+        assert classifier.calls == {1: 2, 2: 1}
 
     def test_recalls_still_fire_the_fault_site_once(self):
         deployed, gate = gated_deployment("sites")

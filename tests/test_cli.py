@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import _experiment_config, build_parser, main
@@ -148,6 +150,19 @@ class TestCommands:
         assert "production classifier" in output
         assert "dynamic_oracle" in output
 
+    def test_runtime_stats_show_every_task_executed(self, capsys):
+        code = main(
+            ["train", "sort2", "--inputs", "24", "--clusters", "3", "--generations", "2",
+             "--runtime-stats"]
+        )
+        assert code == 0
+        output = capsys.readouterr().out
+        tasks = re.search(r"^  tasks: (\d+) requested, (\d+) executed$", output, re.MULTILINE)
+        assert tasks is not None
+        requested, executed = int(tasks.group(1)), int(tasks.group(2))
+        assert requested == executed > 0
+        assert "executor fallback:" not in output
+
     def test_table1_runs_tiny_experiment(self, capsys):
         code = main(
             ["table1", "--tests", "svd", "--inputs", "24", "--clusters", "3", "--generations", "2"]
@@ -156,15 +171,53 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "svd" in output and "Dynamic Oracle" in output
 
-    def test_chaos_store_write_fail_replays_execute_and_save(self, tmp_path, capsys):
-        """The fault-free baseline runs without the replays' store, so the
-        first replay executes its runs and the failed saves hold some."""
+    def test_chaos_store_write_fail_replays_execute_and_save(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Neither the fault-free baseline nor an earlier replay fills a
+        replay's store, so every replay executes its runs and meets both
+        failed saves; the file at ``--cache-path`` is left as it was."""
+        from repro.resilience import chaos
+
+        reports = []
+        run_chaos_experiment = chaos.run_chaos_experiment
+
+        def recording(*args, **kwargs):
+            reports.append(run_chaos_experiment(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(chaos, "run_chaos_experiment", recording)
+        store = tmp_path / "store.db"
+        store.write_bytes(b"the user's file")
         argv = ["chaos", "experiment", "sort2", "--preset", "store-write-fail",
-                "--cache-path", str(tmp_path / "store.db"), "--inputs", "24",
+                "--cache-path", str(store), "--inputs", "24",
                 "--clusters", "3", "--generations", "2", "--replays", "2"]
         with pytest.warns(UserWarning, match=r" [1-9][0-9]* entries stay unsaved"):
             assert main(argv) == 0
         assert "all invariants held" in capsys.readouterr().out
+        assert [report["compared"]["fired"] for report in reports] == [
+            {"cache.save": 2},
+            {"cache.save": 2},
+        ]
+        assert store.read_bytes() == b"the user's file"
+
+    def test_chaos_replay_stores_leave_no_file_behind(self, tmp_path, monkeypatch, capsys):
+        """The replays' stores live in a temporary directory removed at the
+        end; no file is made at ``--cache-path``."""
+        import tempfile
+
+        temp_root = tmp_path / "temp"
+        temp_root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
+        store = tmp_path / "store.db"
+        argv = ["chaos", "experiment", "sort2", "--preset", "store-write-fail",
+                "--cache-path", str(store), "--inputs", "24",
+                "--clusters", "3", "--generations", "2", "--replays", "1"]
+        with pytest.warns(UserWarning, match="stay unsaved"):
+            assert main(argv) == 0
+        assert "all invariants held" in capsys.readouterr().out
+        assert not store.exists()
+        assert list(temp_root.iterdir()) == []
 
     @pytest.mark.parametrize(
         "content, reason",
