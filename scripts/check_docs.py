@@ -34,7 +34,12 @@ code, fenced blocks included, so a deleted option cannot linger there:
   key of ``PRESETS`` in ``src/repro/resilience/chaos.py``;
 * **every executor exists** -- each ``|``-separated ``NAME`` of
   ``--executor NAME`` or ``REPRO_EXECUTOR=NAME`` is a key of ``EXECUTORS``
-  in ``src/repro/runtime/executors.py``.
+  in ``src/repro/runtime/executors.py``;
+* **every class member exists** -- a ``Class.member`` inside a backticked
+  span, whose ``Class`` is a top-level class under ``src/``, names a member
+  of that class or of one of its bases under ``src/``: a ``def``, a nested
+  class, a class attribute, an annotated field or a ``self.x =``
+  assignment.  Names that are not such a class are not checked.
 
 All of them read the source as text, without importing ``repro``.
 
@@ -52,7 +57,7 @@ import glob
 import os
 import re
 import sys
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 #: The repository root (this script lives in ``scripts/``).
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -73,6 +78,8 @@ _REPO_PATH = re.compile(
 )
 _PRESET = re.compile(r"--preset[ =]([\w-]+)")
 _EXECUTOR = re.compile(r"(?:--executor[ =]|REPRO_EXECUTOR=)([\w|-]+)")
+_CODE_SPAN = re.compile(r"`([^`]+)`")
+_CLASS_MEMBER = re.compile(r"(?<![\w.])([A-Za-z_]\w*)\.([A-Za-z_]\w*)")
 
 
 def _github_anchor(heading: str) -> str:
@@ -203,14 +210,65 @@ def _executor_names() -> frozenset:
     return _dict_keys(os.path.join("runtime", "executors.py"), "EXECUTORS")
 
 
+@functools.lru_cache(maxsize=None)
+def _src_classes() -> Dict[str, List[ast.ClassDef]]:
+    """Every top-level class under src/, by name (parsed, never executed)."""
+    classes: Dict[str, List[ast.ClassDef]] = {}
+    for text in _python_sources("src"):
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.ClassDef):
+                classes.setdefault(node.name, []).append(node)
+    return classes
+
+
+def _own_members(node: ast.ClassDef) -> set:
+    """The names one class body defines, ``self.x`` assignments included."""
+    members = set()
+    for item in node.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            members.add(item.name)
+        elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+            targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+            members.update(t.id for t in targets if isinstance(t, ast.Name))
+    for sub in ast.walk(node):
+        if (
+            isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Store)
+            and isinstance(sub.value, ast.Name)
+            and sub.value.id == "self"
+        ):
+            members.add(sub.attr)
+    return members
+
+
+@functools.lru_cache(maxsize=None)
+def _class_members(name: str) -> frozenset:
+    """The members of top-level class ``name`` and of its bases under src/."""
+    members: set = set()
+    pending, seen = [name], set()
+    while pending:
+        current = pending.pop()
+        if current in seen:
+            continue
+        seen.add(current)
+        for node in _src_classes().get(current, ()):
+            members |= _own_members(node)
+            for base in node.bases:
+                if isinstance(base, ast.Name):
+                    pending.append(base.id)
+                elif isinstance(base, ast.Attribute):
+                    pending.append(base.attr)
+    return frozenset(members)
+
+
 def _is_user_doc(path: str) -> bool:
     relative = os.path.relpath(os.path.abspath(path), _ROOT)
     return relative == "README.md" or relative.startswith("docs" + os.sep)
 
 
 def check_code_references(path: str, lines: List[str]) -> List[str]:
-    """Flags, environment variables, modules, paths, chaos presets and
-    executors the doc names but the repository lacks."""
+    """Flags, environment variables, modules, paths, chaos presets,
+    executors and class members the doc names but the repository lacks."""
     problems: List[str] = []
     flags, env_vars = _defined_flags(), _read_env_vars()
     for lineno, line in enumerate(lines, start=1):
@@ -236,6 +294,13 @@ def check_code_references(path: str, lines: List[str]) -> List[str]:
             for name in names.split("|"):
                 if name not in _executor_names():
                     problems.append(f"{path}:{lineno}: executor {name} is not a key of EXECUTORS")
+        for span in _CODE_SPAN.findall(line):
+            for class_name, member in _CLASS_MEMBER.findall(span):
+                if class_name in _src_classes() and member not in _class_members(class_name):
+                    problems.append(
+                        f"{path}:{lineno}: {class_name}.{member}: class {class_name} "
+                        f"under src/ has no member {member}"
+                    )
     return problems
 
 

@@ -9,7 +9,7 @@ The package is organized as:
 * :mod:`repro.autotuner` -- the evolutionary autotuner used to produce
   landmark configurations.
 * :mod:`repro.ml` -- from-scratch ML machinery (K-means, cost-sensitive
-  decision trees, discretized naive Bayes, cross-validation).
+  decision trees, discretized naive Bayes, the train/test split).
 * :mod:`repro.benchmarks_suite` -- the six benchmarks of the paper's
   evaluation (Sort, Clustering, Bin Packing, SVD, Poisson 2D, Helmholtz 3D).
 * :mod:`repro.core` -- the paper's contribution: the two-level input-aware

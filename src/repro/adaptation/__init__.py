@@ -2,11 +2,11 @@
 
 The layer that closes the loop the paper leaves open: the selector is
 trained once offline, but a live service sees its input population move.
-:class:`FeedbackLog` captures the per-request signal the serving layer
-already produces, :class:`DriftMonitor` watches its feature distribution
-against the frozen training population, and :class:`Retrainer` re-tunes
-landmarks and retrains the Level-2 classifier on the drifted window,
-hot-swapping the result through the serving
+:class:`FeedbackLog` captures the per-request signal of a served stream,
+:class:`DriftMonitor` watches its feature distribution against the frozen
+training population, and :class:`Retrainer` re-tunes landmarks and
+retrains the Level-2 classifier on the drifted window, hot-swapping the
+result through the serving
 :class:`~repro.serving.registry.ModelRegistry` only after validating it
 against the incumbent.  :mod:`repro.adaptation.scenarios` scripts
 deterministic population shifts and replays them end to end (the

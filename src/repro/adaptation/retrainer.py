@@ -33,7 +33,7 @@ serving, the failure is counted in telemetry
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence
 
 import numpy as np
@@ -54,8 +54,6 @@ from repro.lang.program import PetaBricksProgram
 from repro.ml.crossval import train_test_split
 from repro.runtime import Runtime, default_runtime
 from repro.serving.registry import ModelEntry, ModelRegistry
-
-from repro.adaptation.feedback import FeedbackRecord
 
 
 @dataclass(frozen=True)
@@ -157,11 +155,6 @@ class Retrainer:
 
     def _runtime(self) -> Runtime:
         return self.runtime if self.runtime is not None else default_runtime()
-
-    def retrain(self, records: Sequence[FeedbackRecord]) -> RetrainOutcome:
-        """Retrain from feedback records (inputs rebuilt from their specs)."""
-        inputs = [record.materialize_input() for record in records]
-        return self.retrain_on_inputs(inputs)
 
     def retrain_on_inputs(self, inputs: Sequence[Any]) -> RetrainOutcome:
         """Run the re-tune / revalidate / hot-swap pipeline on a window.

@@ -454,7 +454,6 @@ def _serve_stream(
             FeedbackRecord(
                 features=tuple(float(v) for v in values),
                 predicted_label=outcome.landmark_index,
-                chosen_landmark=outcome.landmark_index,
                 observed_cost=outcome.total_time,
                 observed_accuracy=outcome.result.accuracy,
             )

@@ -12,19 +12,15 @@ This subpackage provides:
 * :class:`~repro.autotuner.objectives.TuningObjective` -- the dual
   accuracy-then-time objective used to compare candidate configurations;
 * :class:`~repro.autotuner.evolution.EvolutionaryAutotuner` -- a (mu + lambda)
-  evolutionary search with tournament selection and per-parameter mutation;
-* :class:`~repro.autotuner.random_search.RandomSearchTuner` -- a baseline
-  tuner used in ablation experiments.
+  evolutionary search with tournament selection and per-parameter mutation.
 """
 
 from repro.autotuner.evolution import EvolutionaryAutotuner, TuningResult
 from repro.autotuner.objectives import CandidateEvaluation, TuningObjective
-from repro.autotuner.random_search import RandomSearchTuner
 
 __all__ = [
     "CandidateEvaluation",
     "EvolutionaryAutotuner",
-    "RandomSearchTuner",
     "TuningObjective",
     "TuningResult",
 ]

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.inputs import GeneratedInputSource, InputSource
 from repro.lang.program import PetaBricksProgram

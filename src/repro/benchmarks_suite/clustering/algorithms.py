@@ -14,7 +14,7 @@ scan, making it the most expensive (and most robust) choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

@@ -18,7 +18,7 @@ with a non-negative variable coefficient field ``c``.  Available solvers:
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 from scipy import sparse

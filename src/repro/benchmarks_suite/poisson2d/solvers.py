@@ -16,7 +16,6 @@ the cost model.
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
 
 import numpy as np
 

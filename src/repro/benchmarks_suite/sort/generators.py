@@ -22,7 +22,7 @@ whole-list ``generate_*`` functions are thin loops over the item functions.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, List
 
 import numpy as np
 

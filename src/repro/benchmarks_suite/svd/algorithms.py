@@ -18,8 +18,6 @@ to the cost model.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.lang.cost import charge

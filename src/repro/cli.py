@@ -172,6 +172,13 @@ def _print_runtime_stats(args: argparse.Namespace, stats: dict) -> None:
         print(f"  streaming: {counters['chunks_dispatched']} chunk(s) dispatched")
     if counters.get("inputs_generated"):
         print(f"  inputs: {counters['inputs_generated']} lazily generated")
+    if "adapt_retrains" in counters:
+        print(
+            f"  adaptation: {counters['adapt_retrains']} retrain(s), "
+            f"{counters.get('adapt_swaps', 0)} swap(s), "
+            f"{counters.get('adapt_retrains_rejected', 0)} rejected, "
+            f"{counters.get('adapt_retrain_failures', 0)} failed"
+        )
     for name, phase in sorted(telemetry.get("phases", {}).items()):
         print(f"  phase {name}: {phase['seconds']:.3f}s over {phase['calls']} call(s)")
 
@@ -384,11 +391,7 @@ def cmd_adapt_replay(args: argparse.Namespace) -> int:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"report written to {args.output}")
-    if args.runtime_stats:
-        print("# runtime stats")
-        for key, value in sorted(stats.get("telemetry", {}).get("counters", {}).items()):
-            if key.startswith("adapt"):
-                print(f"  {key}: {value}")
+    _print_runtime_stats(args, stats)
     if report.shifted_improvement <= 0 and adapted.drift_trips > 0:
         # A replay where adaptation ran but did not pay for itself is the
         # failure the harness exists to catch.
@@ -594,7 +597,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     adapt.add_argument("--output", default=None, help="write the full JSON report here")
     adapt.add_argument(
-        "--runtime-stats", action="store_true", help="print adaptation counters"
+        "--runtime-stats",
+        action="store_true",
+        help="print executor/cache/phase statistics and the adaptation "
+        "counters after the replay",
     )
     adapt.set_defaults(func=cmd_adapt_replay)
 

@@ -25,9 +25,7 @@ import numpy as np
 
 from repro.core.dataset import PerformanceDataset
 from repro.core.level1 import Level1Result
-from repro.lang.program import PetaBricksProgram
 from repro.ml.kmeans import assign_clusters
-from repro.runtime import Runtime, default_runtime
 
 
 @dataclass
@@ -125,42 +123,6 @@ class DynamicOracle:
             satisfaction_rate=_satisfaction(dataset, accuracies),
         )
 
-    def evaluate_live(
-        self,
-        program: PetaBricksProgram,
-        dataset: PerformanceDataset,
-        rows: Sequence[int],
-        runtime: Optional[Runtime] = None,
-    ) -> BaselineEvaluation:
-        """Oracle evaluation by *re-running* every landmark on every row.
-
-        Instead of reading the Level-1 measurement matrix, this re-executes
-        the full landmarks-times-inputs grid through the measurement
-        runtime.  With a cache shared with Level 1 every run is recalled
-        rather than re-executed; with a cold cache it is an independent
-        re-measurement.  Either way the result must agree with
-        :meth:`evaluate` because runs are deterministic -- the runtime tests
-        rely on exactly that.
-        """
-        if dataset.inputs is None:
-            raise ValueError("live evaluation needs the dataset's raw inputs")
-        runtime = runtime if runtime is not None else default_runtime()
-        rows = np.asarray(rows, dtype=int)
-        row_inputs = [dataset.inputs[int(i)] for i in rows]
-        with runtime.telemetry.phase("baselines.dynamic_oracle"):
-            measured = runtime.measure(program, dataset.landmarks, row_inputs)
-        live = PerformanceDataset(
-            feature_names=dataset.feature_names,
-            features=dataset.features[rows],
-            extraction_costs=dataset.extraction_costs[rows],
-            times=measured["times"],
-            accuracies=measured["accuracies"],
-            landmarks=list(dataset.landmarks),
-            requirement=dataset.requirement,
-            inputs=row_inputs,
-        )
-        return self.evaluate(live, np.arange(rows.size))
-
 
 class OneLevelLearning:
     """The traditional one-level approach (nearest Level-1 centroid).
@@ -180,7 +142,10 @@ class OneLevelLearning:
     def evaluate(self, dataset: PerformanceDataset, rows: Sequence[int]) -> BaselineEvaluation:
         """Nearest-centroid assignment for the given rows."""
         rows = np.asarray(rows, dtype=int)
-        labels = self._assign_labels(dataset, rows)
+        level1 = self._level1
+        normalized = level1.normalizer.transform(dataset.features[rows])
+        clusters = assign_clusters(normalized, level1.centroids)
+        labels = np.asarray(level1.cluster_to_landmark, dtype=int)[clusters]
 
         execution = dataset.times[rows, labels]
         extraction = dataset.extraction_costs[rows].sum(axis=1)
@@ -193,47 +158,3 @@ class OneLevelLearning:
             accuracies=accuracies,
             satisfaction_rate=_satisfaction(dataset, accuracies),
         )
-
-    def evaluate_live(
-        self,
-        program: PetaBricksProgram,
-        dataset: PerformanceDataset,
-        rows: Sequence[int],
-        runtime: Optional[Runtime] = None,
-    ) -> BaselineEvaluation:
-        """Deployment-style evaluation: re-run each row's assigned landmark.
-
-        The nearest-centroid assignment is computed as in :meth:`evaluate`,
-        but the chosen landmark is then actually executed on the row's input
-        through the measurement runtime (recalled from cache when warm).
-        """
-        if dataset.inputs is None:
-            raise ValueError("live evaluation needs the dataset's raw inputs")
-        runtime = runtime if runtime is not None else default_runtime()
-        rows = np.asarray(rows, dtype=int)
-        labels = self._assign_labels(dataset, rows)
-        pairs = [
-            (dataset.landmarks[int(label)], dataset.inputs[int(row)])
-            for label, row in zip(labels, rows)
-        ]
-        with runtime.telemetry.phase("baselines.one_level"):
-            results = runtime.run_pairs(program, pairs)
-        execution = np.array([result.time for result in results])
-        accuracies = np.array([result.accuracy for result in results])
-        extraction = dataset.extraction_costs[rows].sum(axis=1)
-        return BaselineEvaluation(
-            name=self.name,
-            labels=labels,
-            times=execution + extraction,
-            times_no_extraction=execution,
-            accuracies=accuracies,
-            satisfaction_rate=_satisfaction(dataset, accuracies),
-        )
-
-    def _assign_labels(self, dataset: PerformanceDataset, rows: np.ndarray) -> np.ndarray:
-        """Nearest-Level-1-centroid landmark assignment for the given rows."""
-        level1 = self._level1
-        normalized = level1.normalizer.transform(dataset.features[rows])
-        clusters = assign_clusters(normalized, level1.centroids)
-        mapping = np.asarray(level1.cluster_to_landmark, dtype=int)
-        return mapping[clusters]

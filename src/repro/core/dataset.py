@@ -143,8 +143,8 @@ class PerformanceDataset:
     def without_inputs(self) -> "PerformanceDataset":
         """This datatable minus the raw inputs (matrices shared, memoized).
 
-        The shape task batches ship to executor workers: Level-2 fitting,
-        candidate scoring, and cross-validation read only the matrices, so
+        The shape task batches ship to executor workers: Level-2 fitting
+        and candidate scoring read only the matrices, so
         the raw inputs are dead weight on the wire -- potentially large,
         and, for a streamed run, a lazy source whose observer callback
         would not survive pickling under a spawn start method.  The view is

@@ -37,10 +37,9 @@ dataset, and each executor shares it among the fits it runs.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,7 +55,6 @@ from repro.core.classifiers import (
 from repro.core.dataset import PerformanceDataset
 from repro.core.selection import (
     ClassifierEvaluation,
-    cross_validate_classifier,
     evaluate_classifier,
     select_production_classifier,
 )
@@ -98,11 +96,6 @@ class Level2Config:
         incremental_thresholds: posterior thresholds at which to instantiate
             incremental feature-examination classifiers.
         seed: RNG seed for subset sampling.
-        cv_folds: when > 0, the selected production candidate is additionally
-            scored with stratified k-fold cross-validation on the training
-            rows (fanned out over the runtime's executor); the per-fold costs
-            land in :attr:`Level2Result.production_cv_costs`.  0 (the
-            default) skips the extra work and keeps legacy behaviour.
     """
 
     accuracy_cost_weight: float = 0.5
@@ -111,7 +104,6 @@ class Level2Config:
     tree_max_depth: int = 8
     incremental_thresholds: Tuple[float, ...] = (0.5, 0.7, 0.9)
     seed: int = 0
-    cv_folds: int = 0
 
 
 @dataclass
@@ -129,9 +121,6 @@ class Level2Result:
             from the landmark of their Level-1 cluster (the paper reports
             73.4% for Kmeans); ``None`` when the Level-1 cluster mapping was
             not supplied.
-        production_cv_costs: per-fold performance costs of the production
-            candidate under cross-validation (only when
-            ``Level2Config.cv_folds > 0``).
     """
 
     labels: np.ndarray
@@ -142,7 +131,6 @@ class Level2Result:
     train_rows: np.ndarray
     test_rows: np.ndarray
     relabel_shift: Optional[float] = None
-    production_cv_costs: Optional[List[float]] = None
 
 
 def compute_labels(dataset: PerformanceDataset) -> np.ndarray:
@@ -413,18 +401,18 @@ def _run_candidates(
     fn,
     rows: Tuple[np.ndarray, ...],
     phase: str,
-) -> Tuple[List[Tuple[CandidateSpec, Optional[np.ndarray]]], List]:
+) -> List:
     """Run ``fn(spec, matrix, dataset, labels, *rows, split_memo)`` per candidate.
 
     One task per candidate of :func:`enumerate_candidates`.  The dataset
     and a fresh split memo ride the batch's shared registry.  Returns the
-    candidates and the task results, both in enumeration order.
+    task results in enumeration order.
     """
     candidates = enumerate_candidates(dataset, labels, cost_matrix, config)
     args = (_DATASET_REF, labels) + rows + (_SPLIT_MEMO_REF,)
     calls = [(fn, (spec, matrix) + args, {}) for spec, matrix in candidates]
     shared = {_DATASET_TOKEN: dataset.without_inputs(), _SPLIT_MEMO_TOKEN: {}}
-    return candidates, active.run_tasks(calls, phase=phase, shared=shared)
+    return active.run_tasks(calls, phase=phase, shared=shared)
 
 
 def train_classifier_zoo(
@@ -443,10 +431,9 @@ def train_classifier_zoo(
     """
     active = runtime if runtime is not None else default_runtime()
     rows = (np.asarray(train_rows, dtype=int),)
-    _, classifiers = _run_candidates(
+    return _run_candidates(
         active, dataset, labels, cost_matrix, config, fit_candidate, rows, "level2.fit"
     )
-    return classifiers
 
 
 def run_level2(
@@ -486,19 +473,13 @@ def run_level2(
     test_rows = np.asarray(test_rows, dtype=int)
     if train_rows.size == 0 or test_rows.size == 0:
         raise ValueError("both train and test rows must be non-empty")
-    # Validate the cross-validation knobs up front: failing after the full
-    # candidate search would throw away all of its work.
-    if config.cv_folds < 0 or config.cv_folds == 1:
-        raise ValueError("cv_folds must be 0 (disabled) or >= 2")
-    if config.cv_folds > 0 and train_rows.size < 2:
-        raise ValueError("cv_folds > 0 needs at least 2 training rows")
 
     labels = compute_labels(dataset)
     cost_matrix = build_cost_matrix(
         dataset, labels, accuracy_cost_weight=config.accuracy_cost_weight
     )
 
-    candidates, fitted = _run_candidates(
+    fitted = _run_candidates(
         active,
         dataset,
         labels,
@@ -511,25 +492,6 @@ def run_level2(
     classifiers = [classifier for classifier, _ in fitted]
     evaluations = [evaluation for _, evaluation in fitted]
     production = select_production_classifier(evaluations)
-
-    production_cv_costs: Optional[List[float]] = None
-    if config.cv_folds > 0:
-        index = next(i for i, e in enumerate(evaluations) if e is production)
-        spec, matrix = candidates[index]
-        # functools.partial of a module-level function stays picklable, so
-        # the CV folds parallelize under the process executor too (a lambda
-        # here would silently serialize the whole batch).
-        factory = functools.partial(instantiate_candidate, spec, dataset, matrix)
-        folds = cross_validate_classifier(
-            factory,
-            dataset,
-            labels,
-            train_rows,
-            n_splits=config.cv_folds,
-            seed=config.seed,
-            runtime=active,
-        )
-        production_cv_costs = [fold.performance_cost for fold in folds]
 
     relabel_shift: Optional[float] = None
     if level1_cluster_labels is not None and cluster_to_landmark is not None:
@@ -546,5 +508,4 @@ def run_level2(
         train_rows=train_rows,
         test_rows=test_rows,
         relabel_shift=relabel_shift,
-        production_cv_costs=production_cv_costs,
     )

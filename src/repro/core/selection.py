@@ -18,19 +18,12 @@ scored by the paper's efficacy measure:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.classifiers import CandidateClassifier
 from repro.core.dataset import PerformanceDataset
-from repro.ml.crossval import StratifiedKFold
-from repro.runtime import Runtime, SharedRef, default_runtime
-
-#: Registry token under which fold batches ship the dataset to workers once
-#: per pool (see :class:`repro.runtime.SharedRef`).
-_CV_DATASET_TOKEN = "selection.cv.dataset"
-_CV_DATASET_REF = SharedRef(_CV_DATASET_TOKEN)
 
 #: Score assigned to classifiers that miss the satisfaction threshold.
 INVALID_COST = float("inf")
@@ -98,75 +91,6 @@ def evaluate_classifier(
     )
 
 
-def _fit_and_evaluate_fold(
-    classifier_factory: Callable[[], CandidateClassifier],
-    dataset: PerformanceDataset,
-    labels: np.ndarray,
-    fold_train_rows: np.ndarray,
-    fold_test_rows: np.ndarray,
-) -> ClassifierEvaluation:
-    """Task function: fit a fresh candidate on one fold and score its holdout."""
-    classifier = classifier_factory().fit(dataset, fold_train_rows, labels)
-    return evaluate_classifier(classifier, dataset, fold_test_rows)
-
-
-def cross_validate_classifier(
-    classifier_factory: Callable[[], CandidateClassifier],
-    dataset: PerformanceDataset,
-    labels: np.ndarray,
-    rows: Sequence[int],
-    n_splits: int = 10,
-    seed: Optional[int] = 0,
-    runtime: Optional[Runtime] = None,
-) -> List[ClassifierEvaluation]:
-    """Cross-validated efficacy of one candidate, one fold per task.
-
-    The paper trains its exhaustive-subset classifiers under 10-fold
-    cross-validation; this scores a candidate the same way, fanning the
-    per-fold fit-and-score work over the runtime's executor.  Folds are
-    stratified by label and the fold assignment depends only on ``seed``,
-    so the returned per-fold evaluations are deterministic across
-    executors.  For the process executor the factory must be picklable --
-    a classifier class or a ``functools.partial`` of a module-level
-    function (as :func:`repro.core.level2.run_level2` passes); a closure
-    makes the batch fall back to serial execution.
-
-    Args:
-        classifier_factory: zero-argument callable returning a fresh
-            unfitted candidate.
-        dataset: the performance dataset.
-        labels: the Level-2 labels (full-length, indexed by row).
-        rows: the rows to cross-validate within (typically the train split).
-        n_splits: fold count (clamped to the available row count).
-        seed: fold-assignment seed.
-        runtime: measurement runtime; defaults to the shared serial one.
-    """
-    active = runtime if runtime is not None else default_runtime()
-    rows = np.asarray(rows, dtype=int)
-    if rows.size < 2:
-        raise ValueError("cross-validation needs at least 2 rows")
-    n_splits = min(n_splits, rows.size)
-    if n_splits < 2:
-        raise ValueError("n_splits must be >= 2")
-    splitter = StratifiedKFold(n_splits=n_splits, random_state=seed)
-    # The dataset positional argument rides the shared-argument registry
-    # (once per pool); the factory may still close over a dataset of its
-    # own -- e.g. the ``functools.partial`` run_level2 passes -- which then
-    # re-pickles with each fold chunk.  Folds are few, so that residual
-    # cost is noise next to the candidate search's registry win.
-    calls = [
-        (
-            _fit_and_evaluate_fold,
-            (classifier_factory, _CV_DATASET_REF, labels, rows[fold_train], rows[fold_test]),
-            {},
-        )
-        for fold_train, fold_test in splitter.split(labels[rows])
-    ]
-    return active.run_tasks(
-        calls, phase="selection.crossval", shared={_CV_DATASET_TOKEN: dataset.without_inputs()}
-    )
-
-
 def select_production_classifier(
     evaluations: Sequence[ClassifierEvaluation],
 ) -> ClassifierEvaluation:
@@ -190,14 +114,4 @@ def select_production_classifier(
     return min(
         evaluations,
         key=lambda e: (-e.satisfaction_rate, e.performance_cost),
-    )
-
-
-def rank_classifiers(
-    evaluations: Sequence[ClassifierEvaluation],
-) -> List[ClassifierEvaluation]:
-    """All evaluations sorted best-first under the selection rule."""
-    return sorted(
-        evaluations,
-        key=lambda e: (not e.valid, -e.satisfaction_rate if not e.valid else 0.0, e.performance_cost),
     )

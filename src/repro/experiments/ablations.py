@@ -26,7 +26,7 @@ import numpy as np
 from repro.autotuner import EvolutionaryAutotuner
 from repro.core.baselines import DynamicOracle, StaticOracle
 from repro.core.dataset import PerformanceDataset
-from repro.core.level1 import Level1Config, measure_performance
+from repro.core.level1 import measure_performance
 from repro.experiments.runner import ExperimentResult
 from repro.runtime import Runtime
 

@@ -4,7 +4,7 @@ The experiment drivers (:mod:`repro.experiments.table1`, the figure
 modules, the CLI commands) return structured data -- rows, curves, method
 outcomes -- and deliberately know nothing about presentation; these helpers
 turn that data into aligned ASCII tables (for the console and for
-EXPERIMENTS.md) and into simple CSV strings.
+EXPERIMENTS.md).
 
 Keeping every formatting concern here means a driver's output can be
 snapshot-tested as data, the CLI stays a thin ``print`` loop, and a future
@@ -16,8 +16,7 @@ no dependency on the rest of the package.
 
 from __future__ import annotations
 
-import io
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 
 def format_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
@@ -37,15 +36,6 @@ def format_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     lines = [render_row(header), "-+-".join("-" * width for width in widths)]
     lines.extend(render_row(row) for row in rows)
     return "\n".join(lines)
-
-
-def format_csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    """Render rows as a minimal CSV string (no quoting of separators needed)."""
-    buffer = io.StringIO()
-    buffer.write(",".join(str(cell) for cell in header) + "\n")
-    for row in rows:
-        buffer.write(",".join(str(cell) for cell in row) + "\n")
-    return buffer.getvalue()
 
 
 def format_series(x: Sequence[float], y: Sequence[float], x_label: str = "x", y_label: str = "y") -> str:

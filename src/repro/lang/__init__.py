@@ -7,7 +7,9 @@ features the paper relies on:
   ``either ... or`` construct; :class:`~repro.lang.selector.Selector` models
   the size-cutoff decision lists (Figure 2 of the paper) that turn a set of
   choices into a recursive polyalgorithm.
-* **tunables** -- :class:`~repro.lang.tunables.Tunable` models the ``tunable``
+* **tunables** -- :class:`~repro.lang.config.IntegerParameter`,
+  :class:`~repro.lang.config.FloatParameter` and
+  :class:`~repro.lang.config.CategoricalParameter` model the ``tunable``
   keyword (autotuner-set scalar parameters with a bounded range).
 * **input features** -- :class:`~repro.lang.features.FeatureExtractor` models
   the ``input_feature`` keyword, including sampling levels with different
@@ -41,7 +43,6 @@ from repro.lang.cost import CostCounter, scoped_counter
 from repro.lang.features import FeatureExtractor, FeatureSet, FeatureValue
 from repro.lang.program import PetaBricksProgram, RunResult
 from repro.lang.selector import Selector, SelectorParameter, SelectorRule
-from repro.lang.tunables import Tunable
 
 __all__ = [
     "AccuracyMetric",
@@ -65,5 +66,4 @@ __all__ = [
     "Selector",
     "SelectorParameter",
     "SelectorRule",
-    "Tunable",
 ]

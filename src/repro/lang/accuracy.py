@@ -19,7 +19,7 @@ classifier-selection objective (Level 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Sequence
 
 
 @dataclass(frozen=True)

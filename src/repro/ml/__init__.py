@@ -3,7 +3,7 @@
 The paper's learning framework relies on standard ML machinery -- K-means
 clustering for Level-1 input grouping, decision trees for the exhaustive
 feature-subset classifiers, a discretized Bayes model for the incremental
-feature-examination classifier, and cross-validation for classifier
+feature-examination classifier, and the train/test split for classifier
 evaluation.  scikit-learn is not available in this offline environment, so
 this subpackage implements the needed pieces from scratch on top of numpy.
 
@@ -12,25 +12,19 @@ All estimators follow a small common convention: ``fit(X, y)`` /
 determinism, and no hidden global state.
 """
 
-from repro.ml.crossval import StratifiedKFold, train_test_split
+from repro.ml.crossval import train_test_split
 from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.ml.kmeans import KMeans, KMeansResult
 from repro.ml.naive_bayes import DiscretizedNaiveBayes
-from repro.ml.normalize import MinMaxNormalizer, ZScoreNormalizer
+from repro.ml.normalize import ZScoreNormalizer
 from repro.ml.pca import PCA
-from repro.ml.stats import argmin_with_ties, geometric_mean, weighted_mean
 
 __all__ = [
-    "argmin_with_ties",
     "DecisionTreeClassifier",
     "DiscretizedNaiveBayes",
-    "geometric_mean",
     "KMeans",
     "KMeansResult",
-    "MinMaxNormalizer",
     "PCA",
-    "StratifiedKFold",
     "train_test_split",
-    "weighted_mean",
     "ZScoreNormalizer",
 ]

@@ -2,8 +2,8 @@
 
 Step 2 of Level 1 ("Input Clustering") normalizes input feature vectors
 "to avoid biases imposed by the different value scales in different
-dimensions" before running K-means.  Both a z-score and a min-max normalizer
-are provided; the pipeline uses z-score by default.
+dimensions" before running K-means.  The pipeline standardizes each column
+to zero mean and unit variance.
 """
 
 from __future__ import annotations
@@ -42,42 +42,6 @@ class ZScoreNormalizer:
             raise RuntimeError("normalizer is not fitted")
         X = np.asarray(X, dtype=float)
         return (X - self.mean_) / self.std_
-
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        """Fit then transform in one call."""
-        return self.fit(X).transform(X)
-
-
-class MinMaxNormalizer:
-    """Rescale columns to the [0, 1] interval.
-
-    Constant columns are mapped to 0.5 (the centre of the target interval).
-    """
-
-    def __init__(self) -> None:
-        self.min_: Optional[np.ndarray] = None
-        self.range_: Optional[np.ndarray] = None
-
-    def fit(self, X: np.ndarray) -> "MinMaxNormalizer":
-        """Learn per-column minima and ranges."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise ValueError(f"expected 2-D array, got shape {X.shape}")
-        self.min_ = X.min(axis=0)
-        value_range = X.max(axis=0) - self.min_
-        self.range_ = value_range
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        """Apply the learned rescaling."""
-        if self.min_ is None or self.range_ is None:
-            raise RuntimeError("normalizer is not fitted")
-        X = np.asarray(X, dtype=float)
-        result = np.empty_like(X, dtype=float)
-        nonzero = self.range_ != 0.0
-        result[:, nonzero] = (X[:, nonzero] - self.min_[nonzero]) / self.range_[nonzero]
-        result[:, ~nonzero] = 0.5
-        return result
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         """Fit then transform in one call."""

@@ -1,67 +1,18 @@
-"""Small statistics helpers shared by the learning framework.
+"""Distribution-shift statistics.
 
-Besides the aggregation means used by the experiment reporting, this module
-holds the two distribution-shift statistics the adaptation layer's
-:class:`~repro.adaptation.drift.DriftMonitor` runs per feature:
-:func:`population_stability_index` (PSI, the banking-industry drift score
-over quantile bins of the reference population) and :func:`ks_statistic`
-(the two-sample Kolmogorov-Smirnov sup-distance between empirical CDFs).
-Both are pure NumPy and deterministic in their inputs.
+The adaptation layer's :class:`~repro.adaptation.drift.DriftMonitor` runs
+two statistics per feature: :func:`population_stability_index` (PSI, the
+banking-industry drift score over quantile bins of the reference
+population) and :func:`ks_statistic` (the two-sample Kolmogorov-Smirnov
+sup-distance between empirical CDFs).  Both are pure NumPy and
+deterministic in their inputs.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
-
-
-def argmin_with_ties(values: Sequence[float], tolerance: float = 1e-12) -> List[int]:
-    """Return all indices whose value is within ``tolerance`` of the minimum.
-
-    The Level-2 labelling step needs "the best landmark for this input";
-    when several landmarks tie (common for tiny inputs where every algorithm
-    costs the same) downstream code may want to break the tie deterministically
-    or by a secondary criterion, so we return all of them.
-
-    Raises:
-        ValueError: if ``values`` is empty.
-    """
-    array = np.asarray(list(values), dtype=float)
-    if array.size == 0:
-        raise ValueError("argmin_with_ties: empty input")
-    minimum = float(np.min(array))
-    return [int(i) for i in np.flatnonzero(array <= minimum + tolerance)]
-
-
-def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
-    """Weighted arithmetic mean.
-
-    Raises:
-        ValueError: on length mismatch or non-positive total weight.
-    """
-    values_array = np.asarray(list(values), dtype=float)
-    weights_array = np.asarray(list(weights), dtype=float)
-    if values_array.shape != weights_array.shape:
-        raise ValueError("weighted_mean: length mismatch")
-    total = float(np.sum(weights_array))
-    if total <= 0:
-        raise ValueError("weighted_mean: total weight must be positive")
-    return float(np.dot(values_array, weights_array) / total)
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values (used for aggregate speedups).
-
-    Raises:
-        ValueError: if any value is non-positive or the input is empty.
-    """
-    array = np.asarray(list(values), dtype=float)
-    if array.size == 0:
-        raise ValueError("geometric_mean: empty input")
-    if np.any(array <= 0):
-        raise ValueError("geometric_mean: values must be positive")
-    return float(np.exp(np.mean(np.log(array))))
 
 
 def quantile_bin_edges(reference: Sequence[float], bins: int = 10) -> np.ndarray:
@@ -147,17 +98,3 @@ def ks_statistic(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
     cdf_a = np.searchsorted(a, support, side="right") / a.size
     cdf_b = np.searchsorted(b, support, side="right") / b.size
     return float(np.max(np.abs(cdf_a - cdf_b)))
-
-
-def harmonic_mean(values: Sequence[float]) -> float:
-    """Harmonic mean of positive values.
-
-    Raises:
-        ValueError: if any value is non-positive or the input is empty.
-    """
-    array = np.asarray(list(values), dtype=float)
-    if array.size == 0:
-        raise ValueError("harmonic_mean: empty input")
-    if np.any(array <= 0):
-        raise ValueError("harmonic_mean: values must be positive")
-    return float(array.size / np.sum(1.0 / array))

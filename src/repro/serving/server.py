@@ -36,7 +36,7 @@ entry has already classified reuses that selection instead of extracting
 features again.  A miss runs the pure ``program.run`` on a dedicated thread
 pool (default: one worker, which serializes program runs exactly like the
 serial executor), and the loop thread then stores the result and does the
-telemetry, breaker and feedback bookkeeping.  The loop thread is therefore
+telemetry and breaker bookkeeping.  The loop thread is therefore
 the only user of the runtime's unlocked ``RunCache`` and
 :class:`~repro.runtime.telemetry.Telemetry`, through which all counters and
 latency distributions go, so ``stats`` responses and ``Runtime.stats()``
@@ -51,10 +51,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
-
-if TYPE_CHECKING:  # import at runtime is lazy (see _record_feedback)
-    from repro.adaptation.feedback import FeedbackLog
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.pipeline import DeployedProgram, DeploymentOutcome
 from repro.lang.config import Configuration
@@ -208,14 +205,8 @@ class SelectorServer:
         registry: Optional[ModelRegistry] = None,
         runtime: Optional[Runtime] = None,
         config: Optional[ServingConfig] = None,
-        feedback: Optional["FeedbackLog"] = None,
     ) -> None:
         self.registry = registry if registry is not None else ModelRegistry()
-        #: Optional adaptation feedback log; when attached, every
-        #: non-coalesced model-backed answer, recalled or executed, appends
-        #: one record (coalesced duplicates share their job's) -- the signal
-        #: the drift monitor and retrainer consume.
-        self.feedback = feedback
         if runtime is None:
             runtime = Runtime(
                 executor=SerialExecutor(),
@@ -447,9 +438,7 @@ class SelectorServer:
             if coalesced:
                 answer = await job
             else:
-                answer = await self._answer(
-                    key, entry, fallback_program, program_input, message.get("input")
-                )
+                answer = await self._answer(key, entry, fallback_program, program_input)
             outcome, selection_seconds, execution_seconds = answer
         except Exception as error:  # noqa: BLE001 - surface to the client
             self.telemetry.count("serve_errors")
@@ -522,7 +511,6 @@ class SelectorServer:
         entry: Optional[ModelEntry],
         fallback_program: Optional[PetaBricksProgram],
         program_input: Any,
-        input_spec: Any,
     ) -> Tuple[DeploymentOutcome, float, float]:
         """Answer one admitted request that coalesced onto nothing.
 
@@ -568,8 +556,6 @@ class SelectorServer:
             self.telemetry.count("serve_degraded")
         else:
             self.telemetry.record_latency("serve.selection", selection_seconds)
-            if self.feedback is not None:
-                self._record_feedback(entry, outcome, program_input, input_spec)
         return answer
 
     def _select(
@@ -628,49 +614,6 @@ class SelectorServer:
             selection_seconds,
             execution_seconds,
         )
-
-    def _record_feedback(
-        self,
-        entry: ModelEntry,
-        outcome: DeploymentOutcome,
-        program_input: Any,
-        input_spec: Any,
-    ) -> None:
-        """Append the request's training signal to the attached feedback log."""
-        from repro.adaptation.feedback import FeedbackRecord  # lazy: no cycle
-
-        # Single-row batch extraction: same numbers as extract_vector,
-        # through the vectorized chunk path the trainers use.
-        values = entry.deployed.program.features.extract_batch([program_input])[0][0]
-        self.feedback.append(
-            FeedbackRecord(
-                features=tuple(float(value) for value in values),
-                predicted_label=outcome.landmark_index,
-                chosen_landmark=outcome.landmark_index,
-                observed_cost=float(outcome.total_time),
-                observed_accuracy=float(outcome.result.accuracy),
-                input_spec=self._feedback_spec(entry.test, input_spec),
-            )
-        )
-        self.telemetry.count("serve_feedback_records")
-
-    def _feedback_spec(self, test: str, input_spec: Any) -> Optional[Dict[str, Any]]:
-        """The wire input spec, enriched so a trace can rematerialize it.
-
-        An ``index`` spec only names an index on the wire (the test rides
-        the message envelope and the seed may be left at its default, 0);
-        folding both in makes the stored record self-contained for offline
-        replay.  Pickle specs already carry their payload.
-        """
-        if not isinstance(input_spec, dict):
-            return None
-        if input_spec.get("encoding") == "index":
-            return {
-                **input_spec,
-                "test": test,
-                "seed": int(input_spec.get("seed", 0)),
-            }
-        return dict(input_spec)
 
     async def _handle_swap(
         self,

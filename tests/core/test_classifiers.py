@@ -159,6 +159,27 @@ class TestIncrementalFeatureExamination:
         cautious_cost = cautious.predict_rows(dataset, range(150, 200)).extraction_costs.mean()
         assert eager_cost <= cautious_cost
 
+    @pytest.mark.parametrize("threshold", [0.5, 0.7, 0.9, 0.999])
+    def test_batch_prediction_matches_per_row_walk(self, threshold):
+        """``predict_rows`` advances every row one feature at a time; each
+        row's label and cost must be bit-identical to walking that row alone
+        through ``_classify_vector``."""
+        dataset = make_dataset(n=200)
+        labels = dataset.labels()
+        ordered = order_features_by_cost(dataset, dataset.feature_names)
+        classifier = IncrementalFeatureExaminationClassifier(
+            ordered, posterior_threshold=threshold
+        ).fit(dataset, range(150), labels)
+        rows = list(range(150, 200))
+        predictions = classifier.predict_rows(dataset, rows)
+        columns = [dataset.feature_index(name) for name in classifier.feature_names]
+        for position, row in enumerate(rows):
+            label, cost, _ = classifier._classify_vector(
+                dataset.features[row, columns], dataset.extraction_costs[row, columns]
+            )
+            assert predictions.labels[position] == label
+            assert predictions.extraction_costs[position] == cost
+
     def test_deployment_variable_cost(self):
         dataset = make_dataset(n=200)
         labels = dataset.labels()

@@ -50,6 +50,17 @@ class TestLevel1Steps:
             for index in members:
                 assert clustering["labels"][index] == cluster
 
+    def test_empty_cluster_takes_the_inputs_nearest_its_centroid(self):
+        """A cluster left without members still gets representatives: the
+        inputs closest to its centroid, from any cluster."""
+        features = np.array([[0.0], [1.0], [10.0], [11.0], [4.0]])
+        labels = np.array([0, 0, 1, 1, 0])
+        centroids = np.array([[1.0], [10.5], [5.0]])
+        representatives = representative_input_indices(
+            features, labels, centroids, n_neighbors=2
+        )
+        assert representatives == [[1, 0], [2, 3], [4, 1]]
+
     def test_create_landmarks_produces_valid_configs(self, sort_setup):
         program, inputs = sort_setup
         config = Level1Config(n_clusters=3, tuner_generations=2, tuner_population=4)

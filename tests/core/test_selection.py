@@ -8,7 +8,6 @@ from repro.core.dataset import PerformanceDataset
 from repro.core.selection import (
     ClassifierEvaluation,
     evaluate_classifier,
-    rank_classifiers,
     select_production_classifier,
 )
 from repro.lang.accuracy import AccuracyRequirement
@@ -102,9 +101,3 @@ class TestSelection:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             select_production_classifier([])
-
-    def test_rank_orders_valid_before_invalid(self):
-        valid = fake_evaluation("valid", 50.0)
-        invalid = fake_evaluation("invalid", 1.0, valid=False, satisfaction=0.9)
-        ranked = rank_classifiers([invalid, valid])
-        assert ranked[0] is valid

@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments.reporting import (
     ascii_sparkline,
-    format_csv,
     format_series,
     format_table,
 )
@@ -28,13 +27,7 @@ class TestFormatTable:
         assert "1.5" in text and "2" in text
 
 
-class TestCsvAndSeries:
-    def test_csv_shape(self):
-        text = format_csv(["a", "b"], [[1, 2], [3, 4]])
-        lines = text.strip().splitlines()
-        assert lines[0] == "a,b"
-        assert lines[2] == "3,4"
-
+class TestSeries:
     def test_series(self):
         text = format_series([1, 2], [10.0, 20.0], x_label="k", y_label="speedup")
         assert "k" in text and "speedup" in text

@@ -1,10 +1,9 @@
-"""Tests for train/test splitting and stratified k-fold."""
+"""Tests for train/test splitting."""
 
 import numpy as np
 import pytest
 
-from repro.ml.crossval import StratifiedKFold, cross_val_accuracy, train_test_split
-from repro.ml.decision_tree import DecisionTreeClassifier
+from repro.ml.crossval import train_test_split
 
 
 class TestTrainTestSplit:
@@ -36,47 +35,3 @@ class TestTrainTestSplit:
             train_test_split(10, test_fraction=0.0)
         with pytest.raises(ValueError):
             train_test_split(1)
-
-
-class TestStratifiedKFold:
-    def test_folds_partition_indices(self):
-        y = np.array([0] * 20 + [1] * 30)
-        splitter = StratifiedKFold(n_splits=5, random_state=0)
-        seen = []
-        for train, test in splitter.split(y):
-            assert set(train.tolist()).isdisjoint(test.tolist())
-            seen.extend(test.tolist())
-        assert sorted(seen) == list(range(50))
-
-    def test_stratification_keeps_class_ratio(self):
-        y = np.array([0] * 40 + [1] * 10)
-        splitter = StratifiedKFold(n_splits=5, random_state=0)
-        for _, test in splitter.split(y):
-            fraction_ones = np.mean(y[test] == 1)
-            assert 0.1 <= fraction_ones <= 0.3
-
-    def test_rare_class_appears_in_some_folds(self):
-        y = np.array([0] * 48 + [1] * 2)
-        splitter = StratifiedKFold(n_splits=5, random_state=0)
-        folds_with_rare = sum(1 for _, test in splitter.split(y) if (y[test] == 1).any())
-        assert folds_with_rare == 2
-
-    def test_too_few_samples_rejected(self):
-        with pytest.raises(ValueError):
-            list(StratifiedKFold(n_splits=5).split(np.array([0, 1])))
-
-    def test_bad_n_splits(self):
-        with pytest.raises(ValueError):
-            StratifiedKFold(n_splits=1)
-
-
-class TestCrossValAccuracy:
-    def test_high_accuracy_on_separable_data(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(200, 2))
-        y = (X[:, 0] > 0).astype(int)
-        scores = cross_val_accuracy(
-            lambda: DecisionTreeClassifier(max_depth=3), X, y, n_splits=5, random_state=0
-        )
-        assert len(scores) == 5
-        assert np.mean(scores) > 0.9

@@ -162,6 +162,39 @@ class TestDecisionTreeEdgeCases:
             DecisionTreeClassifier(cost_matrix=np.zeros((1, 1))).fit(X, y)
 
 
+def _column(values):
+    return np.sort(np.asarray(values, dtype=float))
+
+
+class TestCandidateThresholds:
+    """The split search scans each presorted column for its candidate
+    thresholds; ``_candidate_thresholds`` (``np.unique`` and ``np.quantile``
+    on the raw column) is the reference it must reproduce bit for bit."""
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            _column([]),
+            _column(np.full(10, 2.5)),
+            _column(np.random.default_rng(0).choice([1.0, 2.0, 4.0], size=40)),
+            _column(np.random.default_rng(1).normal(size=500)),
+            _column(np.random.default_rng(2).integers(0, 200, size=600)),
+            _column([-0.0, 0.0, 1.0, -1.0] * 5),
+            _column(np.concatenate([np.random.default_rng(3).normal(size=50), [np.nan] * 2])),
+        ],
+        ids=[
+            "empty", "constant", "few-distinct", "many-distinct", "many-ties",
+            "signed-zeros", "nan-tail",
+        ],
+    )
+    def test_sorted_scan_matches_reference(self, column):
+        for max_thresholds in (4, 24):
+            tree = DecisionTreeClassifier(max_thresholds=max_thresholds)
+            fast = tree._candidate_thresholds_sorted(column)
+            reference = tree._candidate_thresholds(column)
+            assert fast.tobytes() == reference.tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(8, 80),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml.normalize import MinMaxNormalizer, ZScoreNormalizer
+from repro.ml.normalize import ZScoreNormalizer
 
 
 class TestZScoreNormalizer:
@@ -31,26 +31,3 @@ class TestZScoreNormalizer:
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             ZScoreNormalizer().fit(np.ones(5))
-
-
-class TestMinMaxNormalizer:
-    def test_maps_to_unit_interval(self):
-        rng = np.random.default_rng(1)
-        X = rng.uniform(-50, 50, size=(100, 3))
-        Z = MinMaxNormalizer().fit_transform(X)
-        assert Z.min() >= 0.0 and Z.max() <= 1.0
-        assert np.allclose(Z.min(axis=0), 0.0)
-        assert np.allclose(Z.max(axis=0), 1.0)
-
-    def test_constant_column_maps_to_half(self):
-        X = np.column_stack([np.full(5, 7.0), np.arange(5, dtype=float)])
-        Z = MinMaxNormalizer().fit_transform(X)
-        assert np.allclose(Z[:, 0], 0.5)
-
-    def test_unfitted_raises(self):
-        with pytest.raises(RuntimeError):
-            MinMaxNormalizer().transform(np.ones((2, 2)))
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            MinMaxNormalizer().fit(np.ones(5))

@@ -1,4 +1,4 @@
-"""Tests for the small statistics helpers."""
+"""Tests for the distribution-shift statistics."""
 
 import numpy as np
 import pytest
@@ -6,73 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ml.stats import (
-    argmin_with_ties,
-    geometric_mean,
-    harmonic_mean,
     ks_statistic,
     population_stability_index,
     quantile_bin_edges,
-    weighted_mean,
 )
-
-
-class TestArgminWithTies:
-    def test_single_minimum(self):
-        assert argmin_with_ties([3.0, 1.0, 2.0]) == [1]
-
-    def test_ties_all_returned(self):
-        assert argmin_with_ties([2.0, 1.0, 1.0, 5.0]) == [1, 2]
-
-    def test_tolerance(self):
-        assert argmin_with_ties([1.0, 1.0 + 1e-13], tolerance=1e-12) == [0, 1]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            argmin_with_ties([])
-
-
-class TestWeightedMean:
-    def test_equal_weights_is_plain_mean(self):
-        assert weighted_mean([1.0, 2.0, 3.0], [1, 1, 1]) == pytest.approx(2.0)
-
-    def test_weights_shift_result(self):
-        assert weighted_mean([0.0, 10.0], [3, 1]) == pytest.approx(2.5)
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            weighted_mean([1.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            weighted_mean([1.0], [0.0])
-
-
-class TestMeans:
-    def test_geometric_mean_of_constant(self):
-        assert geometric_mean([4.0, 4.0, 4.0]) == pytest.approx(4.0)
-
-    def test_geometric_mean_known_value(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_harmonic_mean_known_value(self):
-        assert harmonic_mean([1.0, 1.0 / 3.0]) == pytest.approx(0.5)
-
-    def test_errors_on_non_positive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-        with pytest.raises(ValueError):
-            harmonic_mean([1.0, -1.0])
-        with pytest.raises(ValueError):
-            geometric_mean([])
-
-
-@settings(max_examples=50, deadline=None)
-@given(values=st.lists(st.floats(min_value=0.01, max_value=1e6), min_size=1, max_size=30))
-def test_property_mean_ordering(values):
-    """Property: harmonic mean <= geometric mean <= arithmetic mean."""
-    geometric = geometric_mean(values)
-    harmonic = harmonic_mean(values)
-    arithmetic = float(np.mean(values))
-    assert harmonic <= geometric * (1 + 1e-9)
-    assert geometric <= arithmetic * (1 + 1e-9)
 
 
 class TestQuantileBinEdges:

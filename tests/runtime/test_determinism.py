@@ -138,40 +138,47 @@ class TestSharedRuntime:
 
 
 class TestLiveOraclesAgreeWithMatrix:
+    """Re-measuring the held-out rows on a fresh caching runtime reproduces
+    the Level-1 matrix the baselines read, so reading it costs no fidelity."""
+
     def test_dynamic_oracle_live_equals_matrix(self, serial_result):
         training = serial_result.training
         dataset = training.dataset
         rows = training.level2.test_rows
         runtime = Runtime(cache=RunCache())
-        oracle = DynamicOracle()
-        live = oracle.evaluate_live(
-            training.deployed.program, dataset, rows, runtime=runtime
+        measured = runtime.measure(
+            training.deployed.program,
+            dataset.landmarks,
+            [dataset.inputs[int(i)] for i in rows],
         )
-        matrix = oracle.evaluate(dataset, rows)
-        np.testing.assert_array_equal(live.times, matrix.times)
-        np.testing.assert_array_equal(live.labels, matrix.labels)
         assert runtime.telemetry.runs_executed > 0
+        np.testing.assert_array_equal(measured["times"], dataset.times[rows])
+        np.testing.assert_array_equal(measured["accuracies"], dataset.accuracies[rows])
+        matrix = DynamicOracle().evaluate(dataset, rows)
+        np.testing.assert_array_equal(
+            measured["times"][np.arange(rows.size), matrix.labels], matrix.times
+        )
 
     def test_one_level_live_equals_matrix(self, serial_result):
         training = serial_result.training
         dataset = training.dataset
         rows = training.level2.test_rows
-        baseline = OneLevelLearning(training.level1)
-        live = baseline.evaluate_live(
-            training.deployed.program, dataset, rows, runtime=Runtime(cache=RunCache())
+        matrix = OneLevelLearning(training.level1).evaluate(dataset, rows)
+        runtime = Runtime(cache=RunCache())
+        results = runtime.run_pairs(
+            training.deployed.program,
+            [
+                (dataset.landmarks[int(label)], dataset.inputs[int(row)])
+                for label, row in zip(matrix.labels, rows)
+            ],
         )
-        matrix = baseline.evaluate(dataset, rows)
-        np.testing.assert_array_equal(live.times, matrix.times)
-        np.testing.assert_array_equal(live.accuracies, matrix.accuracies)
-
-    def test_live_evaluation_requires_inputs(self, serial_result):
-        dataset = serial_result.training.dataset
-        stripped = dataset.restrict_landmarks(list(range(dataset.n_landmarks)))
-        stripped.inputs = None
-        with pytest.raises(ValueError):
-            DynamicOracle().evaluate_live(
-                serial_result.training.deployed.program, stripped, [0]
-            )
+        assert runtime.telemetry.runs_executed > 0
+        np.testing.assert_array_equal(
+            [result.time for result in results], matrix.times_no_extraction
+        )
+        np.testing.assert_array_equal(
+            [result.accuracy for result in results], matrix.accuracies
+        )
 
 
 class TestDeploymentDeterminism:

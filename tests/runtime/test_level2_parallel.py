@@ -14,7 +14,6 @@ import pytest
 from repro.autotuner.evolution import EvolutionaryAutotuner
 from repro.benchmarks_suite import get_benchmark
 from repro.core.level2 import Level2Config, run_level2
-from repro.core.selection import cross_validate_classifier
 from repro.core.synthetic import synthetic_level2_dataset
 from repro.runtime import Runtime
 
@@ -93,88 +92,6 @@ class TestRepeatedSearch:
             assert [e.performance_cost for e in result.evaluations] == [
                 e.performance_cost for e in serial_result.evaluations
             ]
-
-
-class TestSelectionTaskLayer:
-    @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_cross_validation_deterministic_across_executors(self, dataset, executor):
-        from repro.core.classifiers import MaxAprioriClassifier
-
-        labels = dataset.labels()
-        runtime = Runtime.create(executor=executor, workers=2)
-        try:
-            folds = cross_validate_classifier(
-                MaxAprioriClassifier, dataset, labels, range(48), n_splits=4, runtime=runtime
-            )
-        finally:
-            runtime.close()
-        assert len(folds) == 4
-        costs = [fold.performance_cost for fold in folds]
-        serial_folds = cross_validate_classifier(
-            MaxAprioriClassifier, dataset, labels, range(48), n_splits=4
-        )
-        assert costs == [fold.performance_cost for fold in serial_folds]
-
-    def test_each_call_executes_one_task_per_fold(self, dataset):
-        from repro.core.classifiers import MaxAprioriClassifier
-
-        labels = dataset.labels()
-        runtime = Runtime.create(executor="serial")
-        try:
-            first = cross_validate_classifier(
-                MaxAprioriClassifier, dataset, labels, range(48), n_splits=4, runtime=runtime
-            )
-            assert runtime.telemetry.tasks_executed == 4
-            second = cross_validate_classifier(
-                MaxAprioriClassifier, dataset, labels, range(48), n_splits=4, runtime=runtime
-            )
-        finally:
-            runtime.close()
-        assert runtime.telemetry.tasks_executed == 8
-        assert [f.performance_cost for f in second] == [f.performance_cost for f in first]
-
-    def test_cv_folds_config_populates_result(self, dataset):
-        result = run_level2(
-            dataset,
-            range(48),
-            range(48, 96),
-            config=Level2Config(max_subsets=8, cv_folds=3),
-        )
-        assert result.production_cv_costs is not None
-        assert len(result.production_cv_costs) == 3
-        assert all(np.isfinite(cost) for cost in result.production_cv_costs)
-
-    def test_cv_folds_parallelize_under_process_executor(self, dataset):
-        """The production-CV factory is picklable, so cv_folds combined with
-        the process executor must not trigger the serial fallback."""
-        runtime = Runtime.create(executor="process", workers=2)
-        try:
-            result = run_level2(
-                dataset,
-                range(48),
-                range(48, 96),
-                config=Level2Config(max_subsets=8, cv_folds=2),
-                runtime=runtime,
-            )
-            assert "executor_fallback" not in runtime.stats()
-        finally:
-            runtime.close()
-        assert result.production_cv_costs is not None
-
-    def test_invalid_cv_folds_rejected_before_search(self, dataset):
-        runtime = Runtime.create(executor="serial")
-        with pytest.raises(ValueError, match="cv_folds"):
-            run_level2(
-                dataset,
-                range(48),
-                range(48, 96),
-                config=Level2Config(max_subsets=8, cv_folds=1),
-                runtime=runtime,
-            )
-        # The rejection happened before any candidate was trained.
-        assert runtime.telemetry.tasks_requested == 0
-        with pytest.raises(ValueError, match="training rows"):
-            run_level2(dataset, [0], range(48, 96), config=Level2Config(cv_folds=2))
 
 
 class TestAutotunerBatchedObjective:

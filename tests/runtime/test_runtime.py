@@ -1,5 +1,6 @@
 """Tests for the Runtime facade (cache-aware batching) and run keys."""
 
+import dataclasses
 import sqlite3
 
 import numpy as np
@@ -287,6 +288,59 @@ class TestKeys:
     def test_different_input_different_key(self):
         assert input_key(np.array([1.0, 2.0])) != input_key(np.array([2.0, 1.0]))
         assert input_key(None) != input_key(0)
+
+    def test_mapping_and_set_keys_ignore_iteration_order(self):
+        assert input_key({"a": 1, "b": [2.0, 3.0]}) == input_key({"b": [2.0, 3.0], "a": 1})
+        assert input_key({3, 1, 2}) == input_key({2, 3, 1})
+        assert input_key(frozenset({"x", "y"})) == input_key({"y", "x"})
+
+    def test_numpy_scalars_key_like_python_scalars(self):
+        assert input_key(np.int64(7)) == input_key(7)
+        assert input_key(np.float32(0.5)) == input_key(0.5)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (1, 1.0),
+            (True, 1),
+            ("ab", b"ab"),
+            (None, "none"),
+            ({1, 2}, [1, 2]),
+            ({"a": 1}, [("a", 1)]),
+            (np.array([1, 2], dtype=np.int64), np.array([1.0, 2.0])),
+            (np.zeros((2, 3)), np.zeros((3, 2))),
+        ],
+        ids=[
+            "int-float", "bool-int", "str-bytes", "none-str", "set-list",
+            "dict-pairs", "ndarray-dtype", "ndarray-shape",
+        ],
+    )
+    def test_lookalike_values_key_apart(self, a, b):
+        """Values that print or compare alike but are different inputs to a
+        program must not share a cache entry."""
+        assert input_key(a) != input_key(b)
+
+    def test_dataclass_key_covers_every_field(self):
+        @dataclasses.dataclass
+        class Problem:
+            points: np.ndarray
+            k: int
+
+        base = Problem(np.arange(4.0), 2)
+        assert input_key(base) == input_key(Problem(np.arange(4.0), 2))
+        assert input_key(base) != input_key(Problem(np.arange(4.0), 3))
+        assert input_key(base) != input_key(Problem(np.arange(4.0) + 1, 2))
+
+    def test_unpicklable_input_keys_by_repr(self):
+        class Opaque:  # pickle cannot find a class defined in a function
+            def __init__(self, label):
+                self.label = label
+
+            def __repr__(self):
+                return f"Opaque({self.label!r})"
+
+        assert input_key(Opaque("a")) == input_key(Opaque("a"))
+        assert input_key(Opaque("a")) != input_key(Opaque("b"))
 
     def test_different_config_different_key(self):
         program, _ = counting_program()

@@ -16,6 +16,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.benchmarks_suite import get_benchmark
 from repro.core.pipeline import DeployedProgram
 from repro.lang.config import ConfigurationSpace, IntegerParameter
 from repro.lang.cost import charge
@@ -119,6 +120,46 @@ class TestProtocol:
         data = [3, 1, 2]
         back = protocol.decode_payload(protocol.pickle_input(data)["payload"])
         assert back == data
+
+    @pytest.mark.parametrize(
+        "spec,test,error",
+        [
+            ({"encoding": "index", "index": 5, "seed": 3}, "sort2", None),
+            (None, "sort2", "no input spec"),
+            ({"encoding": "carrier-pigeon"}, "sort2", "unknown input encoding"),
+            ({"encoding": "index"}, "sort2", "'index'"),
+            ({"encoding": "index", "index": 0}, "no-such-test", "'test'"),
+            ({"encoding": "pickle"}, "sort2", "'payload'"),
+            ({"encoding": "pickle", "payload": "aGVsbG8="}, "sort2", "'payload'"),
+            ({"encoding": "index", "index": 2}, "sort2", None),
+            ({"encoding": "index", "index": -1}, "sort2", "non-negative"),
+            ({"encoding": "index", "index": 0, "seed": "x"}, "sort2", "'seed'"),
+            ({"encoding": "index", "index": 0}, None, "'test'"),
+            ({"encoding": "index", "index": 0, "variant": "alien"}, "sort2", "'variant'"),
+        ],
+        ids=[
+            "index-matches-population", "no-spec", "unknown-encoding",
+            "missing-index", "unknown-test", "missing-payload", "undecodable-payload",
+            "seed-defaults-to-zero", "negative-index", "non-integer-seed",
+            "no-test-name", "unknown-variant",
+        ],
+    )
+    def test_decode_input(self, spec, test, error):
+        """An index spec rematerializes the population's input; a malformed
+        spec raises a ValueError naming the field at fault, not a KeyError or
+        an UnpicklingError from deep inside the decoder."""
+        if error is not None:
+            with pytest.raises(ValueError, match=error):
+                protocol.decode_input(spec, test)
+            return
+        variant = get_benchmark(test)
+        index = spec["index"]
+        source = variant.benchmark.input_source(
+            index + 1, variant.variant, seed=spec.get("seed", 0)
+        )
+        np.testing.assert_array_equal(
+            protocol.decode_input(spec, test), source.materialize(index)
+        )
 
     def test_run_request_shape(self):
         message = protocol.run_request(1, "sort2", protocol.index_input(0))

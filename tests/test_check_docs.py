@@ -123,3 +123,31 @@ class TestExecutorNames:
 
     def test_executors_are_read_from_the_executors_module(self):
         assert check_docs._executor_names() == {"serial", "process"}
+
+
+class TestClassMembers:
+    @pytest.mark.parametrize(
+        "reference",
+        [
+            "Runtime.run_tasks",
+            "RunCache.DEFAULT_MAX_ENTRIES",
+            "Level2Config.max_subsets",
+            "Runtime.telemetry",
+            "SerialExecutor.close",
+        ],
+        ids=["def", "class-attribute", "annotated-field", "self-assignment", "base-member"],
+    )
+    def test_defined_member_passes(self, reference):
+        assert problems(f"see `{reference}` and `{reference}(...)`") == []
+
+    def test_missing_member_is_flagged(self):
+        assert problems("set `Level2Config.cv_folds` to 3") == [
+            "doc.md:1: Level2Config.cv_folds: class Level2Config under src/ "
+            "has no member cv_folds"
+        ]
+
+    def test_unknown_class_is_ignored(self):
+        assert problems("`NoSuchClass.member`, `np.asarray` and `config.cv_folds`") == []
+
+    def test_only_backticked_spans_are_checked(self):
+        assert problems("Level2Config.cv_folds outside a code span") == []

@@ -163,6 +163,18 @@ class TestCommands:
         assert requested == executed > 0
         assert "executor fallback:" not in output
 
+    def test_adapt_replay_runtime_stats_show_runs_phases_and_adaptation(self, capsys):
+        assert main(["adapt-replay", "--scale", "small", "--runtime-stats"]) == 0
+        output = capsys.readouterr().out
+        runs = re.search(r"^  runs: (\d+) requested,", output, re.MULTILINE)
+        assert runs is not None and int(runs.group(1)) > 0
+        assert re.search(r"^  phase adapt\.replay\.train: ", output, re.MULTILINE)
+        assert re.search(
+            r"^  adaptation: \d+ retrain\(s\), \d+ swap\(s\), \d+ rejected, \d+ failed$",
+            output,
+            re.MULTILINE,
+        )
+
     def test_table1_runs_tiny_experiment(self, capsys):
         code = main(
             ["table1", "--tests", "svd", "--inputs", "24", "--clusters", "3", "--generations", "2"]
