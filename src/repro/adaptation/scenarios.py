@@ -449,6 +449,13 @@ def _serve_stream(
         program_input = stream.materialize(index)
         entry = registry.get(scenario.test)
         outcome = entry.deployed.run(program_input)
+        served_costs.append(float(outcome.total_time))
+        served_labels.append(int(outcome.landmark_index))
+        if not adapt:
+            continue
+
+        # Only the live loop reads the log (drift checks) and the recent
+        # inputs (retraining), so the frozen pass keeps neither.
         values, _ = program.features.extract_vector(program_input)
         log.append(
             FeedbackRecord(
@@ -461,10 +468,7 @@ def _serve_stream(
         recent_inputs.append(program_input)
         if len(recent_inputs) > scenario.drift.window:
             del recent_inputs[0]
-        served_costs.append(float(outcome.total_time))
-        served_labels.append(int(outcome.landmark_index))
-
-        if not adapt or (index + 1) % scenario.check_every != 0:
+        if (index + 1) % scenario.check_every != 0:
             continue
         window_records = log.window(scenario.drift.window)
         report = monitor.check(log.feature_matrix(window_records))

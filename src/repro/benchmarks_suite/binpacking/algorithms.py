@@ -6,7 +6,8 @@ they probe for each item; the ``...Decreasing`` variants first sort the items
 in non-increasing order (charging the sort).  Costs are charged as bin probes
 (one per bin examined for an item) plus sort cost where applicable, so the
 cheap-but-sloppy vs. careful-but-slower structure of the choice space is
-faithful to the original benchmark.
+faithful to the original benchmark.  The scans skip bins that no remaining
+item can fit, but still charge every bin a scan over all bins examines.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
-from repro.lang.cost import charge
+from repro.lang.cost import charge, charge_ones
 
 #: Bin capacity (the benchmark uses unit bins).
 CAPACITY = 1.0
 #: Numerical slack when testing whether an item fits.
 EPSILON = 1e-9
+#: An item fits a bin when ``level + item <= _LIMIT``.
+_LIMIT = CAPACITY + EPSILON
 
 Bins = List[List[float]]
 
@@ -31,79 +34,122 @@ def next_fit(items: Sequence[float]) -> Bins:
     bins: Bins = []
     level = CAPACITY + 1.0
     for item in items:
-        charge(1, "probe")
-        if level + item > CAPACITY + EPSILON:
+        if level + item > _LIMIT:
             bins.append([])
             level = 0.0
         bins[-1].append(item)
         level += item
+    charge_ones(len(items), "probe")
     return bins
+
+
+def _suffix_minima(items: Sequence[float]) -> List[float]:
+    """``minima[i]`` is the smallest of ``items[i:]``; ``inf`` past the end."""
+    minima = [math.inf] * (len(items) + 1)
+    smallest = math.inf
+    for position in range(len(items) - 1, -1, -1):
+        if items[position] < smallest:
+            smallest = items[position]
+        minima[position] = smallest
+    return minima
+
+
+def _still_open(
+    open_bins: List[int], levels: List[float], index: int, smallest: float, following: float
+) -> List[int]:
+    """The open bins once bin ``index`` took an item and the smallest
+    remaining item went from ``smallest`` to ``following``.
+
+    A bin is open while the smallest remaining item still fits it.  Since
+    ``level + item`` never falls as ``item`` grows, a closed bin fits no
+    later item either, so a scan over the open bins finds the bin a scan
+    over every bin would.
+    """
+    if following > smallest:
+        return [i for i in open_bins if levels[i] + following <= _LIMIT]
+    if levels[index] + following > _LIMIT:
+        open_bins.remove(index)
+    return open_bins
+
+
+def _scan_fit(items: Sequence[float], bins: Bins, levels: List[float], from_last: bool) -> None:
+    """Place each item in the first bin with room, or the last if
+    ``from_last``, opening a new bin when none has room.
+
+    Only open bins (see :func:`_still_open`) are scanned, but the charge is
+    the probes of a scan over every bin: ``index + 1`` for first fit, ``n - index`` for last fit and
+    ``n`` when a bin is opened.  Nothing else charges during the scan, so
+    the probes are charged in one exact step at the end.
+    """
+    minima = _suffix_minima(items)
+    open_bins = [i for i, level in enumerate(levels) if level + minima[0] <= _LIMIT]
+    probes = 0
+    for position, item in enumerate(items):
+        for index in reversed(open_bins) if from_last else open_bins:
+            if levels[index] + item <= _LIMIT:
+                probes += len(levels) - index if from_last else index + 1
+                bins[index].append(item)
+                levels[index] += item
+                break
+        else:
+            probes += len(levels)
+            index = len(levels)
+            open_bins.append(index)
+            bins.append([item])
+            levels.append(item)
+        open_bins = _still_open(open_bins, levels, index, minima[position], minima[position + 1])
+    charge_ones(probes, "probe")
 
 
 def first_fit(items: Sequence[float]) -> Bins:
     """Place each item in the first open bin with room."""
     bins: Bins = []
-    levels: List[float] = []
-    for item in items:
-        placed = False
-        for index, level in enumerate(levels):
-            charge(1, "probe")
-            if level + item <= CAPACITY + EPSILON:
-                bins[index].append(item)
-                levels[index] += item
-                placed = True
-                break
-        if not placed:
-            bins.append([item])
-            levels.append(item)
+    _scan_fit(items, bins, [], from_last=False)
     return bins
 
 
 def last_fit(items: Sequence[float]) -> Bins:
     """Place each item in the most recently opened bin with room."""
     bins: Bins = []
-    levels: List[float] = []
-    for item in items:
-        placed = False
-        for index in range(len(levels) - 1, -1, -1):
-            charge(1, "probe")
-            if levels[index] + item <= CAPACITY + EPSILON:
-                bins[index].append(item)
-                levels[index] += item
-                placed = True
-                break
-        if not placed:
-            bins.append([item])
-            levels.append(item)
+    _scan_fit(items, bins, [], from_last=True)
     return bins
 
 
 def _fit_by_rule(items: Sequence[float], rule: str) -> Bins:
-    """Shared implementation of best/worst/almost-worst fit."""
+    """Shared implementation of best/worst/almost-worst fit.
+
+    The candidates come from the open bins only (see :func:`_still_open`),
+    in index order, so they are the tuples a scan over every bin builds.
+    """
     bins: Bins = []
     levels: List[float] = []
-    for item in items:
+    minima = _suffix_minima(items)
+    open_bins: List[int] = []
+    for position, item in enumerate(items):
         charge(max(len(levels), 1), "probe")
         candidates = [
-            (level, index)
-            for index, level in enumerate(levels)
-            if level + item <= CAPACITY + EPSILON
+            (levels[index], index)
+            for index in open_bins
+            if levels[index] + item <= _LIMIT
         ]
         if not candidates:
+            index = len(levels)
+            open_bins.append(index)
             bins.append([item])
             levels.append(item)
-            continue
-        if rule == "best":
-            _, index = max(candidates)  # fullest bin that still fits
-        elif rule == "worst":
-            _, index = min(candidates)  # emptiest bin
-        elif rule == "almost_worst":
-            ordered = sorted(candidates)
-            _, index = ordered[1] if len(ordered) > 1 else ordered[0]
-        else:  # pragma: no cover - guarded by the public wrappers
-            raise ValueError(f"unknown fit rule {rule!r}")
-        bins[index].append(item)
-        levels[index] += item
+        else:
+            if rule == "best":
+                _, index = max(candidates)  # fullest bin that still fits
+            elif rule == "worst":
+                _, index = min(candidates)  # emptiest bin
+            elif rule == "almost_worst":
+                ordered = sorted(candidates)
+                _, index = ordered[1] if len(ordered) > 1 else ordered[0]
+            else:  # pragma: no cover - guarded by the public wrappers
+                raise ValueError(f"unknown fit rule {rule!r}")
+            bins[index].append(item)
+            levels[index] += item
+        open_bins = _still_open(open_bins, levels, index, minima[position], minima[position + 1])
     return bins
 
 
@@ -170,7 +216,7 @@ def modified_first_fit_decreasing(items: Sequence[float]) -> Bins:
     """
     ordered = _decreasing(items)
     large = [x for x in ordered if x > CAPACITY / 2]
-    rest = [x for x in ordered if x <= CAPACITY / 2]
+    pool = [x for x in ordered if x <= CAPACITY / 2]
     charge(len(ordered), "classify")
 
     bins: Bins = [[x] for x in large]
@@ -178,37 +224,21 @@ def modified_first_fit_decreasing(items: Sequence[float]) -> Bins:
 
     # Phase 2: try to add one medium/small companion to each large bin,
     # visiting large bins from the one with the most free space.
-    remaining: List[float] = []
     order = sorted(range(len(bins)), key=lambda i: levels[i])
-    companion_used = [False] * len(bins)
-    pool = list(rest)
     for index in order:
         charge(max(len(pool), 1), "probe")
         chosen = -1
         for j, item in enumerate(pool):
-            if levels[index] + item <= CAPACITY + EPSILON:
+            if levels[index] + item <= _LIMIT:
                 chosen = j
                 break
         if chosen >= 0:
             item = pool.pop(chosen)
             bins[index].append(item)
             levels[index] += item
-            companion_used[index] = True
-    remaining = pool
 
     # Phase 3: first-fit the remaining items over all bins.
-    for item in remaining:
-        placed = False
-        for index, level in enumerate(levels):
-            charge(1, "probe")
-            if level + item <= CAPACITY + EPSILON:
-                bins[index].append(item)
-                levels[index] += item
-                placed = True
-                break
-        if not placed:
-            bins.append([item])
-            levels.append(item)
+    _scan_fit(pool, bins, levels, from_last=False)
     return bins
 
 

@@ -13,12 +13,21 @@ Using operation counts rather than timers keeps the whole reproduction
 deterministic and platform independent while preserving the *relative*
 performance structure (which algorithm wins on which input, and by what
 factor) that the paper's conclusions rest on.
+
+Charges are floats, so their order matters: after a non-integer charge
+(such as a sort's ``n log2 n``), adding ``k`` units in one step can round
+differently from ``k`` separate ``+1`` steps.  :func:`charge_ones` adds
+``count`` units with exactly the floats of ``count`` calls of
+``charge(1, category)``.  A kernel may defer unit charges to one
+``charge_ones`` call only when no other charge falls between them, so that
+the deferred units land on the counter in the order they were incurred.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional
 
@@ -113,14 +122,61 @@ def charge(amount: float, category: str = "work") -> None:
     """
     counter = _current.get()
     if counter is not None:
-        # Inlined CostCounter.charge: this is the hottest call in the whole
-        # measurement loop (every instrumented algorithm charges here), so
-        # the method dispatch is worth skipping.
+        # Inlined CostCounter.charge: every instrumented algorithm charges
+        # here, many times per run, so the method dispatch is worth skipping.
         if amount < 0:
             raise ValueError(f"cannot charge negative cost: {amount}")
         counter.total += amount
         categories = counter.by_category
         categories[category] = categories.get(category, 0.0) + amount
+
+
+#: Below this, floats are spaced at most 1/2 apart; from here up
+#: :func:`_add_ones` adds its ones one by one.
+_TWO_52 = 2.0**52
+
+
+def _add_ones(value: float, count: int) -> float:
+    """Return ``value`` after ``count`` successive ``+ 1.0`` additions, bit for bit.
+
+    Below 2**52 floats are spaced at most 1/2 apart, so every ``+ 1.0``
+    whose result stays below the power of two just above ``value`` is exact,
+    and all of them can be added at once (the distance to that power is
+    itself exact, by Sterbenz's lemma).  Only the one addition that reaches
+    the power can round, so it is done alone, and the walk repeats.
+    """
+    while count > 0 and 0.0 <= value < _TWO_52:
+        power = math.ldexp(1.0, math.frexp(value)[1])
+        exact = min(count, math.ceil(power - value) - 1)
+        value += exact
+        count -= exact
+        if count:
+            value += 1.0
+            count -= 1
+    for _ in range(count):
+        value += 1.0
+    return value
+
+
+def charge_ones(count: int, category: str = "work") -> None:
+    """Charge ``count`` units to ``category`` as ``count`` calls of
+    ``charge(1, category)`` would, bit for bit, on the total and on the
+    category, in a few steps per power of two the values cross.
+
+    A count of 0 adds no category.  When no counter is installed the
+    charge is dropped, as :func:`charge` drops it.
+
+    Raises:
+        ValueError: if ``count`` is negative.
+    """
+    counter = _current.get()
+    if counter is not None:
+        if count < 0:
+            raise ValueError(f"cannot charge a negative count: {count}")
+        if count:
+            counter.total = _add_ones(counter.total, count)
+            categories = counter.by_category
+            categories[category] = _add_ones(categories.get(category, 0.0), count)
 
 
 @contextlib.contextmanager

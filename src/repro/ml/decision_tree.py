@@ -53,17 +53,25 @@ def _digest(*parts: bytes) -> bytes:
 def _sorted_quantile(sorted_values: np.ndarray, quantiles: np.ndarray) -> np.ndarray:
     """``np.quantile`` (linear method) on already-sorted data, bit-for-bit.
 
-    Replicates NumPy's virtual-index arithmetic and its two-sided lerp
-    (which switches to the ``b - (b-a)*(1-t)`` form at ``t >= 0.5``), so the
+    Follows NumPy's ``_get_indexes``, ``_get_gamma`` and ``_lerp``: the upper
+    neighbour is ``floor + 1``; at or past the last index both neighbours
+    are the last value, with gamma measured from index ``-1``; and the lerp
+    switches to the ``b - (b-a)*(1-t)`` form at ``t >= 0.5``.  So the
     results match ``np.quantile(values, quantiles)`` exactly while skipping
-    the internal partition.
+    the internal partition.  (Where a column holds both ``-0.0`` and
+    ``0.0``, ``np.quantile``'s partition orders them arbitrarily, so only
+    the value of a zero result is defined there, not its sign.)
     """
     n = sorted_values.shape[0]
     virtual = quantiles * (n - 1)
-    previous = np.floor(virtual)
+    previous = np.floor(virtual).astype(np.intp)
+    following = previous + 1
+    above = virtual >= n - 1
+    previous[above] = -1
+    following[above] = -1
     gamma = virtual - previous
-    lower = sorted_values[previous.astype(np.int64)]
-    upper = sorted_values[np.ceil(virtual).astype(np.int64)]
+    lower = sorted_values[previous]
+    upper = sorted_values[following]
     diff = upper - lower
     result = lower + diff * gamma
     high = gamma >= 0.5

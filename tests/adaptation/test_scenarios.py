@@ -159,6 +159,10 @@ class TestSortShiftReplay:
     def test_feedback_log_covers_the_stream(self, small_replay):
         assert small_replay.adapted.feedback.total_appended == small_replay.n_requests
 
+    def test_frozen_pass_keeps_no_feedback(self, small_replay):
+        """Nothing reads the frozen pass's log, so it extracts no features."""
+        assert small_replay.frozen.feedback.total_appended == 0
+
     def test_report_json_is_self_consistent(self, small_replay):
         payload = small_replay.to_json()
         assert payload["regret"]["shifted_improvement"] == pytest.approx(

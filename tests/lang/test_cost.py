@@ -1,11 +1,20 @@
 """Tests for the work-unit cost accounting."""
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lang.config import ConfigurationSpace, IntegerParameter
-from repro.lang.cost import CostCounter, charge, current_counter, scoped_counter
+from repro.lang.cost import (
+    CostCounter,
+    charge,
+    charge_ones,
+    current_counter,
+    scoped_counter,
+)
 from repro.lang.program import PetaBricksProgram
 
 
@@ -118,3 +127,83 @@ class TestScopedCounter:
         with ThreadPoolExecutor(8) as pool:
             results = list(pool.map(lambda config: program.run(config, None), configs))
         assert [r.time for r in results] == [float(u) for u in range(1, 201)]
+
+
+def _n_log2_n(n):
+    return n * math.log2(max(n, 2))
+
+
+#: Running values a unit charge meets: whole counts, the non-integer sort
+#: charges of the ``...Decreasing`` heuristics, and arbitrary floats.
+start_values = st.one_of(
+    st.integers(0, 2**40).map(float),
+    st.integers(0, 10**6).map(_n_log2_n),
+    st.floats(min_value=0.0, max_value=2.0**40),
+)
+
+
+def _looped(counter, count, category):
+    """``count`` separate unit charges on a copy of ``counter``."""
+    reference = counter.copy()
+    with scoped_counter(reference):
+        for _ in range(count):
+            charge(1, category)
+    return reference
+
+
+class TestChargeOnes:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        total=start_values,
+        category_start=st.one_of(st.none(), start_values),
+        count=st.integers(0, 10**5),
+    )
+    def test_matches_a_loop_of_unit_charges_bit_for_bit(self, total, category_start, count):
+        counter = CostCounter(total=total)
+        if category_start is not None:
+            counter.by_category["probe"] = category_start
+        reference = _looped(counter, count, "probe")
+        with scoped_counter(counter):
+            charge_ones(count, "probe")
+        assert counter.total.hex() == reference.total.hex()
+        assert list(counter.by_category) == list(reference.by_category)
+        for category, value in reference.by_category.items():
+            assert counter.by_category[category].hex() == value.hex()
+
+    def test_one_bulk_charge_would_round_differently(self):
+        """401 items sorted, then 33,580 probes: one ``charge(33580)`` after
+        the ``n log2 n`` sort charge lands on a different float."""
+        counter = CostCounter()
+        counter.charge(_n_log2_n(401), "sort")
+        reference = _looped(counter, 33580, "probe")
+        bulk = counter.copy()
+        bulk.charge(33580, "probe")
+        assert bulk.total != reference.total
+        with scoped_counter(counter):
+            charge_ones(33580, "probe")
+        assert counter.total == reference.total
+        assert counter.by_category == reference.by_category
+
+    def test_zero_count_adds_no_category(self):
+        with scoped_counter() as counter:
+            charge_ones(0, "probe")
+        assert counter.total == 0.0
+        assert counter.by_category == {}
+
+    def test_negative_count_rejected(self):
+        with scoped_counter():
+            with pytest.raises(ValueError):
+                charge_ones(-1, "probe")
+
+    def test_charge_outside_scope_is_dropped(self):
+        assert current_counter() is None
+        charge_ones(100, "probe")  # must not raise
+        assert current_counter() is None
+
+    def test_steps_one_by_one_where_a_unit_rounds(self):
+        """From 2**53 up, ``+ 1.0`` ties round to even and the total stalls."""
+        counter = CostCounter(total=2.0**53 - 3.0)
+        reference = _looped(counter, 9, "probe")
+        with scoped_counter(counter):
+            charge_ones(9, "probe")
+        assert counter.total == reference.total

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml.decision_tree import DecisionTreeClassifier
+from repro.ml.decision_tree import DecisionTreeClassifier, _sorted_quantile
 
 
 def make_separable(n=200, seed=0):
@@ -181,18 +181,62 @@ class TestCandidateThresholds:
             _column(np.random.default_rng(2).integers(0, 200, size=600)),
             _column([-0.0, 0.0, 1.0, -1.0] * 5),
             _column(np.concatenate([np.random.default_rng(3).normal(size=50), [np.nan] * 2])),
+            _column(np.concatenate([np.arange(25.0), [np.inf]])),
         ],
         ids=[
             "empty", "constant", "few-distinct", "many-distinct", "many-ties",
-            "signed-zeros", "nan-tail",
+            "signed-zeros", "nan-tail", "inf-tail",
         ],
     )
     def test_sorted_scan_matches_reference(self, column):
+        """The inf tail has 26 distinct values, more than either cap, and its
+        last quantile at 24 thresholds interpolates towards ``inf`` (NaN)."""
         for max_thresholds in (4, 24):
             tree = DecisionTreeClassifier(max_thresholds=max_thresholds)
-            fast = tree._candidate_thresholds_sorted(column)
-            reference = tree._candidate_thresholds(column)
+            with np.errstate(invalid="ignore"):
+                fast = tree._candidate_thresholds_sorted(column)
+                reference = tree._candidate_thresholds(column)
             assert fast.tobytes() == reference.tobytes()
+
+
+column_values = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, 2.5, np.inf, -np.inf]),
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=column_values,
+    grid=st.integers(1, 30),
+    extra=st.lists(
+        st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])),
+        max_size=6,
+    ),
+)
+def test_sorted_quantile_is_np_quantile_bit_for_bit(values, grid, extra):
+    """On the caller's quantile grid and on drawn quantiles, NaN matching
+    NaN and the sign of zero compared.
+
+    A column holding both ``-0.0`` and ``0.0`` is the exception:
+    ``np.quantile``'s partition puts those equal values in no fixed order,
+    so the sign of a zero quantile is not defined there, only its value.
+    """
+    column = np.asarray(values, dtype=float)
+    quantiles = np.concatenate([np.linspace(0.0, 1.0, grid + 2)[1:-1], extra])
+    with np.errstate(invalid="ignore"):
+        fast = _sorted_quantile(np.sort(column), quantiles)
+        reference = np.quantile(column, quantiles)
+    nan = np.isnan(reference)
+    assert np.array_equal(np.isnan(fast), nan)
+    if np.unique(np.signbit(column[column == 0.0])).shape[0] > 1:
+        assert np.array_equal(fast[~nan], reference[~nan])
+    else:
+        assert fast[~nan].tobytes() == reference[~nan].tobytes()
 
 
 @settings(max_examples=30, deadline=None)
