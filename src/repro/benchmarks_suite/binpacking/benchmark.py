@@ -32,7 +32,7 @@ def build_config_space() -> ConfigurationSpace:
 def run_binpacking(config: Configuration, items: np.ndarray):
     """Pack ``items`` with the configured heuristic."""
     heuristic = algorithms.HEURISTICS[config["heuristic"]]
-    return heuristic(list(np.asarray(items, dtype=float)))
+    return heuristic(np.asarray(items, dtype=float).tolist())
 
 
 def binpacking_accuracy(_items: np.ndarray, bins) -> float:

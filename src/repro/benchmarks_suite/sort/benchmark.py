@@ -115,6 +115,31 @@ def run_sort(config: Configuration, data: np.ndarray) -> np.ndarray:
     return dispatch(np.asarray(data, dtype=float), 0)
 
 
+#: The parameter each parameterised algorithm reads, in view order.
+_ALGORITHM_PARAMETERS = (
+    ("merge_sort", "merge_ways"),
+    ("quick_sort", "quick_pivot"),
+    ("radix_sort", "radix_bits"),
+)
+
+
+def sort_read_view(config: Configuration, data: np.ndarray) -> tuple:
+    """What a run of :func:`run_sort` on ``data`` reads of ``config``.
+
+    ``dispatch`` asks the selector about sub-problems of 2 to ``len(data)``
+    elements only, so the view is the selector's choice for each of those
+    sizes (maximal ``(lo, hi, choice)`` runs), then the parameter of each
+    algorithm that occurs in them.  The depth guard reads no configuration
+    and the pivot generator is reseeded for every run.
+    """
+    decisions = config["selector"].decisions(2, len(data))
+    chosen = {choice for _, _, choice in decisions}
+    return (decisions,) + tuple(
+        (name, config[name]) for algorithm, name in _ALGORITHM_PARAMETERS
+        if algorithm in chosen
+    )
+
+
 class SortBenchmark(Benchmark):
     """The paper's Sort benchmark (fixed accuracy)."""
 
@@ -129,6 +154,7 @@ class SortBenchmark(Benchmark):
             features=features.build_feature_set(),
             accuracy_metric=always_accurate(),
             accuracy_requirement=AccuracyRequirement.disabled(),
+            read_view=sort_read_view,
         )
 
     def input_generators(self) -> Dict[str, InputGenerator]:

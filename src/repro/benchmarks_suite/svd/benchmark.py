@@ -9,7 +9,7 @@ iteration budget of the iterative techniques.  Accuracy is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -47,16 +47,30 @@ def build_config_space() -> ConfigurationSpace:
     return space
 
 
+def kept_rank(config: Configuration, shape: Tuple[int, ...]) -> int:
+    """The number of singular values a run keeps for a matrix of ``shape``."""
+    return max(1, int(round(float(config["rank_fraction"]) * min(shape))))
+
+
 def run_svd(config: Configuration, problem: SVDInput) -> np.ndarray:
     """Compute the configured rank-k approximation of the input matrix."""
     from repro.benchmarks_suite.svd import algorithms
 
     matrix = np.asarray(problem.matrix, dtype=float)
-    max_rank = min(matrix.shape)
-    k = max(1, int(round(float(config["rank_fraction"]) * max_rank)))
     return algorithms.rank_k_approximation(
-        matrix, k=k, technique=config["technique"], iterations=int(config["iterations"])
+        matrix,
+        k=kept_rank(config, matrix.shape),
+        technique=config["technique"],
+        iterations=int(config["iterations"]),
     )
+
+
+def svd_read_view(config: Configuration, problem: SVDInput) -> tuple:
+    """What a run of :func:`run_svd` on ``problem`` reads of ``config``:
+    ``(k, technique, iterations)``, where ``exact`` reads no iterations."""
+    technique = config["technique"]
+    iterations = None if technique == "exact" else config["iterations"]
+    return (kept_rank(config, np.shape(problem.matrix)), technique, iterations)
 
 
 def svd_accuracy(problem: SVDInput, approximation: np.ndarray) -> float:
@@ -85,6 +99,7 @@ class SVDBenchmark(Benchmark):
             accuracy_requirement=AccuracyRequirement(
                 accuracy_threshold=ACCURACY_THRESHOLD, satisfaction_threshold=0.95
             ),
+            read_view=svd_read_view,
         )
 
     def input_generators(self) -> Dict[str, InputGenerator]:

@@ -7,7 +7,9 @@ needs to know about a tunable program:
 * a ``run`` entry point that executes the program with a given configuration
   on a given input and reports the work-unit cost and output;
 * the set of ``input_feature`` extractors;
-* an accuracy metric and requirement (for variable-accuracy programs).
+* an accuracy metric and requirement (for variable-accuracy programs);
+* optionally, a *read view*: the configuration values a run on a given
+  input reads, so the run cache can key runs by those values alone.
 
 Concrete benchmarks in :mod:`repro.benchmarks_suite` construct instances of
 this class; the autotuner (:mod:`repro.autotuner`) and the two-level learning
@@ -17,7 +19,7 @@ pipeline (:mod:`repro.core`) only ever see this interface.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Hashable, Optional
 
 from repro.lang.accuracy import AccuracyMetric, AccuracyRequirement, always_accurate
 from repro.lang.config import Configuration, ConfigurationSpace
@@ -56,6 +58,13 @@ class PetaBricksProgram:
         accuracy_metric: output-quality metric; defaults to "always 1.0".
         accuracy_requirement: quality-of-service contract; defaults to
             disabled (fixed accuracy).
+        read_view: optional callable ``read_view(config, input) ->
+            hashable`` returning, in canonical form, exactly the
+            configuration values that a run on that input reads.  Its
+            contract: two configurations with equal views on an input give
+            bit-identical runs on it (time, accuracy and output), so
+            :func:`repro.runtime.keys.read_key` keys a run by its view.
+            ``None`` (the default) means every value is read.
     """
 
     def __init__(
@@ -66,6 +75,7 @@ class PetaBricksProgram:
         features: Optional[FeatureSet] = None,
         accuracy_metric: Optional[AccuracyMetric] = None,
         accuracy_requirement: Optional[AccuracyRequirement] = None,
+        read_view: Optional[Callable[[Configuration, Any], Hashable]] = None,
     ) -> None:
         self.name = name
         self.config_space = config_space
@@ -79,6 +89,7 @@ class PetaBricksProgram:
             if accuracy_requirement is not None
             else AccuracyRequirement.disabled()
         )
+        self.read_view = read_view
 
     @property
     def has_variable_accuracy(self) -> bool:

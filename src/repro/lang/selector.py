@@ -71,6 +71,26 @@ class Selector:
                 return rule.choice
         return self.fallback
 
+    def decisions(self, low: int, high: int) -> Tuple[Tuple[int, int, str], ...]:
+        """The choice for every size in ``low..high``, as maximal runs.
+
+        Each run is ``(lo, hi, choice)``: :meth:`select` returns ``choice``
+        for every size from ``lo`` to ``hi``, and adjacent runs differ in
+        their choice.  Empty when ``low > high``.
+        """
+        runs: list = []
+        start = low
+        bounds = [(rule.cutoff, rule.choice) for rule in self.rules]
+        for cutoff, choice in bounds + [(high + 1, self.fallback)]:
+            end = min(cutoff - 1, high)
+            if end < start:
+                continue
+            if runs and runs[-1][2] == choice:
+                start = runs.pop()[0]
+            runs.append((start, end, choice))
+            start = end + 1
+        return tuple(runs)
+
     @property
     def depth(self) -> int:
         """Number of cutoff rules (0 means "always use the fallback")."""

@@ -20,6 +20,7 @@ from repro.runtime.keys import (
     join_run_key,
     program_fingerprint,
     program_key,
+    read_key,
     run_key,
 )
 from repro.runtime.runtime import Runtime, default_runtime
@@ -43,5 +44,6 @@ __all__ = [
     "join_run_key",
     "program_fingerprint",
     "program_key",
+    "read_key",
     "run_key",
 ]

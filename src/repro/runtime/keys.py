@@ -8,15 +8,18 @@ A cached program run is identified by three components:
   population) produce the same fingerprint and therefore share cache
   entries; two unrelated programs that happen to share a name do not.
 * the *configuration key* -- a canonical digest of the configuration's
-  parameter values (selectors included).
+  parameter values (selectors included), or, for a program that declares
+  a read view (:class:`~repro.lang.program.PetaBricksProgram`), of the
+  values a run on that input reads, so configurations that differ only in
+  unread values share one run (:func:`read_key`).
 * the *input key* -- a canonical digest of the input's content (array
   bytes, dataclass fields, nested containers).
 
 Keys are hex digests, so they survive a JSON round-trip unchanged and the
 on-disk cache written by one process is readable by another.  How the three
 components join into one run key is this module's business: callers use
-:func:`run_key`, or :func:`program_key` and :func:`join_run_key` when
-they already hold the digests.
+:func:`run_key`, or :func:`program_key`, :func:`read_key` and
+:func:`join_run_key` when they already hold some of the digests.
 """
 
 from __future__ import annotations
@@ -120,6 +123,21 @@ def config_key(config: Configuration) -> str:
     return _digest_of(dict(config.values))[:16]
 
 
+def read_key(
+    program: PetaBricksProgram, config: Configuration, program_input: Any
+) -> str:
+    """The configuration part of a run key: a digest of what the run reads.
+
+    For a program that declares a ``read_view``, the digest of its view of
+    ``(config, program_input)``; otherwise :func:`config_key`.  A view is
+    a tuple and :func:`config_key` hashes a map, so the two digests are
+    taken of differently tagged values and never stand for each other.
+    """
+    if program.read_view is None:
+        return config_key(config)
+    return _digest_of(program.read_view(config, program_input))[:16]
+
+
 def input_key(program_input: Any) -> str:
     """Canonical digest of an input's content."""
     return _digest_of(program_input)[:16]
@@ -143,5 +161,7 @@ def join_run_key(program_digest: str, config_digest: str, input_digest: str) -> 
 def run_key(program: PetaBricksProgram, config: Configuration, program_input: Any) -> str:
     """The full cache key of one (program, configuration, input) run."""
     return join_run_key(
-        program_key(program), config_key(config), input_key(program_input)
+        program_key(program),
+        read_key(program, config, program_input),
+        input_key(program_input),
     )

@@ -27,7 +27,7 @@ from repro.lang.program import PetaBricksProgram, RunResult
 from repro.resilience.faults import maybe_fail
 from repro.runtime.cache import RunCache
 from repro.runtime.executors import BaseExecutor, CallTask, SerialExecutor, Task, get_executor
-from repro.runtime.keys import config_key, input_key, join_run_key, program_key, run_key
+from repro.runtime.keys import input_key, join_run_key, program_key, read_key, run_key
 from repro.runtime.telemetry import Telemetry
 
 #: Chunk size when none is given.  It keeps every dispatch of the default
@@ -291,16 +291,19 @@ class Runtime:
         An N x K measurement matrix holds only K distinct configurations and
         N distinct inputs, so the program fingerprint is computed once and
         config/input digests are memoized by object identity instead of
-        re-hashing full array content N*K times.
+        re-hashing full array content N*K times.  For a program with a read
+        view, configuration digests are memoized by each pair's view instead.
         """
         program_digest = program_key(program)
-        config_digests: Dict[int, str] = {}
+        read_view = program.read_view
+        config_digests: Dict[Any, str] = {}
         input_digests: Dict[int, str] = {}
         keys: List[str] = []
         for config, program_input in pairs:
-            ck = config_digests.get(id(config))
+            seen = id(config) if read_view is None else read_view(config, program_input)
+            ck = config_digests.get(seen)
             if ck is None:
-                ck = config_digests.setdefault(id(config), config_key(config))
+                ck = config_digests.setdefault(seen, read_key(program, config, program_input))
             ik = input_digests.get(id(program_input))
             if ik is None:
                 ik = input_digests.setdefault(id(program_input), input_key(program_input))

@@ -62,10 +62,10 @@ from repro.runtime import (
     RunCache,
     Runtime,
     SerialExecutor,
-    config_key,
     input_key,
     join_run_key,
     program_key,
+    read_key,
 )
 from repro.serving import protocol
 from repro.serving.protocol import (
@@ -169,7 +169,11 @@ class _SelectionMemo:
             configuration=configuration,
             landmark_index=index,
             feature_cost=cost,
-            run_key=join_run_key(self._program_key, config_key(configuration), digest),
+            run_key=join_run_key(
+                self._program_key,
+                read_key(deployed.program, configuration, program_input),
+                digest,
+            ),
         )
         if self._selections is not None:
             self._selections[digest] = selection
@@ -574,7 +578,9 @@ class SelectorServer:
                 landmark_index=-1,
                 feature_cost=0.0,
                 run_key=join_run_key(
-                    program_key(program), config_key(configuration), digest
+                    program_key(program),
+                    read_key(program, configuration, program_input),
+                    digest,
                 ),
             )
         memo = self._selections.get(entry.test)

@@ -124,6 +124,25 @@ class TestExecutedRunCounts:
             ]
         assert executed["serial"] == executed["process"]
 
+    def test_serial_and_process_execute_the_same_poisson2d_runs(self):
+        """The same for the reference solution a poisson2d run caches on
+        its input: were it part of the input's key, the serial executor
+        would execute more runs than the pool, which scores copies."""
+        executed = {}
+        for executor in ("serial", "process"):
+            result = run_experiment(
+                "poisson2d",
+                tiny_config(
+                    executor, n_inputs=12, n_clusters=2, tuner_generations=1,
+                    tuner_population=8, tuning_neighbors=4,
+                ),
+            )
+            assert "executor_fallback" not in result.runtime_stats
+            executed[executor] = result.runtime_stats["telemetry"]["counters"][
+                "runs_executed"
+            ]
+        assert executed["serial"] == executed["process"]
+
 
 class TestSharedRuntime:
     def test_second_experiment_reuses_measurements(self):

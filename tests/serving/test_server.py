@@ -31,7 +31,7 @@ from repro.serving import (
 )
 
 from repro.resilience.faults import FaultPlan, FaultSpec, fault_scope
-from repro.runtime import RunCache, Runtime
+from repro.runtime import RunCache, Runtime, run_key
 
 
 def wait_until(predicate, timeout=10.0):
@@ -340,6 +340,17 @@ class TestServerBasics:
         assert by_value["cache_hit"] is True
         for field in ("landmark", "time", "accuracy", "feature_cost", "total_time"):
             assert by_index[field] == by_value[field]
+
+    def test_served_runs_are_keyed_like_measured_runs(self, sort_server, sort_training):
+        """The server stores a run under ``run_key``'s key, read view
+        included, so a served run and the same run measured share it."""
+        deployed = sort_training["training"].deployed
+        data = sort_training["inputs"][2]
+        with connect(sort_server) as client:
+            response = client.run("sort2", protocol.pickle_input(data))
+        configuration = deployed.landmarks[response["landmark"]]
+        key = run_key(deployed.program, configuration, data)
+        assert sort_server.runtime.cache.get(key, need_output=True) is not None
 
     def test_repeat_is_cache_hit(self, sort_server, sort_training):
         data = sort_training["inputs"][1]
