@@ -19,8 +19,8 @@ code, fenced blocks included, so a deleted option cannot linger there:
   ``src/`` or ``scripts/`` defines it (``--no-X`` counts when ``--X`` is
   defined, as ``argparse.BooleanOptionalAction`` adds it);
 * **every ``REPRO_*`` variable is read** -- its name appears as a quoted
-  string in a Python file under ``src/``, ``scripts/``, ``tests/`` or
-  ``benchmarks/``, on a line that does not merely set or delete it;
+  string in a Python file under ``src/``, ``scripts/`` or ``tests/``, on
+  a line that does not merely set or delete it;
 * **every ``repro.*`` module exists** -- the longest dotted prefix that
   names a file under ``src/`` (``a/b.py`` or ``a/b/__init__.py``) is the
   module, and the next name, if any, must be defined at its top level (a
@@ -29,7 +29,8 @@ code, fenced blocks included, so a deleted option cannot linger there:
 * **every repo path exists** -- a path under ``src/``, ``tests/``,
   ``benchmarks/``, ``scripts/``, ``docs/``, ``perfbench/`` or
   ``examples/`` (relative to the repository root) names a file or
-  directory (a ``*`` in it must match one);
+  directory (a ``*`` in it must match one).  ``benchmarks/`` no longer
+  exists, so any path under it is reported;
 * **every chaos preset exists** -- the ``NAME`` of ``--preset NAME`` is a
   key of ``PRESETS`` in ``src/repro/resilience/chaos.py``;
 * **every executor exists** -- each ``|``-separated ``NAME`` of
@@ -138,7 +139,7 @@ def _read_env_vars() -> frozenset:
     """Every ``REPRO_*`` name quoted in code other than a setenv/delenv line."""
     return frozenset(
         name
-        for text in _python_sources("src", "scripts", "tests", "benchmarks")
+        for text in _python_sources("src", "scripts", "tests")
         for line in text.splitlines()
         if "setenv" not in line and "delenv" not in line
         for name in _QUOTED_ENV_VAR.findall(line)

@@ -4,14 +4,13 @@ The command-line face of :mod:`repro.serving.loadgen`::
 
     PYTHONPATH=src python scripts/loadgen.py --test sort2 \
         --requests 64 --unique-inputs 8 --clients 4 \
-        --output benchmarks/BENCH_serving.json
+        --output loadgen-metrics.json
 
 Trains the named test at a small scale, publishes the deployed selector on
 an in-process :class:`~repro.serving.server.SelectorServer`, replays a
 duplicate-heavy trace from concurrent client connections, and prints the
 metrics dict (p50/p99 selection latency, throughput, coalescing counters)
-as JSON.  ``benchmarks/BENCH_serving.json`` is this script's output,
-committed as the serving perf baseline.
+as JSON, and writes it to ``--output`` when given.
 
 Exits non-zero if the trace executed more unique work than it contained --
 the coalescing/recall guarantee the serving layer exists to provide.

@@ -2,11 +2,10 @@
 
 The layer that closes the loop the paper leaves open: the selector is
 trained once offline, but a live service sees its input population move.
-:class:`FeedbackLog` captures the per-request signal of a served stream,
-:class:`DriftMonitor` watches its feature distribution against the frozen
-training population, and :class:`Retrainer` re-tunes landmarks and
-retrains the Level-2 classifier on the drifted window, hot-swapping the
-result through the serving
+:class:`DriftMonitor` watches the feature distribution of the most recent
+served requests against the frozen training population, and
+:class:`Retrainer` re-tunes landmarks and retrains the Level-2 classifier
+on the drifted window, hot-swapping the result through the serving
 :class:`~repro.serving.registry.ModelRegistry` only after validating it
 against the incumbent.  :mod:`repro.adaptation.scenarios` scripts
 deterministic population shifts and replays them end to end (the
@@ -20,7 +19,6 @@ from repro.adaptation.drift import (
     DriftReport,
     FeatureDrift,
 )
-from repro.adaptation.feedback import FeedbackLog, FeedbackRecord
 from repro.adaptation.retrainer import RetrainConfig, RetrainOutcome, Retrainer
 from repro.adaptation.scenarios import (
     DriftScenario,
@@ -39,8 +37,6 @@ __all__ = [
     "DriftReport",
     "DriftScenario",
     "FeatureDrift",
-    "FeedbackLog",
-    "FeedbackRecord",
     "MixtureInputSource",
     "MixturePhase",
     "ReplayReport",

@@ -3,7 +3,7 @@
 The paper's central claim is that the *input* determines the best
 algorithmic choice; the dual of that claim is that a selector is only as
 good as the input population it was trained on.  :class:`DriftMonitor`
-watches the feature vectors flowing through the feedback log and compares
+watches the feature vectors of the most recent served requests and compares
 their windowed distribution, feature by feature, against the frozen
 training population -- PSI over reference-quantile bins plus the
 two-sample KS statistic, both from :mod:`repro.ml.stats`.
@@ -31,10 +31,10 @@ class DriftConfig:
     """Thresholds and hysteresis for :class:`DriftMonitor`.
 
     Attributes:
-        window: how many of the most recent feedback records form the live
+        window: how many of the most recent served requests form the live
             sample compared against the reference.
-        min_window: checks with fewer than this many records are skipped
-            (report ``insufficient``); a 3-record "window" says nothing.
+        min_window: checks with fewer than this many requests are skipped
+            (report ``insufficient``); a 3-request "window" says nothing.
         psi_threshold: per-feature PSI above this counts the feature as
             drifted (0.25 is the conventional "significant shift" line).
         ks_threshold: per-feature KS statistic above this counts the
@@ -165,8 +165,8 @@ class DriftMonitor:
     def check(self, live: np.ndarray) -> DriftReport:
         """Score one live window against the reference.
 
-        ``live`` is an (n, features) matrix -- typically
-        ``FeedbackLog.feature_matrix(log.window(config.window))``.
+        ``live`` is an (n, features) matrix -- typically the feature
+        vectors of the last ``config.window`` served requests.
         """
         self.checks += 1
         matrix = np.asarray(live, dtype=float)

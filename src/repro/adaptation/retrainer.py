@@ -3,25 +3,25 @@
 When the :class:`~repro.adaptation.drift.DriftMonitor` trips, the serving
 model's landmark set was tuned for a population that no longer arrives.
 :class:`Retrainer` runs the paper's two-level pipeline again, but scoped
-to the logged window that exhibits the drift:
+to the recent window of served inputs that exhibits the drift:
 
-1. cluster the window's feature vectors and autotune a landmark per
-   cluster (:func:`~repro.core.level1.create_landmarks`) -- these are the
-   configurations the *new* population wants;
-2. take the union of the serving landmarks and the new ones, **serving
-   landmarks first** -- the old classifier's labels stay valid column
-   indices into the union-ordered matrices, which is what makes the
-   old-vs-new validation below an apples-to-apples comparison;
-3. measure every union landmark on every window input
-   (:func:`~repro.core.level1.measure_performance` -- this is the step
-   that rides :meth:`Runtime.measure`, so it streams, caches, and fans
-   out over whatever executor the runtime has);
-4. retrain the Level-2 classifier zoo on the window dataset and select a
+1. run Level 1 (:func:`~repro.core.level1.run_level1`) on the window,
+   its landmark set starting with the serving landmarks: cluster the
+   window's feature vectors, autotune a landmark per cluster -- the
+   configurations the *new* population wants -- and append each one not
+   already served.  With the **serving landmarks first**, the old
+   classifier's labels stay valid column indices into the union-ordered
+   matrices, which is what makes the old-vs-new validation below an
+   apples-to-apples comparison.  Level 1 measures every union landmark
+   on every window input through :meth:`Runtime.measure`, so the
+   matrix streams, caches, and fans out over whatever executor the
+   runtime has;
+2. retrain the Level-2 classifier zoo on the window dataset and select a
    production classifier (:func:`~repro.core.level2.run_level2`);
-5. **validate before swapping**: score the old and the candidate
+3. **validate before swapping**: score the old and the candidate
    classifier on the same held-out window rows; a candidate that is not
    strictly cheaper is rejected and the old model keeps serving;
-6. publish the new :class:`~repro.core.pipeline.DeployedProgram` through
+4. publish the new :class:`~repro.core.pipeline.DeployedProgram` through
    the :class:`~repro.serving.registry.ModelRegistry` -- atomic by the
    registry's immutable-snapshot contract, so in-flight requests finish
    on the model they resolved and no request ever sees a half-swap.
@@ -36,16 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence
 
-import numpy as np
-
-from repro.core.level1 import (
-    Level1Config,
-    cluster_inputs,
-    create_landmarks,
-    extract_features,
-    measure_performance,
-    representative_input_indices,
-)
+from repro.core.level1 import Level1Config, run_level1
 from repro.core.level2 import Level2Config, run_level2
 from repro.core.dataset import PerformanceDataset
 from repro.core.pipeline import DeployedProgram
@@ -118,10 +109,10 @@ class RetrainOutcome:
         landmarks_before / landmarks_after: union set size bookkeeping
             (equal when every tuned landmark already existed).
         window_size: inputs the retrain saw.
-        window_features: the window's feature matrix -- the caller hands
-            it to :meth:`DriftMonitor.notify_retrained` as the new
-            reference population after a swap.
-        dataset: the window performance dataset (None on failure).
+        dataset: the window performance dataset (None on failure); after
+            a swap the caller hands its feature matrix to
+            :meth:`DriftMonitor.notify_retrained` as the new reference
+            population.
     """
 
     swapped: bool
@@ -132,7 +123,6 @@ class RetrainOutcome:
     landmarks_before: int = 0
     landmarks_after: int = 0
     window_size: int = 0
-    window_features: Optional[np.ndarray] = None
     dataset: Optional[PerformanceDataset] = None
 
 
@@ -190,51 +180,20 @@ class Retrainer:
         config = self.config
         if len(inputs) < 4:
             raise ValueError("retraining needs at least 4 window inputs")
-        base_landmarks = list(current.deployed.landmarks)
+        base_landmarks = current.deployed.landmarks
 
-        with runtime.telemetry.phase("adapt.features"):
-            extracted = extract_features(self.program, inputs)
-        n_clusters = min(config.n_clusters, len(inputs))
-        with runtime.telemetry.phase("adapt.cluster"):
-            clustering = cluster_inputs(
-                extracted["features"], n_clusters, seed=config.seed
-            )
-        representatives = representative_input_indices(
-            clustering["normalized"],
-            clustering["labels"],
-            clustering["centroids"],
-            n_neighbors=config.tuning_neighbors,
-        )
-        with runtime.telemetry.phase("adapt.tune"):
-            tuned = create_landmarks(
+        # Serving landmarks first: the old classifier's labels stay valid
+        # column indices, so it can be scored on the window dataset.
+        with runtime.telemetry.phase("adapt.level1"):
+            level1 = run_level1(
                 self.program,
                 inputs,
-                representatives,
                 config.level1_config(),
                 runtime=runtime,
+                landmarks=base_landmarks,
             )
-
-        # Union, serving landmarks first: the old classifier's labels stay
-        # valid column indices, so it can be scored on the window dataset.
-        landmarks = list(base_landmarks)
-        for landmark in tuned["landmarks"]:
-            if landmark not in landmarks:
-                landmarks.append(landmark)
-
-        with runtime.telemetry.phase("adapt.measure"):
-            measured = measure_performance(
-                self.program, inputs, landmarks, runtime=runtime
-            )
-        dataset = PerformanceDataset(
-            feature_names=self.program.features.feature_names(),
-            features=extracted["features"],
-            extraction_costs=extracted["costs"],
-            times=measured["times"],
-            accuracies=measured["accuracies"],
-            landmarks=landmarks,
-            requirement=self.program.accuracy_requirement,
-            inputs=inputs,
-        )
+        dataset = level1.dataset
+        landmarks = level1.landmarks
 
         train_rows, test_rows = train_test_split(
             len(inputs), test_fraction=config.test_fraction, random_state=config.seed
@@ -258,7 +217,6 @@ class Retrainer:
             landmarks_before=len(base_landmarks),
             landmarks_after=len(landmarks),
             window_size=len(inputs),
-            window_features=extracted["features"],
             dataset=dataset,
         )
         if not new_eval.effective_cost < old_eval.effective_cost:

@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,7 +49,6 @@ from repro.runtime import Runtime, default_runtime
 from repro.serving.registry import ModelRegistry
 
 from repro.adaptation.drift import DriftConfig, DriftMonitor
-from repro.adaptation.feedback import FeedbackLog, FeedbackRecord
 from repro.adaptation.retrainer import RetrainConfig, Retrainer
 
 #: The sort benchmark's generator families, by name -- the building blocks
@@ -314,7 +314,6 @@ class ServePass:
     final_version: int
     final_landmark_count: int
     registry: ModelRegistry
-    feedback: FeedbackLog
 
 
 @dataclass
@@ -435,12 +434,13 @@ def _serve_stream(
         config=scenario.retrain,
         runtime=runtime,
     )
-    log = FeedbackLog(capacity=max(scenario.drift.window * 4, 64))
+    # The last ``drift.window`` served requests, as (input, feature
+    # vector): the monitor checks the vectors, a retrain runs on the inputs.
+    window: Deque[Tuple[Any, np.ndarray]] = deque(maxlen=scenario.drift.window)
     stream = scenario.serving_source()
 
     served_costs: List[float] = []
     served_labels: List[int] = []
-    recent_inputs: List[Any] = []
     drift_events: List[Dict[str, Any]] = []
     swaps: List[Dict[str, Any]] = []
     checks = trips = retrains = rejected = failed = 0
@@ -454,24 +454,13 @@ def _serve_stream(
         if not adapt:
             continue
 
-        # Only the live loop reads the log (drift checks) and the recent
-        # inputs (retraining), so the frozen pass keeps neither.
+        # Only the live loop reads the window, so the frozen pass extracts
+        # no features.
         values, _ = program.features.extract_vector(program_input)
-        log.append(
-            FeedbackRecord(
-                features=tuple(float(v) for v in values),
-                predicted_label=outcome.landmark_index,
-                observed_cost=outcome.total_time,
-                observed_accuracy=outcome.result.accuracy,
-            )
-        )
-        recent_inputs.append(program_input)
-        if len(recent_inputs) > scenario.drift.window:
-            del recent_inputs[0]
+        window.append((program_input, values))
         if (index + 1) % scenario.check_every != 0:
             continue
-        window_records = log.window(scenario.drift.window)
-        report = monitor.check(log.feature_matrix(window_records))
+        report = monitor.check(np.asarray([vector for _, vector in window]))
         checks += 1
         drift_events.append(
             {
@@ -487,7 +476,7 @@ def _serve_stream(
             continue
         trips += 1
         retrains += 1
-        result = retrainer.retrain_on_inputs(list(recent_inputs))
+        result = retrainer.retrain_on_inputs([served for served, _ in window])
         swaps.append(
             {
                 "at": index + 1,
@@ -501,7 +490,7 @@ def _serve_stream(
             }
         )
         if result.swapped:
-            monitor.notify_retrained(result.window_features)
+            monitor.notify_retrained(result.dataset.features)
         else:
             rejected += result.reason == "rejected"
             failed += result.reason.startswith("failed")
@@ -523,7 +512,6 @@ def _serve_stream(
         final_version=final.version,
         final_landmark_count=len(final.deployed.landmarks),
         registry=registry,
-        feedback=log,
     )
 
 

@@ -11,7 +11,7 @@ directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.lang.accuracy import AccuracyRequirement
 from repro.lang.config import Configuration
@@ -81,10 +81,6 @@ class TuningObjective:
         self.runtime = runtime if runtime is not None else default_runtime()
         self.evaluations_performed = 0
 
-    def evaluate(self, config: Configuration) -> CandidateEvaluation:
-        """Run the program with ``config`` on every tuning input (one batch)."""
-        return self.evaluate_many([config])[0]
-
     def evaluate_many(self, configs: Sequence[Configuration]) -> List[CandidateEvaluation]:
         """Evaluate a whole generation of configurations at once.
 
@@ -94,8 +90,7 @@ class TuningObjective:
         keeping every run in the content-keyed run cache (deduplicated
         within the batch, shared with other pipeline stages, and persisted
         via ``cache_path`` like any other measurement).  Results come back
-        in ``configs`` order, run for run the same sequence a serial
-        ``[evaluate(c) for c in configs]`` loop would have produced.
+        in ``configs`` order.
         """
         pairs = [
             (config, tuning_input)
@@ -131,15 +126,3 @@ class TuningObjective:
             if self.requirement.enabled
             else True,
         )
-
-    @staticmethod
-    def best(evaluations: Iterable[CandidateEvaluation]) -> CandidateEvaluation:
-        """Return the best evaluation under the dual objective.
-
-        Raises:
-            ValueError: if ``evaluations`` is empty.
-        """
-        candidates = list(evaluations)
-        if not candidates:
-            raise ValueError("no evaluations to compare")
-        return min(candidates, key=lambda e: e.sort_key())

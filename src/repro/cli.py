@@ -268,8 +268,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     prints the top-N functions by cumulative time.  ``--output`` saves the
     printed table; ``--save-stats`` dumps the raw profile for ``pstats`` /
     ``snakeviz``-style exploration.  Profiling inflates wall time several
-    fold, so the numbers rank hot paths; benchmark wall-clock comparisons
-    belong to ``benchmarks/``.
+    fold, so the numbers rank hot paths; wall-clock comparisons belong to
+    the repository benchmark, ``perfbench/``.
     """
     import cProfile
     import io

@@ -251,8 +251,14 @@ def run_level1(
     config: Optional[Level1Config] = None,
     progress: Optional[Callable[[str], None]] = None,
     runtime: Optional[Runtime] = None,
+    landmarks: Sequence[Configuration] = (),
 ) -> Level1Result:
     """Run the full Level-1 pipeline and assemble the performance dataset.
+
+    The landmark set starts with ``landmarks``, in their order, and each
+    tuned configuration not already in it is appended.  A retrain passes
+    the serving landmarks, so the serving classifier's labels stay valid
+    column indices of the new dataset.
 
     ``inputs`` may be a plain list or a lazy
     :class:`~repro.core.inputs.InputSource`.  With a source, no stage holds
@@ -286,7 +292,7 @@ def run_level1(
             program, inputs, representatives, config, progress=progress, runtime=runtime
         )
 
-    landmarks: List[Configuration] = []
+    landmarks = list(landmarks)
     cluster_to_landmark = []
     for landmark in landmark_info["landmarks"]:
         if landmark not in landmarks:

@@ -78,12 +78,6 @@ class AccuracyRequirement:
         accurate = sum(1 for a in values if a >= self.accuracy_threshold)
         return accurate / len(values)
 
-    def is_satisfied(self, accuracies: Sequence[float]) -> bool:
-        """Does a set of runs meet the satisfaction threshold (``>= H2``)?"""
-        if not self.enabled:
-            return True
-        return self.satisfaction_rate(accuracies) >= self.satisfaction_threshold
-
     @staticmethod
     def disabled() -> "AccuracyRequirement":
         """A requirement that is always met (fixed-accuracy benchmarks)."""

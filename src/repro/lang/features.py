@@ -242,14 +242,6 @@ class FeatureSet:
             total_cost += measurement.cost
         return results, total_cost
 
-    def index_of(self, feature_name: str) -> int:
-        """Return the column index of ``feature_name`` in extract_vector output."""
-        names = self.feature_names()
-        try:
-            return names.index(feature_name)
-        except ValueError as exc:
-            raise KeyError(f"unknown feature {feature_name!r}") from exc
-
 
 def parse_feature_name(feature_name: str) -> Tuple[str, int]:
     """Split a fully-qualified feature name into (property, level).

@@ -96,16 +96,6 @@ class Selector:
         """Number of cutoff rules (0 means "always use the fallback")."""
         return len(self.rules)
 
-    def choices_used(self) -> Tuple[str, ...]:
-        """Distinct algorithm names referenced, in rule order then fallback."""
-        seen = []
-        for rule in self.rules:
-            if rule.choice not in seen:
-                seen.append(rule.choice)
-        if self.fallback not in seen:
-            seen.append(self.fallback)
-        return tuple(seen)
-
     def describe(self) -> str:
         """Human-readable one-line description (used in reports/examples)."""
         parts = [f"n<{rule.cutoff}:{rule.choice}" for rule in self.rules]

@@ -153,12 +153,12 @@ class RunCache:
     #: Default in-memory entry cap used by :meth:`repro.runtime.Runtime.create`
     #: (overridable via ``--cache-max-entries`` / ``REPRO_CACHE_MAX_ENTRIES``).
     #: An in-memory entry costs ~450 bytes (key + output-free ``RunResult``;
-    #: measured by ``benchmarks/test_bench_runtime.py::
-    #: test_run_cache_entry_footprint``), so the cap bounds the cache at
-    #: ~45 MB -- far above a whole Table-1 row at default sizes, while a
-    #: 50k-input x K1 experiment (~750k distinct runs) stays bounded
-    #: instead of growing to ~340 MB.  Measurement runs touch each key
-    #: once, so LRU eviction inside such a sweep costs nothing.
+    #: ``tests/runtime/test_cache.py`` keeps it below 1,500), so the cap
+    #: bounds the cache at ~45 MB -- far above a whole Table-1 row at
+    #: default sizes, while a 50k-input x K1 experiment (~750k distinct
+    #: runs) stays bounded instead of growing to ~340 MB.  Measurement runs
+    #: touch each key once, so LRU eviction inside such a sweep costs
+    #: nothing.
     DEFAULT_MAX_ENTRIES = 100_000
 
     def __init__(

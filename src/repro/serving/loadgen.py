@@ -12,9 +12,9 @@ per-index seeded population (:func:`repro.serving.protocol.index_input`),
 so the trace itself is a list of small integers and the inputs are
 materialized server-side, deterministically, exactly as training did.
 
-:func:`run_load` is the reusable core -- the serving benchmark
-(``benchmarks/test_bench_serving.py``) and the ``scripts/loadgen.py`` CLI
-both call it and write its metrics dict to ``BENCH_serving.json``.
+:func:`run_load` is the reusable core: ``tests/serving/test_loadgen.py``
+checks its metrics, and the ``scripts/loadgen.py`` CLI prints them and
+writes them to ``--output``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ def build_trace(
     requests: int,
     unique_inputs: int,
     seed: int = 0,
-    duplicate_fraction: float = 0.5,
 ) -> List[int]:
     """A deterministic request trace with a controlled duplication level.
 
@@ -50,8 +49,9 @@ def build_trace(
         requests: total trace length.
         unique_inputs: number of distinct input indices (0-based).
         seed: shuffle/draw seed.
-        duplicate_fraction: informational target; the actual fraction is
-            ``1 - unique_inputs / requests`` and is reported in the metrics.
+
+    The trace's duplicate fraction is ``1 - unique_inputs / requests``;
+    the metrics report it.
     """
     if requests < unique_inputs:
         raise ValueError("requests must be >= unique_inputs")
@@ -165,7 +165,7 @@ def run_load(
     """Serve ``deployed`` under ``test``, replay a duplicate-heavy trace,
     and report latency/throughput/coalescing metrics.
 
-    The returned dict is the ``BENCH_serving.json`` schema: request counts,
+    The returned metrics dict holds request counts,
     duration and throughput, selection/request latency percentiles in
     milliseconds, and the execution-dedup accounting -- ``executions`` (runs
     that actually ran), ``coalesced`` (answered by piggybacking on an

@@ -116,16 +116,16 @@ def decode_input(spec: Any, test: Optional[str]) -> Any:
         except Exception as error:
             raise ValueError(f"undecodable input 'payload': {error!r}") from None
     if encoding == "index":
-        try:
-            index = int(spec["index"])
-        except (KeyError, TypeError, ValueError):
-            raise ValueError("index input spec needs an integer 'index'") from None
+        # JSON integers only: int() would serve 3.7, "3" or true as another
+        # input, and bool is an int subclass.
+        index = spec.get("index")
+        if isinstance(index, bool) or not isinstance(index, int):
+            raise ValueError("index input spec needs an integer 'index'")
         if index < 0:
             raise ValueError("input 'index' must be non-negative")
-        try:
-            seed = int(spec.get("seed", 0))
-        except (TypeError, ValueError):
-            raise ValueError("index input spec needs an integer 'seed'") from None
+        seed = spec.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError("index input spec needs an integer 'seed'")
         if not isinstance(test, str):
             raise ValueError("index input spec needs a 'test' name")
         from repro.benchmarks_suite import get_benchmark  # lazy: heavy import

@@ -96,7 +96,7 @@ class TestRetrainRaises:
         def explode(*args, **kwargs):
             raise RuntimeError("tuner crashed mid-flight")
 
-        monkeypatch.setattr(retrainer_module, "create_landmarks", explode)
+        monkeypatch.setattr(retrainer_module, "run_level1", explode)
         outcome = adaptation_setup["retrainer"].retrain_on_inputs(
             adaptation_setup["window"]
         )
@@ -182,3 +182,38 @@ class TestSuccessfulSwapBookkeeping:
             assert registry.get("sort2").version == 1
             assert outcome.reason == "rejected"
             assert stats["adapt_retrains_rejected"] == 1
+
+
+class TestRetrainLevel1:
+    def test_one_level1_run_starts_from_the_serving_landmarks(
+        self, adaptation_setup, monkeypatch
+    ):
+        """The serving landmarks lead the window dataset's columns, so the
+        serving classifier's labels index the same configurations there."""
+        serving = list(adaptation_setup["registry"].get("sort2").deployed.landmarks)
+        calls = []
+        run_level1 = retrainer_module.run_level1
+
+        def recording_run_level1(*args, **kwargs):
+            calls.append(kwargs)
+            return run_level1(*args, **kwargs)
+
+        monkeypatch.setattr(retrainer_module, "run_level1", recording_run_level1)
+        window = adaptation_setup["window"]
+        outcome = adaptation_setup["retrainer"].retrain_on_inputs(window)
+        assert len(calls) == 1
+        assert list(calls[0]["landmarks"]) == serving
+        assert outcome.dataset.landmarks[: len(serving)] == serving
+        assert outcome.landmarks_before == len(serving)
+        assert outcome.landmarks_after == len(outcome.dataset.landmarks)
+        assert outcome.window_size == outcome.dataset.features.shape[0] == len(window)
+
+    def test_retrain_is_timed_as_one_level1_and_one_level2(self, adaptation_setup):
+        adaptation_setup["retrainer"].retrain_on_inputs(adaptation_setup["window"])
+        phases = adaptation_setup["runtime"].telemetry.phases
+        assert phases["adapt.level1"].calls == 1
+        assert phases["adapt.level2"].calls == 1
+        for stage in ("features", "cluster", "tune", "measure"):
+            assert phases[f"level1.{stage}"].calls == 1
+        for stage in ("features", "cluster", "tune", "measure"):
+            assert f"adapt.{stage}" not in phases

@@ -11,15 +11,22 @@ import numpy as np
 import pytest
 
 from repro.adaptation import (
+    DriftMonitor,
     MixtureInputSource,
     MixturePhase,
+    Retrainer,
     SCENARIOS,
     get_scenario,
     replay_scenario,
     sort_drift_scenario,
 )
-from repro.adaptation.scenarios import SORT_FAMILIES
+from repro.adaptation.scenarios import (
+    SORT_FAMILIES,
+    _serve_stream,
+    _train_initial_model,
+)
 from repro.core.pipeline import InputAwareLearning
+from repro.lang.features import FeatureSet
 from repro.runtime import RunCache, Runtime
 from repro.runtime.executors import ProcessExecutor, SerialExecutor
 
@@ -156,13 +163,6 @@ class TestSortShiftReplay:
         # for the frozen selector on its own training mixture's landmarks.
         assert small_replay.regret_frozen_shifted > 0
 
-    def test_feedback_log_covers_the_stream(self, small_replay):
-        assert small_replay.adapted.feedback.total_appended == small_replay.n_requests
-
-    def test_frozen_pass_keeps_no_feedback(self, small_replay):
-        """Nothing reads the frozen pass's log, so it extracts no features."""
-        assert small_replay.frozen.feedback.total_appended == 0
-
     def test_report_json_is_self_consistent(self, small_replay):
         payload = small_replay.to_json()
         assert payload["regret"]["shifted_improvement"] == pytest.approx(
@@ -194,6 +194,30 @@ class TestReplayTraining:
         assert fits == ["sort"]
         assert report.digest() == small_replay.digest()
 
+    def test_only_the_adapted_pass_extracts_features(self, monkeypatch):
+        """The drift window reads one feature vector per adapted request;
+        nothing reads the frozen pass's, so it extracts none."""
+        calls = []
+        extract_vector = FeatureSet.extract_vector
+
+        def counting_extract_vector(self, value):
+            calls.append(value)
+            return extract_vector(self, value)
+
+        monkeypatch.setattr(FeatureSet, "extract_vector", counting_extract_vector)
+        scenario = sort_drift_scenario("small", seed=0)
+        runtime = Runtime(executor=SerialExecutor(), cache=RunCache())
+        try:
+            training = _train_initial_model(scenario, runtime)
+            assert calls == []
+            _serve_stream(scenario, runtime, training, adapt=True)
+            assert len(calls) == len(scenario.serving_source())
+            calls.clear()
+            _serve_stream(scenario, runtime, training, adapt=False)
+        finally:
+            runtime.close()
+        assert calls == []
+
     def test_training_is_timed_apart_from_both_passes(self):
         runtime = Runtime(executor=SerialExecutor(), cache=RunCache())
         try:
@@ -203,6 +227,110 @@ class TestReplayTraining:
         phases = runtime.telemetry.phases
         for name in ("adapt.replay.train", "adapt.replay.adapted", "adapt.replay.frozen"):
             assert phases[name].calls == 1
+
+
+@pytest.fixture(scope="module")
+def recorded_adapted_pass():
+    """One adapted pass of the small scenario, recording every matrix the
+    monitor checks, every window a retrain runs on and every reference a
+    swap hands back to the monitor."""
+    checked, retrained, references = [], [], []
+    check = DriftMonitor.check
+    notify_retrained = DriftMonitor.notify_retrained
+    retrain_on_inputs = Retrainer.retrain_on_inputs
+
+    def recording_check(self, live):
+        checked.append(np.array(live, copy=True))
+        return check(self, live)
+
+    def recording_notify_retrained(self, reference=None):
+        references.append(np.array(reference, copy=True))
+        return notify_retrained(self, reference)
+
+    def recording_retrain_on_inputs(self, inputs):
+        retrained.append(list(inputs))
+        return retrain_on_inputs(self, inputs)
+
+    scenario = sort_drift_scenario("small", seed=0)
+    runtime = Runtime(executor=SerialExecutor(), cache=RunCache())
+    try:
+        training = _train_initial_model(scenario, runtime)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(DriftMonitor, "check", recording_check)
+            patch.setattr(DriftMonitor, "notify_retrained", recording_notify_retrained)
+            patch.setattr(Retrainer, "retrain_on_inputs", recording_retrain_on_inputs)
+            served = _serve_stream(scenario, runtime, training, adapt=True)
+    finally:
+        runtime.close()
+    return {
+        "scenario": scenario,
+        "program": training.deployed.program,
+        "served": served,
+        "checked": checked,
+        "retrained": retrained,
+        "references": references,
+    }
+
+
+class TestReplayWindow:
+    """The adapted pass keeps one window: the last ``drift.window`` served
+    requests.  The monitor checks their feature vectors and a retrain runs
+    on their inputs."""
+
+    def test_each_check_sees_the_features_of_the_last_window(
+        self, recorded_adapted_pass
+    ):
+        scenario = recorded_adapted_pass["scenario"]
+        program = recorded_adapted_pass["program"]
+        stream = scenario.serving_source()
+        events = recorded_adapted_pass["served"].drift_events
+        checked = recorded_adapted_pass["checked"]
+        assert len(checked) == len(events) > 0
+        for event, matrix in zip(events, checked):
+            at = event["at"]
+            start = max(0, at - scenario.drift.window)
+            expected = np.asarray(
+                [
+                    program.features.extract_vector(stream.materialize(i))[0]
+                    for i in range(start, at)
+                ]
+            )
+            assert matrix.shape == (at - start, program.features.num_features())
+            np.testing.assert_array_equal(matrix, expected)
+
+    def test_each_retrain_runs_on_the_last_window_of_inputs(
+        self, recorded_adapted_pass
+    ):
+        scenario = recorded_adapted_pass["scenario"]
+        stream = scenario.serving_source()
+        swaps = recorded_adapted_pass["served"].swaps
+        retrained = recorded_adapted_pass["retrained"]
+        assert len(retrained) == len(swaps) > 0
+        for swap, inputs in zip(swaps, retrained):
+            at = swap["at"]
+            assert at >= scenario.drift.window
+            assert len(inputs) == scenario.drift.window
+            for offset, served_input in enumerate(inputs):
+                np.testing.assert_array_equal(
+                    served_input,
+                    stream.materialize(at - scenario.drift.window + offset),
+                )
+
+    def test_a_swap_makes_the_tripped_window_the_new_reference(
+        self, recorded_adapted_pass
+    ):
+        """After a swap the monitor compares against the very window it
+        found drifted, which the new model was trained on."""
+        events = recorded_adapted_pass["served"].drift_events
+        checked_at = {
+            event["at"]: matrix
+            for event, matrix in zip(events, recorded_adapted_pass["checked"])
+        }
+        swapped = [s for s in recorded_adapted_pass["served"].swaps if s["swapped"]]
+        references = recorded_adapted_pass["references"]
+        assert len(references) == len(swapped) > 0
+        for swap, reference in zip(swapped, references):
+            np.testing.assert_array_equal(reference, checked_at[swap["at"]])
 
 
 class TestReplayDeterminism:
@@ -216,6 +344,13 @@ class TestReplayDeterminism:
         assert pooled.digest() == small_replay.digest()
         assert pooled.to_json() == small_replay.to_json()
 
+    def test_small_replay_matches_the_recorded_digest(self, small_replay):
+        """Any change to the feature pipeline, drift statistics, retrainer
+        or serving path that moves one served cost moves this digest."""
+        assert small_replay.digest() == (
+            "f3a8924980087d5ad932e3b087f46809f891cd47a0b36ee80aca746c6ece0d21"
+        )
+
     def test_repeat_serial_replay_is_bit_identical(self, small_replay):
         runtime = Runtime(executor=SerialExecutor(), cache=RunCache())
         try:
@@ -223,3 +358,22 @@ class TestReplayDeterminism:
         finally:
             runtime.close()
         assert again.digest() == small_replay.digest()
+
+
+class TestLargeScenario:
+    def test_large_replay_adapts_and_pays_off(self):
+        """The large scenario is a different script: 48 training inputs, a
+        224-request stream and a 64-request drift window."""
+        runtime = Runtime(executor=SerialExecutor(), cache=RunCache())
+        try:
+            report = replay_scenario(sort_drift_scenario("large", seed=0), runtime)
+        finally:
+            runtime.close()
+        assert report.adapted.drift_trips >= 1
+        swaps = [s for s in report.adapted.swaps if s["swapped"]]
+        assert len(swaps) >= 1
+        assert report.adapted.retrains_failed == 0
+        assert report.adapted.final_version == 1 + len(swaps)
+        assert report.frozen.final_version == 1
+        assert report.regret_adapted_shifted < report.regret_frozen_shifted
+        assert report.shifted_improvement > 0

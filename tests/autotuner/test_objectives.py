@@ -30,11 +30,16 @@ def config(program, quality):
     return Configuration({"quality": quality}, space=program.config_space)
 
 
+def best(evaluations):
+    """The evaluation the tuner keeps: the least ``sort_key``."""
+    return min(evaluations, key=lambda e: e.sort_key())
+
+
 class TestTuningObjective:
     def test_evaluate_records_time_and_accuracy(self):
         program = make_program()
         objective = TuningObjective(program, [None])
-        evaluation = objective.evaluate(config(program, 5))
+        [evaluation] = objective.evaluate_many([config(program, 5)])
         assert evaluation.mean_time == pytest.approx(20.0)
         assert evaluation.accuracies == (0.5,)
         assert evaluation.meets_accuracy
@@ -42,15 +47,16 @@ class TestTuningObjective:
     def test_infeasible_candidate_flagged(self):
         program = make_program()
         objective = TuningObjective(program, [None])
-        evaluation = objective.evaluate(config(program, 2))
+        [evaluation] = objective.evaluate_many([config(program, 2)])
         assert not evaluation.meets_accuracy
 
     def test_best_prefers_feasible_over_faster_infeasible(self):
         program = make_program()
         objective = TuningObjective(program, [None])
-        feasible = objective.evaluate(config(program, 5))     # time 20, accurate
-        infeasible = objective.evaluate(config(program, 10))  # faster? no: quality 10 -> time 10, accurate
-        fast_bad = objective.evaluate(config(program, 1))     # time 100... also inaccurate
+        # quality 5: time 20, accurate; 10: time 10, accurate; 1: time 100, inaccurate.
+        feasible, infeasible, fast_bad = objective.evaluate_many(
+            [config(program, 5), config(program, 10), config(program, 1)]
+        )
         # Make an explicitly infeasible but fast candidate by hand:
         fast_infeasible = CandidateEvaluation(
             config=config(program, 1),
@@ -59,35 +65,28 @@ class TestTuningObjective:
             satisfaction_rate=0.0,
             meets_accuracy=False,
         )
-        best = TuningObjective.best([feasible, fast_infeasible])
-        assert best is feasible
-        best = TuningObjective.best([feasible, infeasible, fast_bad])
-        assert best.mean_time == pytest.approx(10.0)
+        assert best([feasible, fast_infeasible]) is feasible
+        assert best([feasible, infeasible, fast_bad]).mean_time == pytest.approx(10.0)
 
     def test_best_among_feasible_is_fastest(self):
         program = make_program()
         objective = TuningObjective(program, [None])
-        slower = objective.evaluate(config(program, 5))
-        faster = objective.evaluate(config(program, 10))
-        assert TuningObjective.best([slower, faster]) is faster
+        slower, faster = objective.evaluate_many([config(program, 5), config(program, 10)])
+        assert best([slower, faster]) is faster
 
     def test_counts_evaluations(self):
         program = make_program()
         objective = TuningObjective(program, [None, None, None])
-        objective.evaluate(config(program, 5))
+        objective.evaluate_many([config(program, 5)])
         assert objective.evaluations_performed == 3
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
             TuningObjective(make_program(), [])
 
-    def test_best_of_empty_rejected(self):
-        with pytest.raises(ValueError):
-            TuningObjective.best([])
-
     def test_fixed_accuracy_program_always_feasible(self):
         space = ConfigurationSpace([IntegerParameter("x", 1, 2)])
         program = PetaBricksProgram("fixed", space, lambda c, i: charge(1.0))
         objective = TuningObjective(program, [None])
-        evaluation = objective.evaluate(program.default_configuration())
+        [evaluation] = objective.evaluate_many([program.default_configuration()])
         assert evaluation.meets_accuracy

@@ -1,5 +1,7 @@
 """Tests for the Level-1 pipeline (clustering, landmarks, measurement)."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,61 @@ class TestRunLevel1:
         config = Level1Config(n_clusters=5, tuner_generations=1, tuner_population=4)
         result = run_level1(program, inputs, config=config)
         assert len(set(result.landmarks)) == len(result.landmarks)
+
+    def test_starting_landmarks_come_first(self, sort_setup):
+        """A retrain starts the landmark set with the serving landmarks, so
+        the serving classifier's labels stay valid column indices."""
+        program, inputs = sort_setup
+        start = program.default_configuration()
+        config = Level1Config(n_clusters=3, tuner_generations=1, tuner_population=4)
+        result = run_level1(program, inputs, config=config, landmarks=[start])
+        assert result.landmarks[0] == start
+        assert len(set(result.landmarks)) == len(result.landmarks)
+        alone = measure_performance(program, inputs, [start])
+        np.testing.assert_array_equal(result.dataset.times[:, :1], alone["times"])
+        np.testing.assert_array_equal(
+            result.dataset.accuracies[:, :1], alone["accuracies"]
+        )
+
+    def test_starting_landmarks_keep_their_order(self, sort_setup):
+        program, inputs = sort_setup
+        start = [
+            program.config_space.sample(random.Random(0)),
+            program.default_configuration(),
+        ]
+        assert start[0] != start[1]
+        config = Level1Config(n_clusters=3, tuner_generations=1, tuner_population=4)
+        result = run_level1(program, inputs, config=config, landmarks=start)
+        assert result.landmarks[:2] == start
+        assert result.dataset.landmarks == result.landmarks
+
+    def test_a_started_landmark_that_tuning_finds_is_not_repeated(self, sort_setup):
+        """Starting from a configuration the tuner picks anyway leaves the
+        landmark set, and the landmark of each cluster, as they were."""
+        program, inputs = sort_setup
+        config = Level1Config(n_clusters=3, tuner_generations=1, tuner_population=4)
+        plain = run_level1(program, inputs, config=config)
+        started = run_level1(
+            program, inputs, config=config, landmarks=plain.landmarks[:1]
+        )
+        assert started.landmarks == plain.landmarks
+        assert started.cluster_to_landmark == plain.cluster_to_landmark
+
+    def test_each_cluster_keeps_its_tuned_landmark_after_a_start(self, sort_setup):
+        """A start set shifts the tuned landmarks' columns; each cluster's
+        index still names the configuration tuned for it."""
+        program, inputs = sort_setup
+        config = Level1Config(n_clusters=3, tuner_generations=1, tuner_population=4)
+        plain = run_level1(program, inputs, config=config)
+        start = program.config_space.sample(random.Random(0))
+        assert start not in plain.landmarks
+        started = run_level1(program, inputs, config=config, landmarks=[start])
+        assert started.landmarks == [start] + plain.landmarks
+        for cluster, index in enumerate(started.cluster_to_landmark):
+            assert index == plain.cluster_to_landmark[cluster] + 1
+            assert started.landmarks[index] == plain.landmarks[
+                plain.cluster_to_landmark[cluster]
+            ]
 
     def test_progress_callback_invoked(self, sort_setup):
         program, inputs = sort_setup

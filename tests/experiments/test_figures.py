@@ -19,9 +19,28 @@ TINY = ExperimentConfig(
 )
 
 
+#: The scale of the binpacking and sort2 panels below; the executor is
+#: pinned so the result does not depend on ``REPRO_EXECUTOR``.
+SMALL = ExperimentConfig(
+    n_inputs=60,
+    n_clusters=6,
+    tuner_generations=3,
+    tuner_population=6,
+    tuning_neighbors=2,
+    max_subsets=24,
+    seed=0,
+    executor="serial",
+)
+
+
 @pytest.fixture(scope="module")
 def sort_result():
     return run_experiment("sort2", TINY)
+
+
+@pytest.fixture(scope="module")
+def small_results():
+    return {name: run_experiment(name, SMALL) for name in ("sort2", "binpacking")}
 
 
 class TestFigure6:
@@ -37,6 +56,11 @@ class TestFigure6:
         assert 0.0 <= panel.tail_fraction(2.0) <= 1.0
         q25, q50, q75 = panel.quantiles()
         assert q25 <= q50 <= q75
+
+    def test_binpacking_panel_has_a_right_tail(self, small_results):
+        panel = distribution_from_result(small_results["binpacking"])
+        assert len(panel.speedups) > 0
+        assert panel.maximum >= panel.mean
 
     def test_run_figure6_returns_panel_per_test(self):
         panels = run_figure6(["sort2"], config=TINY)
@@ -55,9 +79,16 @@ class TestFigure7:
         curves = model_figure7a(config_counts=(2, 9), n_points=100)
         assert curves[9].y.max() < curves[2].y.max()
 
+    def test_figure7a_default_peaks_fall_with_every_config(self):
+        curves = model_figure7a()
+        assert set(curves) == {2, 3, 4, 5, 6, 7, 8, 9}
+        peaks = [float(curves[k].y.max()) for k in sorted(curves)]
+        assert all(b < a for a, b in zip(peaks, peaks[1:]))
+
     def test_figure7b_monotone_increasing(self):
         curve = model_figure7b(landmark_counts=range(10, 101, 10))
         assert np.all(np.diff(curve.y) >= 0.0)
+        assert curve.y[0] < curve.y[-1]
         assert curve.y[-1] > 0.95
 
 
@@ -82,6 +113,16 @@ class TestFigure8:
             sort_result, landmark_counts=[1, total], n_subsets=6, seed=2
         )
         assert points[1].median >= points[0].median - 1e-9
+
+    @pytest.mark.parametrize("test_name", ["sort2", "binpacking"])
+    def test_more_landmarks_never_hurt(self, small_results, test_name):
+        result = small_results[test_name]
+        total = result.training.dataset.n_landmarks
+        counts = sorted({1, 2, max(3, total // 2), total})
+        points = landmark_sweep(result, landmark_counts=counts, n_subsets=20, seed=0)
+        medians = [point.median for point in points]
+        assert medians[-1] >= medians[0] - 1e-9
+        assert all(median >= 1.0 - 1e-6 for median in medians)
 
     def test_classifier_mode_runs(self, sort_result):
         points = landmark_sweep(

@@ -23,6 +23,20 @@ TINY = ExperimentConfig(
 )
 
 
+#: The Table-1 shape check trains every test at this scale; the executor
+#: is pinned so the result does not depend on ``REPRO_EXECUTOR``.
+SMALL = ExperimentConfig(
+    n_inputs=60,
+    n_clusters=6,
+    tuner_generations=3,
+    tuner_population=6,
+    tuning_neighbors=2,
+    max_subsets=24,
+    seed=0,
+    executor="serial",
+)
+
+
 @pytest.fixture(scope="module")
 def small_rows():
     return run_table1(tests=("sort2", "binpacking"), config=TINY)
@@ -72,3 +86,14 @@ class TestTable1:
         }
         assert summary["max_two_level_speedup"] > 0
         assert summary["max_two_over_one_level"] >= 1.0 - 1e-9
+
+
+class TestTable1Shape:
+    @pytest.mark.parametrize("test_name", TABLE1_TESTS)
+    def test_paper_shape_holds(self, test_name):
+        """The dynamic oracle never loses to the static one, and two-level
+        learning with extraction charged keeps at least 80% of the one-level
+        method's speedup."""
+        row = row_from_result(run_experiment(test_name, SMALL))
+        assert row.dynamic_oracle >= 1.0 - 1e-6
+        assert row.two_level_with_extraction >= row.one_level_with_extraction * 0.8

@@ -30,18 +30,10 @@ class TestAccuracyRequirement:
         requirement = AccuracyRequirement(accuracy_threshold=0.5)
         assert requirement.satisfaction_rate([]) == 1.0
 
-    def test_is_satisfied_uses_satisfaction_threshold(self):
-        requirement = AccuracyRequirement(
-            accuracy_threshold=0.5, satisfaction_threshold=0.75
-        )
-        assert requirement.is_satisfied([0.6, 0.6, 0.6, 0.4])
-        assert not requirement.is_satisfied([0.6, 0.6, 0.4, 0.4])
-
     def test_disabled_requirement_always_satisfied(self):
         requirement = AccuracyRequirement.disabled()
         assert requirement.run_is_accurate(-100.0)
         assert requirement.satisfaction_rate([-1.0, -2.0]) == 1.0
-        assert requirement.is_satisfied([-1.0])
 
     def test_paper_default_satisfaction_threshold(self):
         """The paper sets the satisfaction threshold to 95% for all experiments."""

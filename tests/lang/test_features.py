@@ -102,12 +102,6 @@ class TestFeatureSet:
         _, subset_cost = features.extract_subset(data, ["mean@0"])
         assert subset_cost < full_costs.sum()
 
-    def test_index_of(self):
-        features = self._feature_set()
-        assert features.index_of("max@1") == 4
-        with pytest.raises(KeyError):
-            features.index_of("nope@0")
-
 
 class TestParseFeatureName:
     def test_round_trip(self):

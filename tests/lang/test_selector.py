@@ -60,13 +60,6 @@ class TestSelector:
         with pytest.raises(ValueError):
             Selector(rules=(), fallback="")
 
-    def test_choices_used_deduplicates(self):
-        selector = Selector(
-            rules=(SelectorRule(5, "a"), SelectorRule(10, "a"), SelectorRule(20, "b")),
-            fallback="a",
-        )
-        assert selector.choices_used() == ("a", "b")
-
     def test_describe_mentions_all_rules(self):
         selector = Selector(rules=(SelectorRule(5, "a"),), fallback="b")
         text = selector.describe()

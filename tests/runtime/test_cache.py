@@ -4,6 +4,7 @@ import json
 import sqlite3
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,26 @@ class TestEviction:
     def test_invalid_max_entries_rejected(self):
         with pytest.raises(ValueError):
             RunCache(max_entries=0)
+
+    def test_entry_footprint_stays_below_1500_bytes(self):
+        """Traced bytes per in-memory entry (key + output-free result), the
+        number ``DEFAULT_MAX_ENTRIES`` is derived from.  A loose ceiling, so
+        an entry that balloons (say, by caching outputs) fails loudly."""
+        n = 20_000
+        cache = RunCache()
+        tracemalloc.start()
+        try:
+            for i in range(n):
+                cache.put(
+                    f"prog:{i:016x}:{i:016x}:{i:016x}",
+                    RunResult(output=None, time=float(i), accuracy=1.0),
+                    has_output=False,
+                )
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_entry = current / n
+        assert per_entry < 1500, f"run-cache entries ballooned to {per_entry:.0f} B"
 
 
 class TestPersistence:

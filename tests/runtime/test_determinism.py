@@ -10,6 +10,7 @@ process, never in pool workers (the seeded-RNG audit).
 """
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -36,6 +37,21 @@ def tiny_config(executor: str, **overrides) -> ExperimentConfig:
     )
     settings.update(overrides)
     return ExperimentConfig(**settings)
+
+
+def small_config(executor: str) -> ExperimentConfig:
+    """The scale the recorded sort1 counters and speedup below were taken at."""
+    return ExperimentConfig(
+        n_inputs=60,
+        n_clusters=6,
+        tuner_generations=3,
+        tuner_population=6,
+        tuning_neighbors=2,
+        max_subsets=24,
+        seed=0,
+        executor=executor,
+        workers=2,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +160,20 @@ class TestExecutedRunCounts:
         assert executed["serial"] == executed["process"]
 
 
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_sort1_counts_and_speedup_match_the_record(self, executor):
+        """Counters and the two-level speedup are deterministic and
+        executor-independent; any drift is a behaviour change, not noise."""
+        result = run_experiment("sort1", small_config(executor))
+        counters = result.runtime_stats["telemetry"]["counters"]
+        assert result.runtime_stats["executor"] == executor
+        assert "executor_fallback" not in result.runtime_stats
+        assert result.mean_speedup("two_level") == 1.0896400582933012
+        assert counters.get("runs_requested", 0) == 573
+        assert counters.get("runs_executed", 0) == 477
+        assert counters.get("cache_hits", 0) == 96
+
+
 class TestSharedRuntime:
     def test_second_experiment_reuses_measurements(self):
         runtime = Runtime(cache=RunCache())
@@ -154,6 +184,31 @@ class TestSharedRuntime:
         # The repeat run is answered entirely from the shared cache.
         assert runtime.telemetry.runs_executed == executed_before
         runtime.close()
+
+    def test_warm_rerun_is_all_hits_and_faster(self):
+        """Every program execution of the repeat is a cache lookup, so it
+        executes nothing and takes less wall time than the cold run."""
+        config = small_config("serial")
+        runtime = Runtime(cache=RunCache())
+        try:
+            cold_start = time.perf_counter()
+            run_experiment("sort1", config, runtime=runtime)
+            cold_seconds = time.perf_counter() - cold_start
+            hits_before = runtime.telemetry.cache_hits
+            executed_before = runtime.telemetry.runs_executed
+
+            warm_start = time.perf_counter()
+            result = run_experiment("sort1", config, runtime=runtime)
+            warm_seconds = time.perf_counter() - warm_start
+        finally:
+            runtime.close()
+        warm_hits = runtime.telemetry.cache_hits - hits_before
+        warm_executed = runtime.telemetry.runs_executed - executed_before
+        hit_rate = warm_hits / max(1, warm_hits + warm_executed)
+        assert result.test_name == "sort1"
+        assert warm_executed == 0
+        assert hit_rate == 1.0
+        assert warm_seconds < cold_seconds
 
 
 class TestLiveOraclesAgreeWithMatrix:

@@ -5,14 +5,20 @@ select the *identical* production classifier with *identical* scores
 whichever executor carries the fit-and-score tasks.  This holds because
 candidates are enumerated, reassembled, and compared in enumeration order
 -- a deterministic key independent of completion order -- and every task is
-a pure function of its arguments.
+a pure function of its arguments.  A recorded sort1 search pins the
+selected classifier, and on hosts with the cores for it, the 4-worker
+pool must also run the search at least twice as fast as serial.
 """
+
+import os
+import time
 
 import numpy as np
 import pytest
 
 from repro.autotuner.evolution import EvolutionaryAutotuner
 from repro.benchmarks_suite import get_benchmark
+from repro.core.level1 import Level1Config, run_level1
 from repro.core.level2 import Level2Config, run_level2
 from repro.core.synthetic import synthetic_level2_dataset
 from repro.runtime import Runtime
@@ -140,3 +146,79 @@ class TestAutotunerBatchedObjective:
         assert runtime.telemetry.runs_executed > 0
         assert runtime.stats()["cache"]["entries"] == runtime.telemetry.runs_executed
         runtime.close()
+
+
+@pytest.fixture(scope="module")
+def sort1_search():
+    """The serial Level-2 search on a 160-input sort1 dataset, sized so the
+    search dominates, with its wall time."""
+    variant = get_benchmark("sort1")
+    inputs = variant.benchmark.generate_inputs(160, variant.variant, seed=0)
+    level1 = run_level1(
+        variant.benchmark.program,
+        inputs,
+        config=Level1Config(
+            n_clusters=6,
+            tuner_generations=3,
+            tuner_population=6,
+            tuning_neighbors=2,
+            seed=0,
+        ),
+    )
+    search = {
+        "dataset": level1.dataset,
+        "train_rows": range(80),
+        "test_rows": range(80, 160),
+        "config": Level2Config(max_subsets=64, seed=0),
+    }
+    start = time.perf_counter()
+    search["result"] = run_level2(
+        search["dataset"],
+        search["train_rows"],
+        search["test_rows"],
+        config=search["config"],
+    )
+    search["seconds"] = time.perf_counter() - start
+    return search
+
+
+class TestSort1SearchRecord:
+    WORKERS = 4
+
+    def test_serial_search_picks_the_recorded_classifier(self, sort1_search):
+        result = sort1_search["result"]
+        assert result.production.classifier.name == "dtree[sortedness@0,size@0]"
+        assert result.production.performance_cost == 5867.0625
+        assert len(result.classifiers) == 69
+
+    def test_four_workers_pick_the_same_classifier_at_least_2x_faster(
+        self, sort1_search
+    ):
+        """Parallelism must never change the answer.  Where the host has
+        the cores for it, the pool's candidate search must also take at
+        most half the serial search's wall time."""
+        serial = sort1_search["result"]
+        runtime = Runtime.create(
+            executor="process", workers=self.WORKERS, use_cache=False
+        )
+        try:
+            pooled = run_level2(
+                sort1_search["dataset"],
+                sort1_search["train_rows"],
+                sort1_search["test_rows"],
+                config=sort1_search["config"],
+                runtime=runtime,
+            )
+            pooled_seconds = runtime.telemetry.phases["level2.candidates"].seconds
+            fallback = runtime.stats().get("executor_fallback")
+        finally:
+            runtime.close()
+        assert fallback is None
+        assert pooled.production.classifier.name == serial.production.classifier.name
+        assert pooled.production.performance_cost == serial.production.performance_cost
+        if (os.cpu_count() or 1) >= self.WORKERS:
+            speedup = sort1_search["seconds"] / max(pooled_seconds, 1e-9)
+            assert speedup >= 2.0, (
+                f"level2.train speedup at {self.WORKERS} workers regressed to "
+                f"{speedup:.2f}x"
+            )

@@ -6,15 +6,19 @@ recall per cell, in-batch deduplication, misses to ``run_batch``.  The
 process pool answers each lease of runs with one pickled ``(2, n)`` float64
 block (``ProcessExecutor.run_measure``).  Every combination must stay
 bit-identical to the serial, cache-less reference and execute exactly the
-cells the cache did not already hold.
+cells the cache did not already hold.  The recorded sort1 matrix digests
+and the vectorization record pin the same path to fixed values.
 """
 
+import hashlib
 import random
+import time
 
 import numpy as np
 import pytest
 
 from repro.benchmarks_suite import get_benchmark
+from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.lang.config import ConfigurationSpace, IntegerParameter
 from repro.lang.cost import charge
 from repro.lang.program import PetaBricksProgram
@@ -228,3 +232,92 @@ def test_measure_matches_serial_everywhere(
     else:
         distinct = {(rows[i], j) for i in range(n) for j in range(k)}
         assert executed == len(distinct - cached)
+
+
+# -- recorded anchors -------------------------------------------------------
+
+
+def digest(array: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_sort1_matrix_matches_the_recorded_digests(executor):
+    """Measured times are deterministic work units, so the matrix is a
+    bit-exact, machine-independent anchor for every executor."""
+    variant = get_benchmark("sort1")
+    program = variant.benchmark.program
+    inputs = variant.benchmark.generate_inputs(24, variant.variant, seed=0)
+    rng = random.Random(0)
+    configs = [program.default_configuration()] + [
+        program.config_space.sample(rng) for _ in range(3)
+    ]
+    with Runtime.create(executor=executor, workers=2, use_cache=False) as runtime:
+        measured = runtime.measure(program, configs, inputs)
+    assert measured["times"].shape == (24, 4)
+    assert digest(measured["times"]) == (
+        "85861c100f7ab01c159cc39e31248e96e606ed45aafd2c7ad495d8ad9bf9253b"
+    )
+    assert digest(measured["accuracies"]) == (
+        "9b102308525df85d4056d6d6a4de78b2e8fbacd8322133b4f44a7210093bab00"
+    )
+
+
+class TestVectorizedRecord:
+    """The record of the vectorized measurement, feature and scoring paths.
+
+    Min-of-3 end-to-end walls of sort1 without a cache, on an 8-core
+    container: 12.786 s at the large configuration in the tree before the
+    vectorization (commit ``57e63d8``), and 1.951 s (large) and 0.272 s
+    (small) after it (commit ``e5ad7df``).  The optimization changed no
+    measured value, so the two-level speedup is pinned bit for bit.  A wall
+    more than ``TOLERANCE`` times the recorded one fails: generous for
+    machine variation, far below the ~6.5x a de-vectorization would cost.
+    """
+
+    BEFORE_LARGE_SECONDS = 12.786
+    AFTER_SECONDS = {"small": 0.272, "large": 1.951}
+    TOLERANCE = 3.0
+    CONFIGS = {
+        "small": ExperimentConfig(
+            n_inputs=60,
+            n_clusters=6,
+            tuner_generations=3,
+            tuner_population=6,
+            tuning_neighbors=2,
+            max_subsets=24,
+            seed=0,
+            executor="serial",
+            use_cache=False,
+        ),
+        "large": ExperimentConfig(
+            n_inputs=240,
+            n_clusters=12,
+            tuner_generations=8,
+            tuner_population=10,
+            tuning_neighbors=4,
+            max_subsets=128,
+            seed=0,
+            executor="serial",
+            use_cache=False,
+        ),
+    }
+
+    def test_recorded_walls_show_at_least_5x(self):
+        assert self.BEFORE_LARGE_SECONDS / self.AFTER_SECONDS["large"] >= 5.0
+
+    @pytest.mark.parametrize(
+        "scale,two_level_speedup",
+        [("small", 1.0896400582933012), ("large", 2.5715317152110484)],
+        ids=["small", "large"],
+    )
+    def test_sort1_answer_and_wall(self, scale, two_level_speedup):
+        start = time.perf_counter()
+        result = run_experiment("sort1", self.CONFIGS[scale])
+        wall = time.perf_counter() - start
+        assert result.mean_speedup("two_level") == two_level_speedup
+        ceiling = self.AFTER_SECONDS[scale] * self.TOLERANCE
+        assert wall <= ceiling, (
+            f"sort1 at the {scale} configuration took {wall:.3f} s, over "
+            f"{self.TOLERANCE}x the recorded {self.AFTER_SECONDS[scale]} s"
+        )

@@ -9,6 +9,9 @@ whole ("unchunked"), under every executor -- while bounding the transient
 footprint of a measurement batch by O(chunk).
 """
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -280,3 +283,93 @@ class TestIterPairsStreaming:
     def test_invalid_batch_chunk_rejected(self):
         with pytest.raises(ValueError):
             Runtime(batch_chunk=0)
+
+
+class TestPeakMemory:
+    """Traced peak memory at the sizes where chunking and streaming must
+    pay off.  Both runs of each comparison are serial, so the peaks do not
+    depend on ``REPRO_EXECUTOR``."""
+
+    def test_small_chunks_halve_the_matrix_peak(self):
+        """Without a cache, one chunk holds every pair and every result
+        (program outputs included) until it completes: O(N x K) transient
+        memory.  Chunks of 32 fold into the output arrays and are dropped.
+        400 x 4 runs stay below ``DEFAULT_BATCH_CHUNK``, so ``None`` sends
+        the matrix as one chunk."""
+        variant = get_benchmark("sort1")
+        program = variant.benchmark.program
+        inputs = variant.benchmark.generate_inputs(400, variant.variant, seed=0)
+        rng = random.Random(0)
+        configs = [program.default_configuration()] + [
+            program.config_space.sample(rng) for _ in range(3)
+        ]
+
+        def measure_with_peak(batch_chunk):
+            runtime = Runtime.create(
+                executor="serial", use_cache=False, batch_chunk=batch_chunk
+            )
+            tracemalloc.start()
+            try:
+                measured = runtime.measure(program, configs, inputs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+                runtime.close()
+            return measured, peak
+
+        full, full_peak = measure_with_peak(None)
+        chunked, chunk_peak = measure_with_peak(32)
+        np.testing.assert_array_equal(full["times"], chunked["times"])
+        np.testing.assert_array_equal(full["accuracies"], chunked["accuracies"])
+        assert chunk_peak < full_peak * 0.5, (
+            f"chunked peak {chunk_peak} not below half of one-chunk peak {full_peak}"
+        )
+
+    def test_streamed_inputs_stop_the_peak_growing_with_n(self):
+        """The whole experiment at 120 and 360 inputs, materialized (input
+        list, one default chunk, unbounded cache) and streamed (lazy source,
+        chunks of 32, a 256-entry cache).  At 360 the streamed peak must be
+        well below the materialized one, and its growth with N a fraction
+        of the materialized growth: what remains is the <F, T, A, E>
+        datatable, not the input list or the cache."""
+
+        def config(n_inputs, streamed):
+            return ExperimentConfig(
+                n_inputs=n_inputs,
+                n_clusters=3,
+                tuner_generations=2,
+                tuner_population=4,
+                tuning_neighbors=2,
+                max_subsets=8,
+                seed=0,
+                executor="serial",
+                stream_inputs=streamed,
+                batch_chunk=32 if streamed else None,
+                cache_max_entries=256 if streamed else None,
+            )
+
+        # Warm up imports (NumPy pulls submodules on first use), so the
+        # traced peaks compare run-scale allocations, not module objects.
+        run_experiment("sort1", config(8, streamed=False))
+
+        def traced_peak(n_inputs, streamed):
+            tracemalloc.start()
+            try:
+                run_experiment("sort1", config(n_inputs, streamed))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak
+
+        materialized = {n: traced_peak(n, streamed=False) for n in (120, 360)}
+        streamed = {n: traced_peak(n, streamed=True) for n in (120, 360)}
+        growth_materialized = materialized[360] - materialized[120]
+        growth_streamed = streamed[360] - streamed[120]
+        assert streamed[360] < materialized[360] * 0.65, (
+            f"streamed peak {streamed[360]} not decisively below "
+            f"materialized peak {materialized[360]}"
+        )
+        assert growth_streamed < growth_materialized * 0.6, (
+            f"streamed peak still scales with N: grew {growth_streamed} vs "
+            f"materialized growth {growth_materialized}"
+        )

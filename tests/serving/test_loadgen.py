@@ -47,6 +47,7 @@ class TestRunLoad:
         assert metrics["each_unique_executed_at_most_once"] is True
         assert metrics["executions"] <= 4
         assert metrics["rejected"] == 0
+        assert metrics["labels_clamped"] == 0
         # Every request is exactly one of: fresh execution, coalesced join,
         # or run-cache recall.
         assert (

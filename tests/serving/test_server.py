@@ -136,12 +136,22 @@ class TestProtocol:
             ({"encoding": "index", "index": 0, "seed": "x"}, "sort2", "'seed'"),
             ({"encoding": "index", "index": 0}, None, "'test'"),
             ({"encoding": "index", "index": 0, "variant": "alien"}, "sort2", "'variant'"),
+            ({"encoding": "index", "index": 3.7, "seed": 5}, "sort2", "'index'"),
+            ({"encoding": "index", "index": "3", "seed": 5}, "sort2", "'index'"),
+            ({"encoding": "index", "index": 3.0, "seed": 5}, "sort2", "'index'"),
+            ({"encoding": "index", "index": True, "seed": 5}, "sort2", "'index'"),
+            ({"encoding": "index", "index": 3, "seed": 5.9}, "sort2", "'seed'"),
+            ({"encoding": "index", "index": 3, "seed": "5"}, "sort2", "'seed'"),
+            ({"encoding": "index", "index": 3, "seed": False}, "sort2", "'seed'"),
+            ({"encoding": "index", "index": 3, "seed": 5.0}, "sort2", "'seed'"),
         ],
         ids=[
             "index-matches-population", "no-spec", "unknown-encoding",
             "missing-index", "unknown-test", "missing-payload", "undecodable-payload",
             "seed-defaults-to-zero", "negative-index", "non-integer-seed",
             "no-test-name", "unknown-variant",
+            "float-index", "string-index", "whole-float-index", "bool-index",
+            "float-seed", "string-seed", "bool-seed", "whole-float-seed",
         ],
     )
     def test_decode_input(self, spec, test, error):
@@ -294,6 +304,23 @@ class TestServerBasics:
             response = client.run("sort2", spec)
         assert response["type"] == "error"
         assert response["code"] == protocol.BAD_REQUEST
+
+    @pytest.mark.parametrize(
+        "spec,field",
+        [
+            ({"encoding": "index", "index": 3.7, "seed": 5}, "'index'"),
+            ({"encoding": "index", "index": 3, "seed": "5"}, "'seed'"),
+        ],
+        ids=["index", "seed"],
+    )
+    def test_non_integer_index_or_seed_is_400_naming_it(self, sort_server, spec, field):
+        """The server answers no input for a field that is not a JSON
+        integer, rather than the input its int() would round it to."""
+        with connect(sort_server) as client:
+            response = client.run("sort2", spec)
+        assert response["type"] == "error"
+        assert response["code"] == protocol.BAD_REQUEST
+        assert field in response["error"]
 
     def test_frame_split_across_writes_is_answered_once_whole(self, sort_server):
         frame = protocol.encode_message({"type": "ping"})
